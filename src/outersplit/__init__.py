@@ -10,7 +10,6 @@ formats used to cross-check it.
 
 from .bounds import (
     BoundReport,
-    dual_girth,
     lower_bound_3tree,
     lower_bound_generic,
     report,
@@ -45,25 +44,20 @@ from .plane_graph import (
     DualGraph,
     Face,
     FaceId,
-    IncidenceGraph,
     PlaneGraph,
     Slot,
     Vertex,
     build,
     canonical_key,
     dual,
-    extract_faces,
-    incidence_graph,
     is_biconnected,
     is_outerplane,
     outerplane_face,
-    weak_dual,
     with_outer_face,
 )
 from .reductions import (
     CfcInstance,
     VcInstance,
-    all_one_subdivision,
     brute_min_vc,
     build_cfc_instance,
     cfc_to_vc,
@@ -82,5 +76,3 @@ from .split_engine import (
     split_vertex,
 )
 from .svg import emit_svg, layout, render
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotMaximalPlanar
-from .plane_graph import PlaneGraph, dual, with_outer_face
+from .plane_graph import PlaneGraph
 
 ADVISORY_N = 8
 
@@ -46,51 +46,24 @@ def upper_bound(g: PlaneGraph) -> Fraction:
     raise NotMaximalPlanar(f"minimum degree {dmin} is outside 3..5")
 
 
-def lower_bound_generic(n: int) -> Fraction:
-    """Every n-vertex plane biconnected graph needs at least (n-3)/2
-    splits to become outerplane."""
-    return Fraction(n - 3, 2)
+def lower_bound_generic(n: int, max_face: int) -> Fraction:
+    """Every n-vertex plane biconnected graph whose faces touch at most
+    max_face = L vertices needs at least (n-L)/(L-1) splits to become
+    outerplane, and never fewer than 0.
+
+    k splits need a connected cover of k+1 faces; ordered so that each
+    face touches an earlier one, the first face covers at most L vertices
+    and every later one at most L-1 new ones.  On triangulations this is
+    (n-3)/2."""
+    if n <= max_face:
+        return Fraction(0)
+    return Fraction(n - max_face, max_face - 1)
 
 
 def lower_bound_3tree(d: int) -> Fraction:
     """The depth-d complete planar 3-tree needs at least 3^d - 1 splits;
     equals (2 n_d - 8)/3 for its vertex count n_d."""
     return Fraction(3 ** d - 1)
-
-
-def dual_girth(g: PlaneGraph) -> int:
-    """Girth of the dual, honoring parallel edges: two faces sharing two
-    edges already close a cycle of length 2."""
-    gg = g if g.outer_face is not None else with_outer_face(g, 0)
-    d = dual(gg)
-    mult: dict[int, dict[int, int]] = {u: {} for u in d.nodes}
-    for a, b in d.edges:
-        if a == b:
-            return 1
-        mult[a][b] = mult[a].get(b, 0) + 1
-        mult[b][a] = mult[b].get(a, 0) + 1
-    if any(c >= 2 for nbrs in mult.values() for c in nbrs.values()):
-        return 2
-    best = math.inf
-    for s in d.nodes:
-        dist = {s: 0}
-        parent = {s: None}
-        queue = [s]
-        i = 0
-        while i < len(queue):
-            u = queue[i]
-            i += 1
-            for w in mult[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    best = min(best, dist[u] + dist[w] + 1)
-        # cycles through s are already minimal by the time BFS finishes
-    if best is math.inf:
-        raise AssertionError("dual of a plane graph always has a cycle")
-    return int(best)
 
 
 def report(g: PlaneGraph, osn: int | None = None,
@@ -105,7 +78,8 @@ def report(g: PlaneGraph, osn: int | None = None,
     return BoundReport(
         n=g.n,
         min_degree=min(g.degree(v) for v in g.rotation),
-        lower_generic=lower_bound_generic(g.n),
+        lower_generic=lower_bound_generic(g.n, max(
+            (len(f.incident_vertices) for f in g.faces), default=g.n)),
         lower_family=family,
         upper=upper,
         osn=osn,

@@ -36,9 +36,9 @@ from .plane_graph import (
 from .split_engine import (
     FaceCover,
     SplitSequence,
-    _realize,
     _split_at_gaps,
     face_cover,
+    realize_cover,
 )
 
 
@@ -299,10 +299,8 @@ def solve_osn(g: PlaneGraph) -> OsnResult:
     gg = g if g.outer_face is not None else with_outer_face(g, 0)
     sol = min_fvs(dual(gg))
     cover = fvs_to_cover(gg, sol)
-    seq, final = _realize(gg, cover)
-    if not is_outerplane(final):
-        raise AssertionError("realized graph failed the outerplane check")
-    return OsnResult(osn=len(sol.nodes) - 1, cover=cover, splits=seq)
+    return OsnResult(osn=len(sol.nodes) - 1, cover=cover,
+                     splits=realize_cover(gg, cover))
 
 
 # -- independent brute-force oracles -------------------------------------------

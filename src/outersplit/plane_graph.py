@@ -1,11 +1,10 @@
 """Plane graphs stored as rotation systems.
 
 A plane graph is a map from each vertex to the cyclic clockwise order of its
-neighbors.  That map is the single source of truth for the embedding: faces,
-the dual and the face-vertex incidence graph are all derived from it and
-never stored independently.  The embedding lives on the sphere, so the outer
-face is a designation (an ordinary face id picked by the caller), not a
-structural property.
+neighbors.  That map is the single source of truth for the embedding: faces
+and the dual are derived from it and never stored independently.  The
+embedding lives on the sphere, so the outer face is a designation (an
+ordinary face id picked by the caller), not a structural property.
 
 Faces are traced through directed edge slots.  The slot (u, v) is the side
 of edge {u, v} walked from u to v; each slot belongs to exactly one face,
@@ -198,11 +197,6 @@ def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     return PlaneGraph(rotation=g.rotation, outer_face=face_id)
 
 
-def extract_faces(g: PlaneGraph) -> tuple[Face, ...]:
-    """All faces of the embedding in deterministic id order."""
-    return g.faces
-
-
 def canonical_key(g: PlaneGraph):
     """Hashable structural key: two graphs with equal keys are the same
     labeled embedding (outer-face designation included)."""
@@ -245,10 +239,6 @@ def dual(g: PlaneGraph) -> DualGraph:
     """Dual multigraph of the embedding; needs a designated outer face."""
     if g.outer_face is None:
         raise OuterFaceUnset("dual graph needs a designated outer face")
-    return _dual_of(g, outer=g.outer_face)
-
-
-def _dual_of(g: PlaneGraph, outer: FaceId | None) -> DualGraph:
     edges = []
     for u, v in g.edges():
         a = g.face_of_slot((u, v))
@@ -257,57 +247,7 @@ def _dual_of(g: PlaneGraph, outer: FaceId | None) -> DualGraph:
     return DualGraph(
         nodes=tuple(f.id for f in g.faces),
         edges=tuple(sorted(edges)),
-        outer_node=outer,
-    )
-
-
-def weak_dual(g: PlaneGraph) -> DualGraph:
-    """Dual with the outer face node (and its edges) removed."""
-    full = dual(g)
-    keep = tuple(f for f in full.nodes if f != full.outer_node)
-    edges = tuple(e for e in full.edges if full.outer_node not in e)
-    return DualGraph(nodes=keep, edges=edges, outer_node=None)
-
-
-@dataclass(frozen=True)
-class IncidenceGraph:
-    """Bipartite vertex-face incidence graph of a plane graph."""
-
-    vertices: tuple[Vertex, ...]
-    faces: tuple[FaceId, ...]
-    edges: tuple[tuple[Vertex, FaceId], ...]
-
-    @cached_property
-    def _by_vertex(self) -> dict[Vertex, tuple[FaceId, ...]]:
-        out: dict[Vertex, list[FaceId]] = {v: [] for v in self.vertices}
-        for v, f in self.edges:
-            out[v].append(f)
-        return {v: tuple(sorted(fs)) for v, fs in out.items()}
-
-    @cached_property
-    def _by_face(self) -> dict[FaceId, tuple[Vertex, ...]]:
-        out: dict[FaceId, list[Vertex]] = {f: [] for f in self.faces}
-        for v, f in self.edges:
-            out[f].append(v)
-        return {f: tuple(sorted(vs)) for f, vs in out.items()}
-
-    def faces_of(self, v: Vertex) -> tuple[FaceId, ...]:
-        return self._by_vertex[v]
-
-    def vertices_of(self, f: FaceId) -> tuple[Vertex, ...]:
-        return self._by_face[f]
-
-
-def incidence_graph(g: PlaneGraph) -> IncidenceGraph:
-    """Vertex-face incidences of the embedding, sorted deterministically."""
-    edges = []
-    for face in g.faces:
-        for v in face.incident_vertices:
-            edges.append((v, face.id))
-    return IncidenceGraph(
-        vertices=g.vertices,
-        faces=tuple(f.id for f in g.faces),
-        edges=tuple(sorted(edges)),
+        outer_node=g.outer_face,
     )
 
 

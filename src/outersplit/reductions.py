@@ -24,7 +24,7 @@ from .errors import (
     NotBiconnected,
     NotCubic,
 )
-from .plane_graph import FaceId, PlaneGraph, Vertex, build, is_biconnected, with_outer_face
+from .plane_graph import FaceId, PlaneGraph, Vertex, build, is_biconnected
 from .split_engine import FaceCover, face_cover
 
 
@@ -63,26 +63,6 @@ def _edge_names(edges, used: set[str]) -> dict[tuple[Vertex, Vertex], str]:
         taken.add(name)
         names[(u, v)] = name
     return names
-
-
-def all_one_subdivision(g: PlaneGraph) -> PlaneGraph:
-    """Insert a fresh degree-2 vertex in the middle of every edge.
-
-    The new vertex sits at the old edge's slot in both endpoint rotations,
-    so every face survives with its boundary doubled in length.  The outer
-    face designation, when present, follows its face."""
-    names = _edge_names(g.edges(), set(g.rotation))
-    rot: dict[Vertex, list[Vertex]] = {}
-    for v, nbrs in g.rotation.items():
-        rot[v] = [names[(min(v, w), max(v, w))] for w in nbrs]
-    for (u, v), w in names.items():
-        rot[w] = [u, v]
-    out = build(rot)
-    if g.outer_face is None:
-        return out
-    u, v = g.faces[g.outer_face].boundary[0]
-    w = names[(min(u, v), max(u, v))]
-    return with_outer_face(out, out.face_of_slot((u, w)))
 
 
 def build_cfc_instance(inst: VcInstance) -> CfcInstance:

@@ -37,7 +37,6 @@ from .plane_graph import (
     FaceId,
     PlaneGraph,
     Vertex,
-    incidence_graph,
     is_outerplane,
     outerplane_face,
 )
@@ -192,24 +191,22 @@ def _split_with_map(g: PlaneGraph, v: Vertex, face_a: FaceId,
 
 # -- merging several faces at one vertex --------------------------------------
 
-def merge_faces_at_vertex(g: PlaneGraph, v: Vertex,
-                          faces: Iterable[FaceId]
-                          ) -> tuple[PlaneGraph, list[SplitOp]]:
+def merge_faces_at_vertex(
+        g: PlaneGraph, v: Vertex, faces: Iterable[FaceId]
+) -> tuple[PlaneGraph, list[SplitOp], dict[FaceId, FaceId]]:
     """Merge all given faces incident to v into one face using exactly
-    len(faces) - 1 splits, iterating clockwise around v."""
-    g2, ops, _ = _merge_with_map(g, v, faces)
-    return g2, ops
+    len(faces) - 1 splits, iterating clockwise around v.
 
-
-def _merge_with_map(g: PlaneGraph, v: Vertex, faces: Iterable[FaceId]):
+    Returns (graph, ops, face_map), where face_map sends every face id of
+    g to its id in the result."""
     wanted = sorted(set(faces))
     if v not in g.rotation:
         raise NotIncident(f"vertex {v!r} does not exist")
-    identity = {f.id: f.id for f in g.faces}
+    face_map = {f.id: f.id for f in g.faces}
     for fid in wanted:
         _corner_gap(g, v, fid)  # raises NotIncident when it has no corner
     if len(wanted) <= 1:
-        return g, [], identity
+        return g, [], face_map
 
     # Faces of the set in clockwise order of their first corner around v,
     # rotated so the smallest id leads.
@@ -222,21 +219,24 @@ def _merge_with_map(g: PlaneGraph, v: Vertex, faces: Iterable[FaceId]):
     lead = ordered.index(min(wanted))
     ordered = ordered[lead:] + ordered[:lead]
 
-    cur_graph = g
-    cur_v = v
-    total_map = identity
-    merged_cur = ordered[0]
+    cur = g
+    copies = [v]  # current copies of v, the newest copy_1 last
     ops: list[SplitOp] = []
     for fid in ordered[1:]:
-        gap_a = _corner_gap(cur_graph, cur_v, merged_cur)
-        gap_b = _corner_gap(cur_graph, cur_v, total_map[fid])
-        cur_graph, op, fmap = _split_at_gaps(cur_graph, cur_v, gap_a, gap_b)
+        merged = face_map[ordered[0]]
+        target = face_map[fid]
+        # The merged face touches every copy of v, but a face merged at
+        # an earlier vertex may have corners at several of them; split a
+        # copy the next face touches.
+        c = next(c for c in reversed(copies)
+                 if c in cur.faces[target].incident_vertices)
+        cur, op, fmap = _split_at_gaps(cur, c, _corner_gap(cur, c, merged),
+                                       _corner_gap(cur, c, target))
         ops.append(op)
-        total_map = {orig: fmap[t] for orig, t in total_map.items()}
-        merged_cur = total_map[fid]
-        # the arc holding the still-unmerged corners always lands in copy 1
-        cur_v = op.copy_1
-    return cur_graph, ops, total_map
+        face_map = {orig: fmap[t] for orig, t in face_map.items()}
+        copies.remove(c)
+        copies += [op.copy_2, op.copy_1]
+    return cur, ops, face_map
 
 
 # -- covers and their realization ---------------------------------------------
@@ -244,33 +244,34 @@ def _merge_with_map(g: PlaneGraph, v: Vertex, faces: Iterable[FaceId]):
 def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId]):
     """BFS spanning tree of the incidence subgraph on faces plus all
     vertices; root is the smallest face id, neighbors explored in sorted
-    order.  Returns (tree_edges, root, vertex_discovery_order) or None when
-    the subgraph is disconnected."""
-    inc = incidence_graph(g)
+    order.  Returns (tree_edges, root) or None when the subgraph is
+    disconnected."""
+    faces_of: dict[Vertex, list[FaceId]] = {}
+    for f in sorted(faces):
+        for v in g.faces[f].incident_vertices:
+            faces_of.setdefault(v, []).append(f)
     root = min(faces)
     seen_f = {root}
     seen_v: set[Vertex] = set()
-    v_order: list[Vertex] = []
     tree: list[tuple[Vertex, FaceId]] = []
     queue: deque = deque([("f", root)])
     while queue:
         kind, node = queue.popleft()
         if kind == "f":
-            for v in inc.vertices_of(node):
+            for v in sorted(g.faces[node].incident_vertices):
                 if v not in seen_v:
                     seen_v.add(v)
-                    v_order.append(v)
                     tree.append((v, node))
                     queue.append(("v", v))
         else:
-            for f in inc.faces_of(node):
-                if f in faces and f not in seen_f:
+            for f in faces_of[node]:
+                if f not in seen_f:
                     seen_f.add(f)
                     tree.append((node, f))
                     queue.append(("f", f))
     if len(seen_f) != len(faces) or len(seen_v) != g.n:
         return None
-    return tuple(tree), root, v_order
+    return tuple(tree), root
 
 
 def face_cover(g: PlaneGraph, faces: Iterable[FaceId]) -> FaceCover:
@@ -292,51 +293,32 @@ def face_cover(g: PlaneGraph, faces: Iterable[FaceId]) -> FaceCover:
     built = _cover_tree(g, fset)
     if built is None:
         raise InvalidCover("incidence subgraph of the cover is disconnected")
-    tree, root, _ = built
+    tree, root = built
     return FaceCover(faces=fset, tree=tree, root=root)
 
 
 def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
-    """Turn a connected face cover of size k+1 into exactly k splits whose
-    replay leaves the graph outerplane.
+    """Turn any connected face cover of size k+1 into exactly k splits
+    whose replay leaves the graph outerplane.
 
     Walks the cover's spanning tree root to leaf and merges, at every
     vertex, the faces joined to it by tree edges.  Tree leaves are
     vertices of tree degree one and are never split."""
-    seq, _ = _realize(g, cover)
-    return seq
-
-
-def _realize(g: PlaneGraph, cover: FaceCover):
-    fset = frozenset(cover.faces)
-    if not fset:
-        raise InvalidCover("a cover needs at least one face")
-    covered: set[Vertex] = set()
-    for fid in fset:
-        if not 0 <= fid < len(g.faces):
-            raise InvalidCover(f"face {fid} does not exist")
-        covered |= g.faces[fid].incident_vertices
-    if covered != set(g.rotation):
-        raise InvalidCover(
-            f"vertices not covered: {sorted(set(g.rotation) - covered)[:5]}")
-    built = _cover_tree(g, fset)
-    if built is None:
-        raise InvalidCover("incidence subgraph of the cover is disconnected")
-
-    tree, _root, v_order = built
+    cover = face_cover(g, cover.faces)
+    # vertices in order of first appearance, which is BFS discovery order
     tree_faces: dict[Vertex, list[FaceId]] = {}
-    for v, f in tree:
+    for v, f in cover.tree:
         tree_faces.setdefault(v, []).append(f)
 
     cur = g
     total_map = {f.id: f.id for f in g.faces}
     ops: list[SplitOp] = []
     origin: dict[Vertex, Vertex] = {}
-    for v in v_order:
-        group = sorted(total_map[f] for f in tree_faces[v])
+    for v, group in tree_faces.items():
         if len(group) < 2:
             continue
-        cur, new_ops, fmap = _merge_with_map(cur, v, group)
+        cur, new_ops, fmap = merge_faces_at_vertex(
+            cur, v, sorted(total_map[f] for f in group))
         for op in new_ops:
             base = origin.get(op.vertex, op.vertex)
             origin[op.copy_1] = base
@@ -344,13 +326,13 @@ def _realize(g: PlaneGraph, cover: FaceCover):
             ops.append(op)
         total_map = {orig: fmap[t] for orig, t in total_map.items()}
 
-    if len(ops) != len(fset) - 1:
+    if len(ops) != len(cover.faces) - 1:
         raise AssertionError(
             f"realization used {len(ops)} splits for a cover of "
-            f"{len(fset)} faces")
+            f"{len(cover.faces)} faces")
     if not is_outerplane(cur):
         raise AssertionError("realized graph is not outerplane")
-    return SplitSequence(ops=tuple(ops), origin=origin), cur
+    return SplitSequence(ops=tuple(ops), origin=origin)
 
 
 # -- replay and cover extraction ----------------------------------------------

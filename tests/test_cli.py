@@ -155,6 +155,24 @@ def test_oracle_porcelain_and_budget(tmp_path, capsys):
     assert "agree_osn=skipped" in lines
 
 
+def test_oracle_reports_cfc_skipped_above_the_cap(tmp_path, capsys):
+    rot = tmp_path / "t14.rot"
+    run(capsys, "gen", "random_triangulation", "-n", "14", "--seed", "1",
+        "-o", str(rot))
+    code, out, err = run(capsys, "oracle", str(rot))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "cfc skipped" in lines
+    assert "fvs 7" in lines
+    assert "agree fvs==cfc skipped" in lines
+    assert "agree osn==cfc-1 skipped" in lines
+    code, out, _ = run(capsys, "oracle", str(rot), "--porcelain")
+    assert code == 0
+    lines = out.splitlines()
+    assert "cfc=skipped" in lines
+    assert "agree_fvs=skipped" in lines
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.rot"))
     assert code == 2

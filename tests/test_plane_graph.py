@@ -4,12 +4,10 @@ from outersplit import (
     build,
     canonical_key,
     dual,
-    incidence_graph,
     is_biconnected,
     is_outerplane,
     outerplane_face,
     split_vertex,
-    weak_dual,
     with_outer_face,
 )
 from outersplit.errors import (
@@ -166,23 +164,6 @@ def test_dual_degree_equals_boundary_length():
     degs = dual(g).degrees()
     for f in g.faces:
         assert degs[f.id] == len(f)
-
-
-def test_weak_dual_drops_outer_node():
-    wd = weak_dual(k4())
-    assert sorted(wd.nodes) == [1, 2, 3]
-    assert wd.m == 3
-    wt = weak_dual(triangle())
-    assert sorted(wt.nodes) == [1] and wt.m == 0
-
-
-def test_incidence_graph_k4():
-    inc = incidence_graph(k4())
-    for v in "abcd":
-        assert len(inc.faces_of(v)) == 3
-    for f in range(4):
-        assert len(inc.vertices_of(f)) == 3
-    assert len(inc.edges) == 12
 
 
 def test_is_biconnected():

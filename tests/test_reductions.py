@@ -4,7 +4,6 @@ from outersplit import (
     CfcInstance,
     FaceCover,
     VcInstance,
-    all_one_subdivision,
     brute_min_cfc,
     brute_min_vc,
     build,
@@ -42,30 +41,6 @@ def bridged_cubic():
     rot["u1"] = ("c1", "u2", "d1")
     rot["u2"] = ("c2", "u1", "d2")
     return build(rot)
-
-
-def test_subdivision_of_triangle_is_hexagon():
-    tri = build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")},
-                outer_face=0)
-    h = all_one_subdivision(tri)
-    assert h.n == 6 and h.m == 6
-    assert len(h.faces) == 2
-    assert all(len(f) == 6 for f in h.faces)
-    assert all(len(h.rotation[v]) == 2 for v in h.rotation)
-
-
-def test_subdivision_preserves_faces_and_outer():
-    g = k4()
-    h = all_one_subdivision(g)
-    assert h.n == 10 and h.m == 12
-    assert len(h.faces) == 4
-    assert h.outer_face is not None
-    # the outer region still holds the original outer vertices
-    old = g.faces[g.outer_face].incident_vertices
-    assert old <= h.faces[h.outer_face].incident_vertices
-    # every inserted vertex lies on exactly two faces
-    for w in set(h.rotation) - set(g.rotation):
-        assert sum(1 for f in h.faces if w in f.incident_vertices) == 2
 
 
 def test_cfc_instance_of_k4():

@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outersplit import (
     FaceCover,
@@ -7,10 +11,15 @@ from outersplit import (
     build,
     extract_cover,
     face_cover,
+    fan,
     is_outerplane,
     merge_faces_at_vertex,
+    octahedron,
+    random_biconnected,
+    random_triangulation,
     realize_cover,
     replay,
+    solve_osn,
     split_vertex,
 )
 from outersplit.errors import (
@@ -114,12 +123,13 @@ def test_split_rejects_degree_one_vertex():
 
 def test_merge_faces_at_vertex():
     g = k4()
-    g2, ops = merge_faces_at_vertex(g, "d", [0, 2, 3])
+    g2, ops, face_map = merge_faces_at_vertex(g, "d", [0, 2, 3])
     assert [(o.vertex, o.copy_1, o.copy_2) for o in ops] == [
         ("d", "d.1", "d.2"), ("d.1", "d.1.1", "d.1.2")]
     assert len(g2.faces) == 2
     assert is_outerplane(g2)
     assert g2.n == 6
+    assert face_map[0] == face_map[2] == face_map[3] != face_map[1]
 
 
 def test_face_cover_certificate():
@@ -216,3 +226,46 @@ def test_split_bookkeeping_step_by_step():
         assert len(nxt.faces) == len(cur.faces) - 1
         cur = nxt
     assert is_outerplane(cur)
+
+
+def assert_realizes(g, faces):
+    cover = face_cover(g, faces)
+    seq = realize_cover(g, cover)
+    assert len(seq) == len(cover.faces) - 1
+    assert is_outerplane(replay(g, seq))
+
+
+def connected_covers(g):
+    ids = [f.id for f in g.faces]
+    for size in range(1, len(ids) + 1):
+        for combo in combinations(ids, size):
+            try:
+                yield face_cover(g, combo).faces
+            except InvalidCover:
+                pass
+
+
+def test_every_connected_cover_realizes():
+    # Non-minimum covers merge faces that already touch a vertex at
+    # several corners; (9, 12, 0) and (9, 14, 0) exercise that.
+    graphs = [k4(), octahedron(), fan(5)]
+    graphs += [random_biconnected(n, m, seed=s) for n in (7, 8, 9)
+               for m in (n + 3, n + 5) for s in (0, 1)]
+    for g in graphs:
+        for faces in connected_covers(g):
+            assert_realizes(g, faces)
+
+
+def test_non_minimum_cover_of_small_triangulation():
+    assert_realizes(random_triangulation(8, seed=2), (0, 3, 6, 10, 11))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(6, 14), seed=st.integers(0, 50), data=st.data())
+def test_supersets_of_the_minimum_cover_realize(n, seed, data):
+    # Every added face touches a covered vertex, so any superset of a
+    # connected cover is again a connected cover.
+    g = random_triangulation(n, seed=seed)
+    base = solve_osn(g).cover.faces
+    extra = data.draw(st.sets(st.sampled_from(range(len(g.faces)))))
+    assert_realizes(g, base | extra)
