@@ -3,16 +3,32 @@
 All generators return validated PlaneGraphs with a designated outer face
 and deterministic labels, so serialized output is byte-identical for the
 same parameters.  Randomized families draw from random.Random(seed) only.
+
+The stacked and random families edit plain rotation lists in place and
+keep only the indexes their random choices need (the sorted inner-face
+walks, the sorted edge list, one slot of the outer face), so every edit
+is local.  Each output is validated and traced by a single build.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InfeasibleParameters, UnknownFamily
-from .plane_graph import PlaneGraph, Vertex, build, is_biconnected, with_outer_face
+from .plane_graph import (
+    PlaneGraph,
+    Slot,
+    Vertex,
+    build,
+    is_biconnected,
+    with_outer_face,
+)
+
+Rotation = dict[Vertex, list[Vertex]]
+Walk = tuple[Slot, ...]
 
 
 @dataclass(frozen=True)
@@ -26,38 +42,40 @@ class FamilySpec:
     seed: int = 0
 
 
-# K4 with vertex 3 in the middle; the face on 0,1,2 is the outer one.
-_K4_DIGITS = {
-    "0": ("1", "2", "3"),
-    "1": ("2", "0", "3"),
-    "2": ("0", "1", "3"),
-    "3": ("0", "2", "1"),
-}
+# The stacked families start from K4: the triangle 0,1,2 with vertex 3
+# stacked into its inner face.  The face 0,2,1 stays the outer one, and
+# ("0", "2") is its least slot.
+_OUTER_SLOT: Slot = ("0", "2")
+_OUTER_VERTICES = frozenset(("0", "1", "2"))
 
 
-def _designate(g: PlaneGraph, slot) -> PlaneGraph:
-    return with_outer_face(g, g.face_of_slot(slot))
+def _base_k4() -> tuple[Rotation, list[Walk]]:
+    """K4's rotation lists and its inner faces' walks, sorted."""
+    rot = {"0": ["1", "2"], "1": ["2", "0"], "2": ["0", "1"]}
+    # starting the walk at ("1", "2") makes vertex 3's list 0 2 1
+    faces = _subdivide_face(rot, (("1", "2"), ("2", "0"), ("0", "1")), "3")
+    return rot, sorted(faces)
 
 
-def _outer_slot(g: PlaneGraph):
-    return g.faces[g.outer_face].boundary[0]
-
-
-def _base_k4() -> PlaneGraph:
-    g = build(_K4_DIGITS)
-    for f in g.faces:
-        if f.incident_vertices == frozenset(("0", "1", "2")):
-            return with_outer_face(g, f.id)
-    raise AssertionError("K4 lost its outer triangle")
-
-
-def _subdivide_face(rot: dict[Vertex, list[Vertex]], face, label: Vertex) -> None:
-    # one new vertex joined to all three corners, embedded inside the face
-    walk = [s[0] for s in face.boundary]
-    for u, v in face.boundary:
+def _subdivide_face(rot: Rotation, walk: Walk, label: Vertex) -> list[Walk]:
+    """Join a new vertex to all three corners of a triangular face,
+    embedded inside it.  Returns the three new faces' walks, each starting
+    at its least slot."""
+    for u, v in walk:
         lst = rot[v]
         lst.insert(lst.index(u) + 1, label)
-    rot[label] = list(reversed(walk))
+    rot[label] = [u for u, _ in reversed(walk)]
+    out = []
+    for u, v in walk:
+        tri = ((u, v), (v, label), (label, u))
+        i = tri.index(min(tri))
+        out.append(tri[i:] + tri[:i])
+    return out
+
+
+def _with_outer_slot(rot: Rotation, slot: Slot) -> PlaneGraph:
+    g = build(rot)
+    return with_outer_face(g, g.face_of_slot(slot))
 
 
 def complete_3tree(d: int, cap: int = 9) -> PlaneGraph:
@@ -67,18 +85,13 @@ def complete_3tree(d: int, cap: int = 9) -> PlaneGraph:
         raise InfeasibleParameters("depth must be nonnegative")
     if d > cap:
         raise CapExceeded(f"depth {d} exceeds the cap of {cap}")
-    g = _base_k4()
-    next_label = 4
+    rot, faces = _base_k4()
     for _ in range(d):
-        slot = _outer_slot(g)
-        rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
-        for f in g.faces:
-            if f.id == g.outer_face:
-                continue
-            _subdivide_face(rot, f, str(next_label))
-            next_label += 1
-        g = _designate(build(rot), slot)
-    return g
+        level = []
+        for walk in faces:
+            level += _subdivide_face(rot, walk, str(len(rot)))
+        faces = sorted(level)
+    return _with_outer_slot(rot, _OUTER_SLOT)
 
 
 def random_triangulation(n: int, seed: int = 0) -> PlaneGraph:
@@ -86,43 +99,46 @@ def random_triangulation(n: int, seed: int = 0) -> PlaneGraph:
     into K4 followed by random legal edge flips.  Deterministic per seed."""
     if n < 4:
         raise InfeasibleParameters("triangulations need at least 4 vertices")
-    rng = random.Random(seed)
-    g = _base_k4()
-    next_label = 4
-    while g.n < n:
-        slot = _outer_slot(g)
-        inner = [f for f in g.faces if f.id != g.outer_face]
-        f = inner[rng.randrange(len(inner))]
-        rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
-        _subdivide_face(rot, f, str(next_label))
-        next_label += 1
-        g = _designate(build(rot), slot)
+    return _with_outer_slot(_triangulation(n, random.Random(seed)),
+                            _OUTER_SLOT)
+
+
+def _triangulation(n: int, rng: random.Random) -> Rotation:
+    # faces holds the inner faces' walks sorted by least slot, which is
+    # the order of their ids in a built graph
+    rot, faces = _base_k4()
+    while len(rot) < n:
+        walk = faces.pop(rng.randrange(len(faces)))
+        for new in _subdivide_face(rot, walk, str(len(rot))):
+            insort(faces, new)
+    edges = _sorted_edges(rot)
     for _ in range(3 * n):
-        g = _try_flip(g, rng)
-    return g
+        _try_flip(rot, edges, rng)
+    return rot
 
 
-def _try_flip(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
-    edges = g.edges()
+def _sorted_edges(rot: Rotation) -> list[Slot]:
+    return sorted((u, v) for u, nbrs in rot.items() for v in nbrs if u < v)
+
+
+def _try_flip(rot: Rotation, edges: list[Slot], rng: random.Random) -> None:
     u, v = edges[rng.randrange(len(edges))]
-    fa = g.face_of_slot((u, v))
-    fb = g.face_of_slot((v, u))
-    if g.outer_face in (fa, fb) or fa == fb:
-        return g
-    if g.degree(u) <= 3 or g.degree(v) <= 3:
-        return g
-    # apexes of the two triangles; the flip replaces uv with ab
-    a = next(s[0] for s in g.faces[fa].boundary if s[1] == u)
-    b = next(s[0] for s in g.faces[fb].boundary if s[1] == v)
-    if a == b or b in g.rotation[a]:
-        return g
-    slot = _outer_slot(g)
-    rot = {x: list(nbrs) for x, nbrs in g.rotation.items()}
+    # the outer triangle's edges are the only ones on the outer face
+    if u in _OUTER_VERTICES and v in _OUTER_VERTICES:
+        return
+    if len(rot[u]) <= 3 or len(rot[v]) <= 3:
+        return
+    # apexes of the two triangles on uv; the flip replaces uv with ab
+    a = rot[v][(rot[v].index(u) + 1) % len(rot[v])]
+    b = rot[u][(rot[u].index(v) + 1) % len(rot[u])]
+    if a == b or b in rot[a]:
+        return
     rot[u].remove(v)
     rot[v].remove(u)
     rot[a].insert(rot[a].index(v) + 1, b)
     rot[b].insert(rot[b].index(u) + 1, a)
-    return _designate(build(rot), slot)
+    del edges[bisect_left(edges, (u, v))]
+    insort(edges, (a, b) if a < b else (b, a))
 
 
 def random_biconnected(n: int, m: int, seed: int = 0,
@@ -138,38 +154,44 @@ def random_biconnected(n: int, m: int, seed: int = 0,
             f"no biconnected plane graph with n={n}, m={m}")
     for attempt in range(attempts):
         sub = seed if attempt == 0 else seed * 100003 + attempt
-        g = random_triangulation(n, sub)
-        rng = random.Random(2 * sub + 1)
-        thinned = _thin(g, m, rng)
-        if thinned is not None:
-            return thinned
+        rot = _triangulation(n, random.Random(sub))
+        outer = _thin(rot, m, random.Random(2 * sub + 1))
+        if outer is not None:
+            return _with_outer_slot(rot, outer)
     raise InfeasibleParameters(
         f"could not thin to m={m} in {attempts} attempts (n={n}, seed={seed})")
 
 
-def _thin(g: PlaneGraph, m: int, rng: random.Random) -> PlaneGraph | None:
-    while g.m > m:
-        candidates = list(g.edges())
+def _thin(rot: Rotation, m: int, rng: random.Random) -> Slot | None:
+    """Greedily drop random edges from rot in place, keeping it
+    biconnected, until it has m edges.  Returns a slot of the outer face,
+    or None when no edge can go."""
+    outer = _OUTER_SLOT
+    edges = _sorted_edges(rot)
+    while len(edges) > m:
+        candidates = list(edges)
         rng.shuffle(candidates)
         for u, v in candidates:
-            nxt = _drop_edge(g, u, v)
-            if nxt is not None and is_biconnected(nxt):
-                g = nxt
+            if outer in ((u, v), (v, u)):
+                # keep a slot that survives the drop: the next one on the
+                # outer face, which then absorbs the face across uv.  It
+                # is on the outer face whether or not the drop is kept.
+                x, y = outer
+                outer = (y, rot[y][(rot[y].index(x) + 1) % len(rot[y])])
+            i, j = rot[u].index(v), rot[v].index(u)
+            del rot[u][i]
+            del rot[v][j]
+            # is_biconnected reads only the rotation, so the unvalidated
+            # wrapper is enough; the caller's single build validates
+            if (min(len(rot[u]), len(rot[v])) >= 2
+                    and is_biconnected(PlaneGraph(rot))):
+                del edges[bisect_left(edges, (u, v))]
                 break
+            rot[u].insert(i, v)
+            rot[v].insert(j, u)
         else:
             return None
-    return g
-
-
-def _drop_edge(g: PlaneGraph, u: Vertex, v: Vertex) -> PlaneGraph | None:
-    rot = {x: list(nbrs) for x, nbrs in g.rotation.items()}
-    rot[u].remove(v)
-    rot[v].remove(u)
-    if min(len(rot[u]), len(rot[v])) < 2:
-        return None
-    slot = next(s for s in g.faces[g.outer_face].boundary
-                if {s[0], s[1]} != {u, v})
-    return _designate(build(rot), slot)
+    return outer
 
 
 def cycle(n: int) -> PlaneGraph:
