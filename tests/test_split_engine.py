@@ -233,6 +233,7 @@ def assert_realizes(g, faces):
     seq = realize_cover(g, cover)
     assert len(seq) == len(cover.faces) - 1
     assert is_outerplane(replay(g, seq))
+    assert extract_cover(g, seq).faces == cover.faces
 
 
 def connected_covers(g):
