@@ -63,10 +63,6 @@ class PlaneGraph:
     outer_face: FaceId | None = None
 
     @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(sorted(self.rotation))
-
-    @property
     def n(self) -> int:
         return len(self.rotation)
 
@@ -190,11 +186,16 @@ def _connected(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> bool:
 
 
 def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
-    """Return the same embedding with face_id designated as outer."""
+    """Return the same embedding with face_id designated as outer,
+    sharing g's rotation and face trace."""
     if not 0 <= face_id < len(g.faces):
         raise OuterFaceUnset(
             f"face {face_id} does not exist (graph has {len(g.faces)} faces)")
-    return PlaneGraph(rotation=g.rotation, outer_face=face_id)
+    out = PlaneGraph(rotation=g.rotation, outer_face=face_id)
+    # the range check above traced g; the faces do not depend on the
+    # designation, so the trace is handed over instead of redone
+    out.__dict__["_face_data"] = g._face_data
+    return out
 
 
 def canonical_key(g: PlaneGraph):

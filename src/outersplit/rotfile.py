@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import OuterFaceUnset, ParseError
 from .plane_graph import PlaneGraph, build, with_outer_face
-from .split_engine import SplitOp, SplitSequence
+from .split_engine import SplitOp, SplitSequence, _origin
 
 
 def _content_lines(text: str):
@@ -127,7 +127,6 @@ def serialize_rot(g: PlaneGraph, face_comments: bool = True) -> str:
 def parse_splits(text: str) -> SplitSequence:
     """Parse a split-sequence file."""
     ops = []
-    origin: dict[str, str] = {}
     for lineno, line in _content_lines(text):
         tokens = line.split()
         if (len(tokens) != 7 or tokens[0] != "SPLIT" or tokens[4] != "->"
@@ -139,10 +138,7 @@ def parse_splits(text: str) -> SplitSequence:
                      face_b=int(tokens[3]), copy_1=tokens[5],
                      copy_2=tokens[6])
         ops.append(op)
-        base = origin.get(op.vertex, op.vertex)
-        origin[op.copy_1] = base
-        origin[op.copy_2] = base
-    return SplitSequence(ops=tuple(ops), origin=origin)
+    return SplitSequence(ops=tuple(ops), origin=_origin(ops))
 
 
 def serialize_splits(seq: SplitSequence) -> str:

@@ -7,13 +7,19 @@ into one; every other face keeps its boundary up to renaming v into one of
 its copies.  One split therefore adds a vertex, keeps the edge count, and
 removes exactly one face.
 
+Faces are followed through slots, not through face-id maps.  A split
+renames v in every slot at v to the copy owning that slot's edge and
+otherwise keeps every slot, so mapping each copy back to its origin (the
+vertex of the original graph it descends from) sends every slot of a
+later graph to a slot of the original.  The original faces merged into a
+current face are the faces of its slots mapped back this way.
+
 merge_faces_at_vertex chains splits around one vertex so that a whole set
 of faces incident to it becomes a single face.  realize_cover walks a
 spanning tree of a connected face cover and applies such merges root to
 leaf, producing |cover| - 1 splits that leave the graph outerplane.
-extract_cover is the reverse direction: it replays a split sequence while
-tracking which original faces were merged, and reads the cover off the
-final all-incident face.
+extract_cover is the reverse direction: it replays a split sequence and
+maps the slots of the final all-incident face back to original faces.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .plane_graph import (
     Vertex,
     is_outerplane,
     outerplane_face,
+    with_outer_face,
 )
 
 
@@ -104,11 +111,13 @@ def _corner_gap(g: PlaneGraph, v: Vertex, fid: FaceId) -> int:
     raise NotIncident(f"vertex {v!r} is not on the boundary of face {fid}")
 
 
-def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int, gap_b: int,
-                   want_map: bool = True):
-    """Split v at two rotation gaps.  Returns (graph, op, face_map) where
-    face_map sends every old face id to its id in the new graph; the two
-    faces owning the gaps map to the same merged id."""
+def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
+                   gap_b: int) -> tuple[PlaneGraph, SplitOp]:
+    """Split v at two rotation gaps owned by two distinct faces.
+
+    Returns (graph, op).  Every slot of g survives, with v renamed to the
+    copy that owns the slot's edge, so an outer designation carries over
+    through the old outer face's first slot."""
     rot = g.rotation[v]
     d = len(rot)
     copy_1 = f"{v}.1"
@@ -132,37 +141,18 @@ def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int, gap_b: int,
     for w in rot:
         new_rot[w] = tuple(owner[w] if x == v else x for x in new_rot[w])
 
-    face_a = g.face_of_slot((rot[gap_a], v))
-    face_b = g.face_of_slot((rot[gap_b], v))
-    op = SplitOp(vertex=v, face_a=face_a, face_b=face_b,
+    op = SplitOp(vertex=v, face_a=g.face_of_slot((rot[gap_a], v)),
+                 face_b=g.face_of_slot((rot[gap_b], v)),
                  copy_1=copy_1, copy_2=copy_2)
-
     result = PlaneGraph(rotation=new_rot, outer_face=None)
-    if not want_map and g.outer_face is None:
-        return result, op, None
-
-    def rename(slot):
-        x, y = slot
-        if x == v:
-            return (owner[y], y)
-        if y == v:
-            return (x, owner[x])
-        return slot
-
-    face_map: dict[FaceId, FaceId] = {}
-    merged = result.face_of_slot((rot[gap_a], copy_1))
-    for face in g.faces:
-        if face.id == face_a or face.id == face_b:
-            face_map[face.id] = merged
-        else:
-            face_map[face.id] = result.face_of_slot(rename(face.boundary[0]))
-    if len(set(face_map.values())) != len(g.faces) - 1:
-        raise AssertionError("split bookkeeping lost a face")
-
+    if len(result.faces) != len(g.faces) - 1:
+        raise AssertionError("split did not merge exactly two faces")
     if g.outer_face is not None:
-        result = PlaneGraph(rotation=new_rot,
-                            outer_face=face_map[g.outer_face])
-    return result, op, face_map
+        x, y = g.faces[g.outer_face].boundary[0]
+        slot = ((owner[y], y) if x == v else
+                (x, owner[x]) if y == v else (x, y))
+        result = with_outer_face(result, result.face_of_slot(slot))
+    return result, op
 
 
 def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
@@ -171,12 +161,6 @@ def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
 
     The faces merge into one; the result has one more vertex, the same
     edges, and one face fewer.  Copies are named v.1 and v.2."""
-    g2, op, _ = _split_with_map(g, v, face_a, face_b)
-    return g2, op
-
-
-def _split_with_map(g: PlaneGraph, v: Vertex, face_a: FaceId,
-                    face_b: FaceId):
     if v not in g.rotation:
         raise NotIncident(f"vertex {v!r} does not exist")
     if face_a == face_b:
@@ -184,59 +168,74 @@ def _split_with_map(g: PlaneGraph, v: Vertex, face_a: FaceId,
     if len(g.rotation[v]) < 2:
         raise DanglingVertex(
             f"vertex {v!r} has degree {len(g.rotation[v])}, cannot split")
-    gap_a = _corner_gap(g, v, face_a)
-    gap_b = _corner_gap(g, v, face_b)
-    return _split_at_gaps(g, v, gap_a, gap_b)
+    return _split_at_gaps(g, v, _corner_gap(g, v, face_a),
+                          _corner_gap(g, v, face_b))
+
+
+def _origin(ops: Iterable[SplitOp]) -> dict[Vertex, Vertex]:
+    """Map every copy the ops create to the original vertex it descends
+    from; ops must be in sequence order."""
+    origin: dict[Vertex, Vertex] = {}
+    for op in ops:
+        base = origin.get(op.vertex, op.vertex)
+        origin[op.copy_1] = base
+        origin[op.copy_2] = base
+    return origin
 
 
 # -- merging several faces at one vertex --------------------------------------
 
 def merge_faces_at_vertex(
         g: PlaneGraph, v: Vertex, faces: Iterable[FaceId]
-) -> tuple[PlaneGraph, list[SplitOp], dict[FaceId, FaceId]]:
+) -> tuple[PlaneGraph, list[SplitOp]]:
     """Merge all given faces incident to v into one face using exactly
     len(faces) - 1 splits, iterating clockwise around v.
 
-    Returns (graph, ops, face_map), where face_map sends every face id of
-    g to its id in the result."""
-    wanted = sorted(set(faces))
+    Returns (graph, ops).  Each face is held by the neighbor y of its
+    first clockwise corner (y, v): a split only renames v, so the slot
+    from y to its copy of v stays on that face."""
+    wanted = set(faces)
     if v not in g.rotation:
         raise NotIncident(f"vertex {v!r} does not exist")
-    face_map = {f.id: f.id for f in g.faces}
     for fid in wanted:
         _corner_gap(g, v, fid)  # raises NotIncident when it has no corner
     if len(wanted) <= 1:
-        return g, [], face_map
+        return g, []
 
     # Faces of the set in clockwise order of their first corner around v,
     # rotated so the smallest id leads.
-    rot = g.rotation[v]
-    ordered: list[FaceId] = []
-    for i in range(len(rot)):
-        fid = g.face_of_slot((rot[i], v))
-        if fid in wanted and fid not in ordered:
-            ordered.append(fid)
+    corner: dict[FaceId, Vertex] = {}
+    for y in g.rotation[v]:
+        fid = g.face_of_slot((y, v))
+        if fid in wanted:
+            corner.setdefault(fid, y)
+    ordered = list(corner)
     lead = ordered.index(min(wanted))
     ordered = ordered[lead:] + ordered[:lead]
 
     cur = g
     copies = [v]  # current copies of v, the newest copy_1 last
+
+    def now(fid: FaceId) -> FaceId:
+        y = corner[fid]
+        return cur.face_of_slot(
+            (y, next(x for x in cur.rotation[y] if x in copies)))
+
     ops: list[SplitOp] = []
     for fid in ordered[1:]:
-        merged = face_map[ordered[0]]
-        target = face_map[fid]
+        merged = now(ordered[0])
+        target = now(fid)
         # The merged face touches every copy of v, but a face merged at
         # an earlier vertex may have corners at several of them; split a
         # copy the next face touches.
         c = next(c for c in reversed(copies)
                  if c in cur.faces[target].incident_vertices)
-        cur, op, fmap = _split_at_gaps(cur, c, _corner_gap(cur, c, merged),
-                                       _corner_gap(cur, c, target))
+        cur, op = _split_at_gaps(cur, c, _corner_gap(cur, c, merged),
+                                 _corner_gap(cur, c, target))
         ops.append(op)
-        face_map = {orig: fmap[t] for orig, t in face_map.items()}
         copies.remove(c)
         copies += [op.copy_2, op.copy_1]
-    return cur, ops, face_map
+    return cur, ops
 
 
 # -- covers and their realization ---------------------------------------------
@@ -301,9 +300,11 @@ def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
     """Turn any connected face cover of size k+1 into exactly k splits
     whose replay leaves the graph outerplane.
 
-    Walks the cover's spanning tree root to leaf and merges, at every
-    vertex, the faces joined to it by tree edges.  Tree leaves are
-    vertices of tree degree one and are never split."""
+    Re-certifies cover.faces with face_cover, so a malformed cover fails
+    with InvalidCover, and walks the tree of that certificate rather than
+    cover.tree.  The walk goes root to leaf and merges, at every vertex,
+    the faces joined to it by tree edges.  Tree leaves are vertices of
+    tree degree one and are never split."""
     cover = face_cover(g, cover.faces)
     # vertices in order of first appearance, which is BFS discovery order
     tree_faces: dict[Vertex, list[FaceId]] = {}
@@ -311,20 +312,19 @@ def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
         tree_faces.setdefault(v, []).append(f)
 
     cur = g
-    total_map = {f.id: f.id for f in g.faces}
     ops: list[SplitOp] = []
     origin: dict[Vertex, Vertex] = {}
     for v, group in tree_faces.items():
         if len(group) < 2:
             continue
-        cur, new_ops, fmap = merge_faces_at_vertex(
-            cur, v, sorted(total_map[f] for f in group))
-        for op in new_ops:
-            base = origin.get(op.vertex, op.vertex)
-            origin[op.copy_1] = base
-            origin[op.copy_2] = base
-            ops.append(op)
-        total_map = {orig: fmap[t] for orig, t in total_map.items()}
+        # v is still unsplit at its turn, so each original face cornered
+        # at v is found through a slot into v.
+        now = {g.face_of_slot((origin.get(y, y), v)): cur.face_of_slot((y, v))
+               for y in cur.rotation[v]}
+        cur, new_ops = merge_faces_at_vertex(
+            cur, v, sorted(now[f] for f in group))
+        ops += new_ops
+        origin.update(_origin(new_ops))  # every new copy descends from v
 
     if len(ops) != len(cover.faces) - 1:
         raise AssertionError(
@@ -340,46 +340,33 @@ def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
 def replay(g: PlaneGraph, seq: SplitSequence) -> PlaneGraph:
     """Apply a recorded split sequence step by step; ReplayFailure when a
     step does not apply or produces different copy names."""
-    cur, _ = _replay_with_provenance(g, seq)
-    return cur
-
-
-def _replay_with_provenance(g: PlaneGraph, seq: SplitSequence):
     cur = g
-    prov: dict[FaceId, frozenset[FaceId]] = {
-        f.id: frozenset([f.id]) for f in g.faces}
     for step, op in enumerate(seq.ops):
         try:
-            cur, applied, fmap = _split_with_map(
-                cur, op.vertex, op.face_a, op.face_b)
+            cur, applied = split_vertex(cur, op.vertex, op.face_a, op.face_b)
         except OutersplitError as exc:
             raise ReplayFailure(f"step {step} ({op}): {exc}") from exc
         if (applied.copy_1, applied.copy_2) != (op.copy_1, op.copy_2):
             raise ReplayFailure(
                 f"step {step}: expected copies {op.copy_1}/{op.copy_2}, "
                 f"got {applied.copy_1}/{applied.copy_2}")
-        new_prov: dict[FaceId, frozenset[FaceId]] = {}
-        for old, originals in prov.items():
-            target = fmap[old]
-            if target in new_prov:
-                new_prov[target] = new_prov[target] | originals
-            else:
-                new_prov[target] = originals
-        prov = new_prov
-    return cur, prov
+    return cur
 
 
 def extract_cover(g: PlaneGraph, seq: SplitSequence) -> FaceCover:
     """Recover the connected face cover realized by a split sequence.
 
-    Replays the sequence, finds the face incident to every vertex of the
-    result, and maps it back to the original faces merged into it.  The
-    cover has at most len(seq) + 1 faces."""
-    final, prov = _replay_with_provenance(g, seq)
+    Replays the sequence and finds the face incident to every vertex of
+    the result.  Mapping each of its slots back through the copies'
+    origins gives a slot of g, whose face was merged into it.  The cover
+    has at most len(seq) + 1 faces."""
+    final = replay(g, seq)
     qualifying = outerplane_face(final)
     if qualifying is None:
         raise NotOuterplane("replayed graph has no all-incident face")
-    originals = prov[qualifying]
+    origin = _origin(seq.ops)
+    originals = {g.face_of_slot((origin.get(x, x), origin.get(y, y)))
+                 for x, y in final.faces[qualifying].boundary}
     try:
         return face_cover(g, originals)
     except InvalidCover as exc:

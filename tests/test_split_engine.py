@@ -123,13 +123,14 @@ def test_split_rejects_degree_one_vertex():
 
 def test_merge_faces_at_vertex():
     g = k4()
-    g2, ops, face_map = merge_faces_at_vertex(g, "d", [0, 2, 3])
+    g2, ops = merge_faces_at_vertex(g, "d", [0, 2, 3])
     assert [(o.vertex, o.copy_1, o.copy_2) for o in ops] == [
         ("d", "d.1", "d.2"), ("d.1", "d.1.1", "d.1.2")]
     assert len(g2.faces) == 2
     assert is_outerplane(g2)
     assert g2.n == 6
-    assert face_map[0] == face_map[2] == face_map[3] != face_map[1]
+    seq = SplitSequence(ops=tuple(ops), origin={})
+    assert extract_cover(g, seq).faces == {0, 2, 3}
 
 
 def test_face_cover_certificate():
