@@ -78,8 +78,8 @@ def report(g: PlaneGraph, osn: int | None = None,
     return BoundReport(
         n=g.n,
         min_degree=min(g.degree(v) for v in g.rotation),
-        lower_generic=lower_bound_generic(g.n, max(
-            (len(f.incident_vertices) for f in g.faces), default=g.n)),
+        lower_generic=lower_bound_generic(
+            g.n, max(len(f.incident_vertices) for f in g.faces)),
         lower_family=family,
         upper=upper,
         osn=osn,

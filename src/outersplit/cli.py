@@ -160,8 +160,7 @@ def _cmd_oracle(args) -> int:
     except CapExceeded:
         cfc_val = "skipped"
     row("cfc", cfc_val)
-    gg = g if g.outer_face is not None else with_outer_face(g, 0)
-    fvs = min_fvs(dual(gg))
+    fvs = min_fvs(dual(g))
     row("fvs", len(fvs.nodes))
     try:
         osn_val = brute_osn_by_splits(g, k_max=args.k_max)

@@ -31,7 +31,6 @@ from .plane_graph import (
     dual,
     is_biconnected,
     is_outerplane,
-    with_outer_face,
 )
 from .split_engine import (
     FaceCover,
@@ -296,11 +295,10 @@ def solve_osn(g: PlaneGraph) -> OsnResult:
     if not is_biconnected(g):
         raise NotBiconnected(
             "splitting numbers are defined here for biconnected graphs")
-    gg = g if g.outer_face is not None else with_outer_face(g, 0)
-    sol = min_fvs(dual(gg))
-    cover = fvs_to_cover(gg, sol)
+    sol = min_fvs(dual(g))
+    cover = fvs_to_cover(g, sol)
     return OsnResult(osn=len(sol.nodes) - 1, cover=cover,
-                     splits=realize_cover(gg, cover))
+                     splits=realize_cover(g, cover))
 
 
 # -- independent brute-force oracles -------------------------------------------

@@ -31,7 +31,7 @@ class Disconnected(OutersplitError):
 
 class NotPlanar(OutersplitError):
     """The rotation system is consistent but does not embed in the sphere
-    (V - E + F != 2)."""
+    (V - E + F != 2), or has no edges and so no face."""
 
 
 class OuterFaceUnset(OutersplitError):

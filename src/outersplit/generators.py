@@ -7,7 +7,9 @@ same parameters.  Randomized families draw from random.Random(seed) only.
 The stacked and random families edit plain rotation lists in place and
 keep only the indexes their random choices need (the sorted inner-face
 walks, the sorted edge list, one slot of the outer face), so every edit
-is local.  Each output is validated and traced by a single build.
+is local.  Thinning tests a drop before making it, on the two faces
+beside the edge, instead of scanning the whole graph for cut vertices.
+Each output is validated and traced by a single build.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .plane_graph import (
     Slot,
     Vertex,
     build,
-    is_biconnected,
     with_outer_face,
 )
 
@@ -164,8 +165,8 @@ def random_biconnected(n: int, m: int, seed: int = 0,
 
 def _thin(rot: Rotation, m: int, rng: random.Random) -> Slot | None:
     """Greedily drop random edges from rot in place, keeping it
-    biconnected, until it has m edges.  Returns a slot of the outer face,
-    or None when no edge can go."""
+    biconnected (every face a cycle), until it has m edges.  Returns a
+    slot of the outer face, or None when no edge can go."""
     outer = _OUTER_SLOT
     edges = _sorted_edges(rot)
     while len(edges) > m:
@@ -178,20 +179,29 @@ def _thin(rot: Rotation, m: int, rng: random.Random) -> Slot | None:
                 # is on the outer face whether or not the drop is kept.
                 x, y = outer
                 outer = (y, rot[y][(rot[y].index(x) + 1) % len(rot[y])])
-            i, j = rot[u].index(v), rot[v].index(u)
-            del rot[u][i]
-            del rot[v][j]
-            # is_biconnected reads only the rotation, so the unvalidated
-            # wrapper is enough; the caller's single build validates
-            if (min(len(rot[u]), len(rot[v])) >= 2
-                    and is_biconnected(PlaneGraph(rot))):
+            # dropping uv merges the faces on its two sides, which keeps
+            # every face a cycle exactly when they share only u and v
+            shared = _face_vertices(rot, (u, v)) & _face_vertices(rot, (v, u))
+            if shared == {u, v}:
+                rot[u].remove(v)
+                rot[v].remove(u)
                 del edges[bisect_left(edges, (u, v))]
                 break
-            rot[u].insert(i, v)
-            rot[v].insert(j, u)
         else:
             return None
     return outer
+
+
+def _face_vertices(rot: Rotation, slot: Slot) -> set[Vertex]:
+    """Vertices of the face that slot lies on, walked over rot."""
+    out = set()
+    u, v = slot
+    while True:
+        out.add(u)
+        nbrs = rot[v]
+        u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
+        if (u, v) == slot:
+            return out
 
 
 def cycle(n: int) -> PlaneGraph:

@@ -135,7 +135,8 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]],
 
     The neighbor order of each vertex is kept exactly as given (clockwise).
     Raises AsymmetricRotation, SelfLoop, ParallelEdge, Disconnected or
-    NotPlanar when the map does not describe a connected sphere embedding.
+    NotPlanar when the map does not describe a connected sphere embedding
+    with at least one edge.
     """
     rotation: dict[Vertex, tuple[Vertex, ...]] = {}
     for v, nbrs in adjacency.items():
@@ -161,12 +162,15 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]],
     g = PlaneGraph(rotation=rotation, outer_face=None)
     n = g.n
     m = g.m
-    if m > 0:
-        f = len(g.faces)  # also raises NotPlanar on a non-closing walk
-        if n - m + f != 2:
-            raise NotPlanar(
-                f"V - E + F = {n - m + f}, not 2: rotation system does not "
-                "embed in the sphere")
+    if m == 0:
+        raise NotPlanar(
+            f"{n} vertices and no edges: a plane graph needs at least one "
+            "edge to have a face")
+    f = len(g.faces)  # also raises NotPlanar on a non-closing walk
+    if n - m + f != 2:
+        raise NotPlanar(
+            f"V - E + F = {n - m + f}, not 2: rotation system does not "
+            "embed in the sphere")
     if outer_face is not None:
         return with_outer_face(g, outer_face)
     return g
@@ -215,7 +219,6 @@ class DualGraph:
 
     nodes: tuple[FaceId, ...]
     edges: tuple[tuple[FaceId, FaceId], ...]
-    outer_node: FaceId | None = None
 
     @property
     def n(self) -> int:
@@ -237,9 +240,8 @@ class DualGraph:
 
 
 def dual(g: PlaneGraph) -> DualGraph:
-    """Dual multigraph of the embedding; needs a designated outer face."""
-    if g.outer_face is None:
-        raise OuterFaceUnset("dual graph needs a designated outer face")
+    """Dual multigraph of the embedding: one node per face, the outer one
+    included, and one edge per primal edge."""
     edges = []
     for u, v in g.edges():
         a = g.face_of_slot((u, v))
@@ -248,49 +250,20 @@ def dual(g: PlaneGraph) -> DualGraph:
     return DualGraph(
         nodes=tuple(f.id for f in g.faces),
         edges=tuple(sorted(edges)),
-        outer_node=g.outer_face,
     )
 
 
 def is_biconnected(g: PlaneGraph) -> bool:
-    """True when the graph has at least 3 vertices, is connected and has
-    no cut vertex (iterative articulation-point scan)."""
-    if g.n < 3:
-        return False
-    rotation = g.rotation
-    start = next(iter(rotation))
-    index: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
-    parent: dict[Vertex, Vertex | None] = {start: None}
-    counter = 0
-    root_children = 0
-    stack: list[tuple[Vertex, int]] = [(start, 0)]
-    while stack:
-        v, i = stack.pop()
-        if i == 0:
-            index[v] = low[v] = counter
-            counter += 1
-        if i < len(rotation[v]):
-            stack.append((v, i + 1))
-            u = rotation[v][i]
-            if u == parent[v]:
-                continue
-            if u in index:
-                low[v] = min(low[v], index[u])
-            else:
-                parent[u] = v
-                if v == start:
-                    root_children += 1
-                stack.append((u, 0))
-        else:
-            p = parent[v]
-            if p is not None:
-                low[p] = min(low[p], low[v])
-                if p != start and low[v] >= index[p]:
-                    return False
-    if len(index) != g.n:
-        return False
-    return root_children <= 1
+    """True when g has at least 3 vertices and every face is bounded by a
+    cycle, that is, no facial walk visits a vertex twice.
+
+    For a connected sphere embedding this is exactly biconnectivity: a
+    cut vertex appears twice on some facial walk, and a graph whose faces
+    are all cycles has none.  build accepts only connected sphere
+    embeddings, and splits keep both properties, so every PlaneGraph
+    meets the precondition."""
+    return g.n >= 3 and all(
+        len(f) == len(f.incident_vertices) for f in g.faces)
 
 
 def outerplane_face(g: PlaneGraph) -> FaceId | None:

@@ -107,18 +107,20 @@ def build_cfc_instance(inst: VcInstance) -> CfcInstance:
             f"subdivided dual has {len(dstar.faces)} faces for "
             f"{g.n} primal vertices")
 
-    ends = {w: {u, v} for (u, v), w in edge_name.items()}
-    vertex_of_face: dict[FaceId, Vertex] = {}
-    for f in dstar.faces:
-        subs = [x for x in f.incident_vertices if x in ends]
-        common = set.intersection(*(ends[x] for x in subs))
-        if len(common) != 1:
+    # for each primal slot (x, v) on face F, the D* slot from the edge
+    # node of xv to the node of F runs along the hexagon around v
+    face_of_vertex: dict[Vertex, FaceId] = {}
+    for v, nbrs in g.rotation.items():
+        corners = {dstar.face_of_slot((name_of((x, v)),
+                                       face_name[g.face_of_slot((x, v))]))
+                   for x in nbrs}
+        if len(corners) != 1:
             raise AssertionError(
-                f"face {f.id} of the subdivided dual wraps {sorted(common)}")
-        vertex_of_face[f.id] = common.pop()
-    if len(set(vertex_of_face.values())) != g.n:
+                f"corners of vertex {v} lie on D* faces {sorted(corners)}")
+        face_of_vertex[v] = corners.pop()
+    vertex_of_face = {f: v for v, f in face_of_vertex.items()}
+    if len(vertex_of_face) != g.n:
         raise AssertionError("face-to-vertex map is not a bijection")
-    face_of_vertex = {v: f for f, v in vertex_of_face.items()}
     return CfcInstance(primal=g, dstar=dstar,
                        vertex_of_face=vertex_of_face,
                        face_of_vertex=face_of_vertex)

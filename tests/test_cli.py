@@ -187,6 +187,18 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert err.startswith("error: NotBiconnected")
 
 
+@pytest.mark.parametrize("verb", ["verify", "bounds", "oracle", "osn"])
+@pytest.mark.parametrize("text", ["0 0\n", "1 0\na:\n"])
+def test_edgeless_graph_is_a_domain_error(tmp_path, capsys, verb, text):
+    rot = tmp_path / "edgeless.rot"
+    rot.write_text(text)
+    code, out, err = run(capsys, verb, str(rot))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NotPlanar")
+    assert "no edges" in err
+
+
 def test_split_requires_apply(tmp_path, capsys):
     rot = write_k4(tmp_path)
     seq = tmp_path / "empty.seq"

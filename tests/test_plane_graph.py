@@ -109,6 +109,12 @@ def test_build_rejects_nonplanar_rotation():
         })
 
 
+def test_build_rejects_edgeless_graphs():
+    for rot in ({}, {"a": ()}):
+        with pytest.raises(NotPlanar, match="no edges"):
+            build(rot)
+
+
 def test_degree_one_vertices_are_allowed():
     g = build({"a": ("b",), "b": ("a", "c"), "c": ("b",)})
     assert len(g.faces) == 1
@@ -144,19 +150,12 @@ def test_dual_of_k4_is_k4():
     assert d.m == 6
     assert all(deg == 3 for deg in d.degrees().values())
     assert not d.has_self_loop()
-    assert d.outer_node == 0
 
 
 def test_dual_of_triangle_has_parallel_edges():
     d = dual(triangle())
     assert sorted(d.nodes) == [0, 1]
     assert d.edges == ((0, 1), (0, 1), (0, 1))
-
-
-def test_dual_requires_designated_outer_face():
-    g = build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")})
-    with pytest.raises(OuterFaceUnset):
-        dual(g)
 
 
 def test_dual_degree_equals_boundary_length():
