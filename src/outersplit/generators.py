@@ -7,9 +7,9 @@ same parameters.  Randomized families draw from random.Random(seed) only.
 The stacked and random families edit plain rotation lists in place and
 keep only the indexes their random choices need (the sorted inner-face
 walks, the sorted edge list, one slot of the outer face), so every edit
-is local.  Thinning tests a drop before making it, on the two faces
-beside the edge, instead of scanning the whole graph for cut vertices.
-Each output is validated and traced by a single build.
+is local.  Thinning tests each edge drop before making it, on the
+vertices of the two faces beside the edge.  Each output is validated and
+traced by a single build.
 """
 
 from __future__ import annotations
