@@ -14,8 +14,11 @@ Both are deliberately free of dual-graph reasoning.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -70,12 +73,15 @@ class OsnResult:
 
 class _Multi:
     """Small mutable multigraph; multiplicities are capped at 2 because a
-    third parallel edge changes no cycle-hitting question."""
+    third parallel edge changes no cycle-hitting question.  deg caches
+    each node's degree with multiplicity."""
 
-    __slots__ = ("adj",)
+    __slots__ = ("adj", "deg")
 
-    def __init__(self, adj=None):
+    def __init__(self, adj=None, deg=None):
         self.adj = adj if adj is not None else {}
+        self.deg = deg if deg is not None else {
+            u: sum(nbrs.values()) for u, nbrs in self.adj.items()}
 
     @classmethod
     def from_dual(cls, d: DualGraph) -> "_Multi":
@@ -86,19 +92,25 @@ class _Multi:
         return cls(adj)
 
     def copy(self) -> "_Multi":
-        return _Multi({u: dict(nbrs) for u, nbrs in self.adj.items()})
+        return _Multi({u: dict(nbrs) for u, nbrs in self.adj.items()},
+                      dict(self.deg))
 
     def remove(self, u: int) -> None:
-        for w in self.adj[u]:
+        for w, mult in self.adj[u].items():
             del self.adj[w][u]
+            self.deg[w] -= mult
         del self.adj[u]
+        del self.deg[u]
 
     def add_edge(self, a: int, b: int) -> None:
-        self.adj[a][b] = min(2, self.adj[a].get(b, 0) + 1)
-        self.adj[b][a] = min(2, self.adj[b].get(a, 0) + 1)
+        old = self.adj[a].get(b, 0)
+        if old < 2:
+            self.adj[a][b] = self.adj[b][a] = old + 1
+            self.deg[a] += 1
+            self.deg[b] += 1
 
     def degree(self, u: int) -> int:
-        return sum(self.adj[u].values())
+        return self.deg[u]
 
 
 def _components(mg: _Multi):
@@ -231,23 +243,17 @@ def _decide(mg: _Multi, budget: int, forbidden: frozenset[int]):
     return None
 
 
-def min_fvs(d: DualGraph) -> FvsSolution:
-    """Exact minimum feedback vertex set of a dual multigraph, returning
-    the lexicographically least optimal node set.
-
-    Parallel edges are honored as 2-cycles; a self-loop makes the problem
-    ill-posed for that node and raises SelfLoopPresent."""
-    if d.has_self_loop():
-        raise SelfLoopPresent("dual graph has a self-loop")
-    base = _Multi.from_dual(d)
-
+def _search_fvs(base: _Multi, nodes) -> tuple[int, list[int]]:
+    """Optimum size and lexicographically least optimal node set by
+    branch and bound: the least feasible budget from the lower bound up,
+    then one _decide per node in order."""
     k = _lower_bound(base)
     while _decide(base.copy(), k, frozenset()) is None:
         k += 1
 
     chosen: list[int] = []
     forbidden: set[int] = set()
-    for x in sorted(d.nodes):
+    for x in nodes:
         if len(chosen) == k:
             break
         trial = base.copy()
@@ -258,6 +264,271 @@ def min_fvs(d: DualGraph) -> FvsSolution:
             chosen.append(x)
         else:
             forbidden.add(x)
+    return k, chosen
+
+
+# -- matroid parity rank for subcubic duals --------------------------------------
+#
+# For a multigraph H of maximum degree 3, fvs(H) = beta(H) - nu(H) (Ueno,
+# Kajitani & Gotoh 1988), where beta is the cycle rank and nu the largest
+# number of disjoint pairs of adjacent edges whose deletion leaves as many
+# components.  nu is a matroid parity value on the cographic matroid, and
+# 2 nu is the rank of Lovasz's matrix sum_l x_l (b_l c_l^T - c_l b_l^T) for
+# random x_l over GF(p), with high probability (Lovasz 1979).  Deleting
+# nodes S from H contracts the matroid by the edges at S, so with T the
+# vectors of those edges
+#     f(H - S) = beta(H) - rank [[A, T], [-T^T, 0]] / 2.
+# A random evaluation can only lose rank, so the computed f is never below
+# the true one.
+
+_P = 2147483629  # prime below 2**31: a product of two residues fits in int64
+_LIMB = 1 << 16  # multipliers are split at this base before a matrix product
+
+
+def _cycle_vectors(nodes, edges):
+    """Signed fundamental cycles of a BFS forest, one row per non-tree
+    edge, and the edge indices at each node.  Column e of the rows
+    represents edge e in the cographic matroid: a set of edges is
+    independent exactly when deleting it leaves as many components."""
+    index = {u: i for i, u in enumerate(nodes)}
+    ends = [(index[a], index[b]) for a, b in edges]
+    inc: list[list[int]] = [[] for _ in nodes]
+    for e, (a, b) in enumerate(ends):
+        inc[a].append(e)
+        inc[b].append(e)
+    # path[v] marks the tree edges from the root of v's tree down to v,
+    # each oriented away from the root
+    path = np.zeros((len(nodes), len(edges)), np.int8)
+    tree = [False] * len(edges)
+    seen = [False] * len(nodes)
+    for root in range(len(nodes)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for v in queue:
+            for e in inc[v]:
+                a, b = ends[e]
+                w = b if a == v else a
+                if not seen[w]:
+                    seen[w] = True
+                    tree[e] = True
+                    path[w] = path[v]
+                    path[w, e] = 1
+                    queue.append(w)
+    cotree = [e for e, t in enumerate(tree) if not t]
+    # the cycle of a non-tree edge a -> b runs back from b to a in the tree
+    z = (path[[ends[e][0] for e in cotree]].astype(np.int64)
+         - path[[ends[e][1] for e in cotree]])
+    z[np.arange(len(cotree)), cotree] = 1
+    return z, inc
+
+
+def _line_pairs(inc: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of the parity problem: every pair of edges at a node."""
+    pairs = [(es[i], es[j]) for es in inc
+             for i in range(len(es)) for j in range(i + 1, len(es))]
+    return (np.array([a for a, _ in pairs], np.intp),
+            np.array([b for _, b in pairs], np.intp))
+
+
+def _lovasz(z: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+            x: np.ndarray) -> np.ndarray:
+    """sum_l x_l (b_l c_l^T - c_l b_l^T) mod p, with b_l and c_l the
+    columns e1[l] and e2[l] of z.  The entries of z are 0 and +-1, so the
+    integer product stays below len(x) * p."""
+    a = (z[:, e1] * x) @ z[:, e2].T
+    return (a - a.T) % _P
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank over GF(p) of a small matrix given as lists, by
+    fraction-free elimination."""
+    rank = 0
+    while rows:
+        row = rows.pop()
+        c = next((i for i, a in enumerate(row) if a), None)
+        if c is None:
+            continue
+        rank += 1
+        piv = row[c]
+        rows = [[(a * piv - r[c] * b) % _P for a, b in zip(r, row)]
+                if r[c] else r for r in rows]
+    return rank
+
+
+class _ParityRank:
+    """A random evaluation A of Lovasz's matrix, bordered by the edge
+    vectors z: base = [[A, z], [-z^T, 0]] on the beta coordinates followed
+    by the edges.
+
+    Absorbing indices (first the coordinates, then the edges at each
+    chosen node) pivots out a maximal nonsingular principal block of
+    them.  The Schur complement S left over is kept as base plus one
+    rank-2 update v u^T - u v^T per pivot, so reading entries of S costs
+    a small matrix product.  The absorbed indices that were not pivoted
+    form the free set, on which S vanishes, and f of the graph minus the
+    chosen nodes is beta minus the number of pivots."""
+
+    def __init__(self, a: np.ndarray, z: np.ndarray):
+        beta, m = z.shape
+        self.base = np.zeros((beta + m, beta + m), np.int64)
+        self.base[:beta, :beta] = a
+        self.base[:beta, beta:] = z % _P
+        self.base[beta:, :beta] = -z.T % _P
+        self.beta = beta
+        self.pivots = 0
+        # row t holds u of pivot t, and v split into limbs so that the
+        # products in a matrix product stay below 2**47
+        self.u = np.zeros((8, beta + m), np.int64)
+        self.v = np.zeros((8, 2 * (beta + m)), np.int64)
+        self.free: list[int] = []
+        self.absorb(list(range(beta)))
+
+    @property
+    def value(self) -> int:
+        return self.beta - self.pivots
+
+    def value_without(self, new: list[int]) -> int:
+        """The value after also absorbing new, which stays unabsorbed."""
+        idx = self.free + new
+        return self.value - _rank_mod_p(self._read(idx, idx).tolist()) // 2
+
+    def _read(self, rows: list[int], cols: list[int] | None) -> np.ndarray:
+        """S on rows x cols, or on rows x every index when cols is None."""
+        n, t = len(self.base), self.pivots
+        out = self.base.take(rows, 0)
+        if cols is not None:
+            out = out.take(cols, 1)
+        if not t:
+            return out
+        u, v = self.u[:t], self.v[:t]
+        if cols is not None:
+            u, v = u.take(cols, 1), v.take(cols + [c + n for c in cols], 1)
+        k = len(u[0])
+        vr = self.v[:t].take(rows + [r + n for r in rows], 1)
+        ur = self.u[:t].take(rows, 1)
+        # sum over pivots of v[r] u[c] - u[r] v[c], limb by limb
+        vu = vr.T @ u
+        uv = ur.T @ v
+        hi = vu[:len(rows)] - uv[:, :k]
+        lo = vu[len(rows):] - uv[:, k:]
+        return (out + hi % _P * _LIMB + lo) % _P
+
+    def absorb(self, new: list[int]) -> None:
+        """Pivot out of the free set plus new until S vanishes on it."""
+        pool = self.free + new
+        block = self._read(pool, pool)
+        while True:
+            hits = np.argwhere(block)
+            if not len(hits):
+                break
+            a, b = hits[0]
+            # S' = S + v u^T - u v^T with u = S[:, i], v = S[:, j] / S[i, j]
+            # clears rows and columns i = pool[a] and j = pool[b]
+            ri, rj = self._read([pool[a], pool[b]], None)
+            u = (_P - ri) % _P
+            v = (_P - rj) * pow(int(block[a, b]), -1, _P) % _P
+            t = self.pivots
+            if t == len(self.u):
+                self.u = np.concatenate([self.u, np.zeros_like(self.u)])
+                self.v = np.concatenate([self.v, np.zeros_like(self.v)])
+            self.u[t] = u
+            self.v[t] = np.concatenate([v // _LIMB, v % _LIMB])
+            self.pivots = t + 1
+            keep = [c for c in range(len(pool)) if c != a and c != b]
+            pool = [pool[c] for c in keep]
+            up, vp = u[pool], v[pool]
+            block = (block.take(keep, 0).take(keep, 1) + np.outer(vp, up)
+                     - np.outer(up, vp)) % _P
+        self.free = pool
+
+
+def _draw(rng: random.Random, n: int) -> np.ndarray:
+    """n values in [1, p) from one call of rng."""
+    raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+    return np.frombuffer(raw, np.uint32).astype(np.int64) % (_P - 1) + 1
+
+
+def _parity_value(nodes, edges, rng: random.Random) -> int:
+    """f(H) = beta(H) - nu(H) of a loopless multigraph H of maximum
+    degree 3, with one fresh draw from rng.  Never below fvs(H), and
+    equal to it with high probability."""
+    z, inc = _cycle_vectors(nodes, edges)
+    e1, e2 = _line_pairs(inc)
+    a = _lovasz(z, e1, e2, _draw(rng, len(e1)))
+    return _ParityRank(a, z[:, :0]).value
+
+
+def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
+    """Optimum size and lexicographically least optimal node set of a
+    dual of maximum degree 3, by matroid parity ranks."""
+    nodes = sorted(d.nodes)
+    z, inc = _cycle_vectors(nodes, d.edges)
+    e1, e2 = _line_pairs(inc)
+    # a str seed goes through SHA-512, so the draws depend on the graph only
+    rng = random.Random(repr((d.nodes, d.edges)))
+    oracle = _ParityRank(_lovasz(z, e1, e2, _draw(rng, len(e1))), z)
+
+    k = oracle.value
+    # k is never below the optimum; it is certified by the lower bound or
+    # by refuting k - 1
+    while k > _lower_bound(base) and _decide(
+            base.copy(), k - 1, frozenset()) is not None:
+        k -= 1
+
+    beta = z.shape[0]
+    # a lower bound on the cycle rank of the dual minus the chosen nodes
+    cycles = beta
+    done: set[int] = set()  # absorbed edge indices
+    rest = base.copy()      # the dual minus the chosen nodes
+    chosen: list[int] = []
+    for i, x in enumerate(nodes):
+        if len(chosen) == k:
+            break
+        budget = k - len(chosen) - 1
+        new = [beta + e for e in inc[i] if beta + e not in done]
+        # x on no cycle, or too many cycles left for the budget: deleting
+        # a node of degree g lowers the cycle rank by at most g - 1 <= 2
+        if len(new) <= 1 or cycles - len(new) + 1 > 2 * budget:
+            continue
+        if oracle.value_without(new) != budget:
+            # the rank says no: a lower bound may prove it, and otherwise
+            # a fresh draw on rest - x has to agree
+            trial = rest.copy()
+            trial.remove(x)
+            taken: list[int] = []
+            if (not _reduce(trial, budget, frozenset(), taken)
+                    or len(taken) + _lower_bound(trial) > budget):
+                continue
+            gone = set(chosen) | {x}
+            if _parity_value(
+                    [u for u in nodes if u not in gone],
+                    [e for e in d.edges
+                     if e[0] not in gone and e[1] not in gone],
+                    rng) != budget:
+                continue
+        chosen.append(x)
+        rest.remove(x)
+        done.update(new)
+        cycles -= len(new) - 1
+        oracle.absorb(new)
+    return k, chosen
+
+
+def min_fvs(d: DualGraph) -> FvsSolution:
+    """Exact minimum feedback vertex set of a dual multigraph, returning
+    the lexicographically least optimal node set.
+
+    Parallel edges are honored as 2-cycles; a self-loop makes the problem
+    ill-posed for that node and raises SelfLoopPresent."""
+    if d.has_self_loop():
+        raise SelfLoopPresent("dual graph has a self-loop")
+    base = _Multi.from_dual(d)
+    if max(d.degrees().values(), default=0) <= 3:
+        k, chosen = _rank_fvs(d, base)
+    else:
+        k, chosen = _search_fvs(base, sorted(d.nodes))
     if len(chosen) != k:
         raise AssertionError("lexicographic completion lost the optimum")
 
