@@ -324,21 +324,10 @@ def _cycle_vectors(nodes, edges):
     return z, inc
 
 
-def _line_pairs(inc: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The lines of the parity problem: every pair of edges at a node."""
-    pairs = [(es[i], es[j]) for es in inc
-             for i in range(len(es)) for j in range(i + 1, len(es))]
-    return (np.array([a for a, _ in pairs], np.intp),
-            np.array([b for _, b in pairs], np.intp))
-
-
-def _lovasz(z: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-            x: np.ndarray) -> np.ndarray:
-    """sum_l x_l (b_l c_l^T - c_l b_l^T) mod p, with b_l and c_l the
-    columns e1[l] and e2[l] of z.  The entries of z are 0 and +-1, so the
-    integer product stays below len(x) * p."""
-    a = (z[:, e1] * x) @ z[:, e2].T
-    return (a - a.T) % _P
+def _draw(rng: random.Random, n: int) -> np.ndarray:
+    """n values in [1, p) from one call of rng."""
+    raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+    return np.frombuffer(raw, np.uint32).astype(np.int64) % (_P - 1) + 1
 
 
 def _rank_mod_p(rows: list[list[int]]) -> int:
@@ -358,41 +347,54 @@ def _rank_mod_p(rows: list[list[int]]) -> int:
 
 
 class _ParityRank:
-    """A random evaluation A of Lovasz's matrix, bordered by the edge
-    vectors z: base = [[A, z], [-z^T, 0]] on the beta coordinates followed
-    by the edges.
+    """f of a loopless multigraph of maximum degree 3 minus deleted
+    nodes, from one random evaluation over GF(p).
 
-    Absorbing indices (first the coordinates, then the edges at each
-    chosen node) pivots out a maximal nonsingular principal block of
-    them.  The Schur complement S left over is kept as base plus one
-    rank-2 update v u^T - u v^T per pivot, so reading entries of S costs
-    a small matrix product.  The absorbed indices that were not pivoted
-    form the free set, on which S vanishes, and f of the graph minus the
-    chosen nodes is beta minus the number of pivots."""
+    With the cycle vectors z, one line per pair of edges at a node and
+    values x_l drawn from rng, A = sum_l x_l (b_l c_l^T - c_l b_l^T) is
+    bordered by every edge vector: base = [[A, z], [-z^T, 0]] on the beta
+    coordinates followed by the edges.  Absorbing indices (first the
+    coordinates, then the edges at each deleted node) pivots out a
+    maximal nonsingular principal block of them.  The Schur complement S
+    left over is kept as base plus one rank-2 update v u^T - u v^T per
+    pivot, so reading rows of S costs a small matrix product.  The
+    absorbed indices that were not pivoted form the free set, on which S
+    vanishes, and f is beta minus the number of pivots."""
 
-    def __init__(self, a: np.ndarray, z: np.ndarray):
+    def __init__(self, nodes, edges, rng: random.Random):
+        z, self.inc = _cycle_vectors(nodes, edges)
+        pairs = [(es[i], es[j]) for es in self.inc
+                 for i in range(len(es)) for j in range(i + 1, len(es))]
+        e1 = np.array([b for b, _ in pairs], np.intp)
+        e2 = np.array([c for _, c in pairs], np.intp)
+        # the entries of z are 0 and +-1, so the sum stays below len * p
+        a = (z[:, e1] * _draw(rng, len(pairs))) @ z[:, e2].T
         beta, m = z.shape
         self.base = np.zeros((beta + m, beta + m), np.int64)
-        self.base[:beta, :beta] = a
+        self.base[:beta, :beta] = (a - a.T) % _P
         self.base[:beta, beta:] = z % _P
         self.base[beta:, :beta] = -z.T % _P
         self.beta = beta
         self.pivots = 0
         # row t holds u of pivot t, and v split into limbs so that the
-        # products in a matrix product stay below 2**47
+        # terms of a matrix product stay below 2**47
         self.u = np.zeros((8, beta + m), np.int64)
         self.v = np.zeros((8, 2 * (beta + m)), np.int64)
         self.free: list[int] = []
-        self.absorb(list(range(beta)))
+        self._absorb(list(range(beta)))
 
     @property
     def value(self) -> int:
         return self.beta - self.pivots
 
-    def value_without(self, new: list[int]) -> int:
-        """The value after also absorbing new, which stays unabsorbed."""
-        idx = self.free + new
+    def value_without(self, edges: list[int]) -> int:
+        """The value once the given edges are deleted too."""
+        idx = self.free + [self.beta + e for e in edges]
         return self.value - _rank_mod_p(self._read(idx, idx).tolist()) // 2
+
+    def delete(self, edges: list[int]) -> None:
+        """Delete the given edges, those at a deleted node."""
+        self._absorb([self.beta + e for e in edges])
 
     def _read(self, rows: list[int], cols: list[int] | None) -> np.ndarray:
         """S on rows x cols, or on rows x every index when cols is None."""
@@ -415,20 +417,19 @@ class _ParityRank:
         lo = vu[len(rows):] - uv[:, k:]
         return (out + hi % _P * _LIMB + lo) % _P
 
-    def absorb(self, new: list[int]) -> None:
+    def _absorb(self, new: list[int]) -> None:
         """Pivot out of the free set plus new until S vanishes on it."""
         pool = self.free + new
-        block = self._read(pool, pool)
+        rows = self._read(pool, None)
         while True:
-            hits = np.argwhere(block)
+            hits = np.flatnonzero(rows.take(pool, 1))
             if not len(hits):
                 break
-            a, b = hits[0]
+            a, b = divmod(int(hits[0]), len(pool))
             # S' = S + v u^T - u v^T with u = S[:, i], v = S[:, j] / S[i, j]
             # clears rows and columns i = pool[a] and j = pool[b]
-            ri, rj = self._read([pool[a], pool[b]], None)
-            u = (_P - ri) % _P
-            v = (_P - rj) * pow(int(block[a, b]), -1, _P) % _P
+            u = (_P - rows[a]) % _P
+            v = (_P - rows[b]) * pow(int(rows[a, pool[b]]), -1, _P) % _P
             t = self.pivots
             if t == len(self.u):
                 self.u = np.concatenate([self.u, np.zeros_like(self.u)])
@@ -438,37 +439,29 @@ class _ParityRank:
             self.pivots = t + 1
             keep = [c for c in range(len(pool)) if c != a and c != b]
             pool = [pool[c] for c in keep]
-            up, vp = u[pool], v[pool]
-            block = (block.take(keep, 0).take(keep, 1) + np.outer(vp, up)
-                     - np.outer(up, vp)) % _P
-        self.free = pool
+            rows = (rows.take(keep, 0) + np.outer(v[pool], u)
+                    - np.outer(u[pool], v)) % _P
+        # a row of S that is zero stays zero under later pivots, so such
+        # an index can never matter again
+        self.free = [i for i, row in zip(pool, rows) if row.any()]
 
 
-def _draw(rng: random.Random, n: int) -> np.ndarray:
-    """n values in [1, p) from one call of rng."""
-    raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-    return np.frombuffer(raw, np.uint32).astype(np.int64) % (_P - 1) + 1
-
-
-def _parity_value(nodes, edges, rng: random.Random) -> int:
+def _parity_value(mg: _Multi, rng: random.Random) -> int:
     """f(H) = beta(H) - nu(H) of a loopless multigraph H of maximum
-    degree 3, with one fresh draw from rng.  Never below fvs(H), and
-    equal to it with high probability."""
-    z, inc = _cycle_vectors(nodes, edges)
-    e1, e2 = _line_pairs(inc)
-    a = _lovasz(z, e1, e2, _draw(rng, len(e1)))
-    return _ParityRank(a, z[:, :0]).value
+    degree 3, with a fresh draw from rng.  Never below fvs(H), and equal
+    to it with high probability."""
+    edges = [(u, w) for u, nbrs in mg.adj.items()
+             for w, mult in nbrs.items() if u < w for _ in range(mult)]
+    return _ParityRank(list(mg.adj), edges, rng).value
 
 
 def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
     """Optimum size and lexicographically least optimal node set of a
     dual of maximum degree 3, by matroid parity ranks."""
     nodes = sorted(d.nodes)
-    z, inc = _cycle_vectors(nodes, d.edges)
-    e1, e2 = _line_pairs(inc)
     # a str seed goes through SHA-512, so the draws depend on the graph only
     rng = random.Random(repr((d.nodes, d.edges)))
-    oracle = _ParityRank(_lovasz(z, e1, e2, _draw(rng, len(e1))), z)
+    oracle = _ParityRank(nodes, d.edges, rng)
 
     k = oracle.value
     # k is never below the optimum; it is certified by the lower bound or
@@ -477,42 +470,35 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
             base.copy(), k - 1, frozenset()) is not None:
         k -= 1
 
-    beta = z.shape[0]
     # a lower bound on the cycle rank of the dual minus the chosen nodes
-    cycles = beta
-    done: set[int] = set()  # absorbed edge indices
+    cycles = oracle.beta
+    done: set[int] = set()  # edges at chosen nodes
     rest = base.copy()      # the dual minus the chosen nodes
     chosen: list[int] = []
-    for i, x in enumerate(nodes):
+    for x, edges in zip(nodes, oracle.inc):
         if len(chosen) == k:
             break
         budget = k - len(chosen) - 1
-        new = [beta + e for e in inc[i] if beta + e not in done]
+        new = [e for e in edges if e not in done]
         # x on no cycle, or too many cycles left for the budget: deleting
         # a node of degree g lowers the cycle rank by at most g - 1 <= 2
         if len(new) <= 1 or cycles - len(new) + 1 > 2 * budget:
             continue
         if oracle.value_without(new) != budget:
-            # the rank says no: a lower bound may prove it, and otherwise
-            # a fresh draw on rest - x has to agree
+            # the rank says no: a lower bound on rest - x may prove it, and
+            # otherwise a fresh draw on rest - x, reduced, has to agree
             trial = rest.copy()
             trial.remove(x)
             taken: list[int] = []
             if (not _reduce(trial, budget, frozenset(), taken)
-                    or len(taken) + _lower_bound(trial) > budget):
-                continue
-            gone = set(chosen) | {x}
-            if _parity_value(
-                    [u for u in nodes if u not in gone],
-                    [e for e in d.edges
-                     if e[0] not in gone and e[1] not in gone],
-                    rng) != budget:
+                    or len(taken) + _lower_bound(trial) > budget
+                    or len(taken) + _parity_value(trial, rng) != budget):
                 continue
         chosen.append(x)
         rest.remove(x)
         done.update(new)
         cycles -= len(new) - 1
-        oracle.absorb(new)
+        oracle.delete(new)
     return k, chosen
 
 
