@@ -6,6 +6,13 @@ minimum feedback vertex set of the dual multigraph.  min_fvs solves the
 dual problem exactly; fvs_to_cover certifies the resulting face set as a
 connected cover; solve_osn chains both with realize_cover.
 
+min_fvs has two solvers and picks one by the largest dual degree alone.
+Duals of maximum degree 3, which are exactly the duals of triangulations,
+go to a polynomial one: there fvs = beta - nu, the cycle rank minus a
+matroid parity value, and nu is read off the rank of a random matrix over
+GF(p).  Every other dual goes to an exact branch and bound, since there
+the problem is NP-hard.
+
 Two independent brute-force oracles cross-check the theory on small
 instances: brute_min_cfc enumerates face subsets by size, and
 brute_osn_by_splits searches the raw split space with iterative deepening.
@@ -507,7 +514,21 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     the lexicographically least optimal node set.
 
     Parallel edges are honored as 2-cycles; a self-loop makes the problem
-    ill-posed for that node and raises SelfLoopPresent."""
+    ill-posed for that node and raises SelfLoopPresent.
+
+    When every node has degree at most 3, the size k comes from a matroid
+    parity rank and the nodes are taken in order, each kept when the rank
+    says one node fewer remains to find.  A random evaluation can only
+    lose rank, so these steps are certified: k, once it meets the degree
+    lower bound or _decide refutes k - 1; every node taken; and every
+    node passed over because a lower bound on what would remain exceeds
+    the budget.  A node passed over on the rank alone, confirmed by a
+    second independent draw, is right with high probability: each draw
+    errs with probability below (number of nodes) / p, p = 2147483629.
+    A slip there could only return an optimum that is not the least one,
+    or raise AssertionError; the size stays exact.  Other duals are
+    solved by branch and bound.  The returned set is verified as a
+    feedback set in either case."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
     base = _Multi.from_dual(d)
