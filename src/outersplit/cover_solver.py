@@ -453,15 +453,6 @@ class _ParityRank:
         self.free = [i for i, row in zip(pool, rows) if row.any()]
 
 
-def _parity_value(mg: _Multi, rng: random.Random) -> int:
-    """f(H) = beta(H) - nu(H) of a loopless multigraph H of maximum
-    degree 3, with a fresh draw from rng.  Never below fvs(H), and equal
-    to it with high probability."""
-    edges = [(u, w) for u, nbrs in mg.adj.items()
-             for w, mult in nbrs.items() if u < w for _ in range(mult)]
-    return _ParityRank(list(mg.adj), edges, rng).value
-
-
 def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
     """Optimum size and lexicographically least optimal node set of a
     dual of maximum degree 3, by matroid parity ranks."""
@@ -481,6 +472,7 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
     cycles = oracle.beta
     done: set[int] = set()  # edges at chosen nodes
     rest = base.copy()      # the dual minus the chosen nodes
+    second = None           # an independent draw on rest, made when needed
     chosen: list[int] = []
     for x, edges in zip(nodes, oracle.inc):
         if len(chosen) == k:
@@ -493,19 +485,26 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
             continue
         if oracle.value_without(new) != budget:
             # the rank says no: a lower bound on rest - x may prove it, and
-            # otherwise a fresh draw on rest - x, reduced, has to agree
+            # otherwise the second draw has to agree
             trial = rest.copy()
             trial.remove(x)
             taken: list[int] = []
             if (not _reduce(trial, budget, frozenset(), taken)
-                    or len(taken) + _lower_bound(trial) > budget
-                    or len(taken) + _parity_value(trial, rng) != budget):
+                    or len(taken) + _lower_bound(trial) > budget):
+                continue
+            if second is None:
+                left = [e for e in range(len(d.edges)) if e not in done]
+                second = _ParityRank(nodes, [d.edges[e] for e in left], rng)
+                renumber = {e: i for i, e in enumerate(left)}
+            if second.value_without([renumber[e] for e in new]) != budget:
                 continue
         chosen.append(x)
         rest.remove(x)
         done.update(new)
         cycles -= len(new) - 1
         oracle.delete(new)
+        if second is not None:
+            second.delete([renumber[e] for e in new])
     return k, chosen
 
 
