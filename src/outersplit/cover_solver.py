@@ -274,7 +274,7 @@ def _search_fvs(base: _Multi, nodes) -> tuple[int, list[int]]:
     return k, chosen
 
 
-# -- matroid parity rank for subcubic duals --------------------------------------
+# -- matroid parity rank for subcubic duals ------------------------------------
 #
 # For a multigraph H of maximum degree 3, fvs(H) = beta(H) - nu(H) (Ueno,
 # Kajitani & Gotoh 1988), where beta is the cycle rank and nu the largest
