@@ -250,7 +250,7 @@ def _decide(mg: _Multi, budget: int, forbidden: frozenset[int]):
     return None
 
 
-def _search_fvs(base: _Multi, nodes) -> tuple[int, list[int]]:
+def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
     """Optimum size and lexicographically least optimal node set by
     branch and bound: the least feasible budget from the lower bound up,
     then one _decide per node in order."""
@@ -260,7 +260,7 @@ def _search_fvs(base: _Multi, nodes) -> tuple[int, list[int]]:
 
     chosen: list[int] = []
     forbidden: set[int] = set()
-    for x in nodes:
+    for x in sorted(base.adj):
         if len(chosen) == k:
             break
         trial = base.copy()
@@ -534,7 +534,7 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     if max(d.degrees().values(), default=0) <= 3:
         k, chosen = _rank_fvs(d, base)
     else:
-        k, chosen = _search_fvs(base, sorted(d.nodes))
+        k, chosen = _search_fvs(base)
     if len(chosen) != k:
         raise AssertionError("lexicographic completion lost the optimum")
 
