@@ -635,9 +635,8 @@ def brute_osn_by_splits(g: PlaneGraph, k_max: int | None = None,
             f"{face_cap}")
     if k_max is None:
         k_max = len(g.faces) - 1
-    base = PlaneGraph(rotation=dict(g.rotation), outer_face=None)
     for depth in range(k_max + 1):
-        if _split_search(base, depth, {}):
+        if _split_search(g, depth, {}):
             return depth
     return None
 

@@ -11,13 +11,20 @@ of edge {u, v} walked from u to v; each slot belongs to exactly one face,
 and the walk continues from (u, v) to (v, w) where w follows u in the
 clockwise rotation at v.  Face ids are assigned deterministically by sorting
 the walks by their lexicographically smallest slot.
+
+A graph made by build is traced once, when its faces are first needed.
+A split changes only the faces through the split vertex, so split_engine
+derives the result's FaceData from its parent's instead of tracing again;
+the derived data equals what a trace of the new rotation system gives.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AsymmetricRotation,
@@ -82,15 +89,63 @@ class PlaneGraph:
         return tuple(sorted(out))
 
     @cached_property
-    def _face_data(self) -> tuple[tuple[Face, ...], dict[Slot, FaceId]]:
-        return _trace_faces(self.rotation)
+    def face_data(self) -> FaceData:
+        faces, slot_face = _trace_faces(self.rotation)
+        data = FaceData(
+            walks={f.id: tuple(map(itemgetter(0), f.boundary))
+                   for f in faces},
+            corners={v: tuple(slot_face[(u, v)] for u in nbrs)
+                     for v, nbrs in self.rotation.items()},
+            order=range(len(faces)),
+            firsts=[f.boundary[0] for f in faces],
+        )
+        data.__dict__["faces"] = faces
+        return data
 
     @property
     def faces(self) -> tuple[Face, ...]:
-        return self._face_data[0]
+        return self.face_data.faces
 
     def face_of_slot(self, slot: Slot) -> FaceId:
-        return self._face_data[1][slot]
+        u, v = slot
+        data = self.face_data
+        return data.face_id(data.corners[v][self.rotation[v].index(u)])
+
+
+@dataclass(frozen=True)
+class FaceData:
+    """The faces of one embedding, held under keys that a split keeps.
+
+    walks maps a key to the vertices of its face's walk, in walk order
+    from the tail of the face's smallest slot: the walk (u0, u1, ...)
+    has the slots (u0, u1), (u1, u2), ... and (u_last, u0).  corners[v][i]
+    is the key of the face whose corner at v lies between rotation[v][i]
+    and rotation[v][i+1], the face of the slot (rotation[v][i], v).  order
+    lists the keys by smallest slot, so the position of a key there is its
+    face id, and firsts holds those smallest slots in the same order.
+
+    A traced graph keys each face by its id.  A split keeps the key of
+    every face it does not merge, so most entries carry over from the
+    parent unchanged, and Face objects are made only when asked for.
+    """
+
+    walks: dict[int, tuple[Vertex, ...]]
+    corners: dict[Vertex, tuple[int, ...]]
+    order: Sequence[int]
+    firsts: Sequence[Slot]
+
+    def face_id(self, key: int) -> FaceId:
+        return bisect_left(self.firsts, self.walks[key][:2])
+
+    def face(self, face_id: FaceId) -> Face:
+        walk = self.walks[self.order[face_id]]
+        return Face(id=face_id,
+                    boundary=tuple(zip(walk, walk[1:] + walk[:1])),
+                    incident_vertices=frozenset(walk))
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        return tuple(map(self.face, range(len(self.order))))
 
 
 def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]):
@@ -191,14 +246,15 @@ def _connected(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> bool:
 
 def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     """Return the same embedding with face_id designated as outer,
-    sharing g's rotation and face trace."""
-    if not 0 <= face_id < len(g.faces):
+    sharing g's rotation and face data."""
+    count = len(g.face_data.order)
+    if not 0 <= face_id < count:
         raise OuterFaceUnset(
-            f"face {face_id} does not exist (graph has {len(g.faces)} faces)")
+            f"face {face_id} does not exist (graph has {count} faces)")
     out = PlaneGraph(rotation=g.rotation, outer_face=face_id)
-    # the range check above traced g; the faces do not depend on the
-    # designation, so the trace is handed over instead of redone
-    out.__dict__["_face_data"] = g._face_data
+    # the faces do not depend on the designation, so they are handed
+    # over instead of traced again
+    out.__dict__["face_data"] = g.face_data
     return out
 
 

@@ -24,6 +24,7 @@ maps the slots of the final all-incident face back to original faces.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -40,8 +41,10 @@ from .errors import (
     SameFace,
 )
 from .plane_graph import (
+    FaceData,
     FaceId,
     PlaneGraph,
+    Slot,
     Vertex,
     is_outerplane,
     outerplane_face,
@@ -103,12 +106,141 @@ def _corner_gap(g: PlaneGraph, v: Vertex, fid: FaceId) -> int:
     Gap i sits between rotation[v][i] and rotation[v][i+1]; a corner of a
     face at v occupies exactly one gap.  Walk order makes the choice
     deterministic when the face touches v more than once."""
-    if not 0 <= fid < len(g.faces):
+    data = g.face_data
+    if not 0 <= fid < len(data.order):
         raise NotIncident(f"face {fid} does not exist")
-    for x, y in g.faces[fid].boundary:
-        if y == v:
-            return g.rotation[v].index(x)
-    raise NotIncident(f"vertex {v!r} is not on the boundary of face {fid}")
+    key = data.order[fid]
+    gaps = [i for i, k in enumerate(data.corners[v]) if k == key]
+    if not gaps:
+        raise NotIncident(
+            f"vertex {v!r} is not on the boundary of face {fid}")
+    if len(gaps) == 1:
+        return gaps[0]
+    # The first slot into v is the one before the first v after the
+    # walk's start; when v only starts the walk, it is the last slot.
+    walk = data.walks[key]
+    try:
+        p = walk.index(v, 1)
+    except ValueError:
+        p = 0
+    return g.rotation[v].index(walk[p - 1])
+
+
+def _rename(walk: tuple[Vertex, ...], v: Vertex,
+            owner: Mapping[Vertex, Vertex]) -> tuple[list[Vertex], list[int]]:
+    """The walk with each visit of v renamed to the copy owning the edges
+    on both sides of it, and the positions of those visits."""
+    at = []
+    try:
+        while True:
+            at.append(walk.index(v, at[-1] + 1 if at else 0))
+    except ValueError:
+        pass
+    out = list(walk)
+    for i in at:
+        out[i] = owner[walk[i - 1]]
+    return out, at
+
+
+def _from_smallest(walk: list[Vertex], starts: Iterable[int]
+                   ) -> tuple[Vertex, ...]:
+    """The cyclic walk rotated to begin at its smallest slot, which is
+    known to begin at one of the positions starts."""
+    d = len(walk)
+    i = min((p % d for p in starts),
+            key=lambda p: (walk[p], walk[p + 1 - d]))
+    return tuple(walk[i:] + walk[:i])
+
+
+def _starts(d: int, at: list[int]) -> Iterable[int]:
+    """Positions where the smallest slot of a walk of length d can begin
+    once its visits of v at the positions at are renamed: the old
+    smallest slot, which begins at 0, when the renaming leaves it alone,
+    and the renamed slots.  When the renaming hits the old smallest
+    slot, any position."""
+    if at[0] <= 1:
+        return range(d)
+    return [0] + [j for i in at for j in (i - 1, i)]
+
+
+def _split_faces(data: FaceData, v: Vertex, rot: tuple[Vertex, ...],
+                 gap_a: int, gap_b: int,
+                 owner: Mapping[Vertex, Vertex]) -> FaceData:
+    """Face data after splitting v at gap_a and gap_b, derived from the
+    data before.
+
+    rot is the rotation of v and owner maps each neighbor of v to the
+    copy that takes its edge.  Faces without a corner at v keep their
+    entries.  A face with corners at v has v renamed there.  The two
+    faces cornered at the cut gaps are spliced into one walk: the tail of
+    face_a after its corner joins the head of face_b, and the tail of
+    face_b joins the head of face_a.  The merged face keeps the key of
+    the longer face, so only the shorter one's corners are entered
+    again."""
+    around = data.corners[v]
+    key_a, key_b = around[gap_a], around[gap_b]
+    if key_a == key_b:
+        raise AssertionError("split did not merge exactly two faces")
+    walks = data.walks.copy()
+    new: dict[int, tuple[Vertex, ...]] = {}
+    for key in set(around) - {key_a, key_b}:
+        walk, at = _rename(walks[key], v, owner)
+        new[key] = _from_smallest(walk, _starts(len(walk), at))
+
+    # Splice at the cut visits of v: face_a's walk from just after its
+    # cut, then copy_1, then face_b's walk from just after its cut, then
+    # copy_2, which closes the walk.
+    old_a, old_b = walks[key_a], walks[key_b]
+    walk_a, at_a = _rename(old_a, v, owner)
+    walk_b, at_b = _rename(old_b, v, owner)
+    i = next(i for i in at_a if old_a[i - 1] == rot[gap_a])
+    j = next(j for j in at_b if old_b[j - 1] == rot[gap_b])
+    len_a, len_b = len(walk_a), len(walk_b)
+    copy_1, copy_2 = owner[rot[gap_a]], owner[rot[gap_b]]
+    if (copy_1 == copy_2 or owner[old_b[(j + 1) % len_b]] != copy_1
+            or owner[old_a[(i + 1) % len_a]] != copy_2):
+        raise AssertionError("spliced walk does not close")
+    merged = ([copy_2] + walk_a[i + 1:] + walk_a[:i]
+              + [copy_1] + walk_b[j + 1:] + walk_b[:j])
+    # a position p of face_a moves to (p - i) % len_a, one of face_b to
+    # len_a + (q - j) % len_b
+    starts = [(p - i) % len_a for p in _starts(len_a, at_a)]
+    starts += [len_a + (q - j) % len_b for q in _starts(len_b, at_b)]
+    keep, drop = ((key_a, key_b) if len_a >= len_b else (key_b, key_a))
+    new[keep] = _from_smallest(merged, starts)
+
+    # Each copy takes the corners inside its arc and closes it with a
+    # corner of the merged face; every corner of the dropped face is
+    # renamed to the kept one.
+    corners = data.corners.copy()
+    del corners[v]
+    d = len(rot)
+    corners[copy_1] = tuple(
+        around[(gap_b + 1 + t) % d] for t in range((gap_a - gap_b) % d - 1)
+    ) + (keep,)
+    corners[copy_2] = tuple(
+        around[(gap_a + 1 + t) % d] for t in range((gap_b - gap_a) % d - 1)
+    ) + (keep,)
+    for u in set(walk_b if drop == key_b else walk_a) | {copy_1, copy_2}:
+        corners[u] = tuple(keep if k == drop else k for k in corners[u])
+
+    # Re-rank: take every changed face out of the id order, then put the
+    # new walks back by their smallest slot.
+    order = list(data.order)
+    firsts = list(data.firsts)
+    for key in (*new, drop):
+        i = bisect_left(firsts, walks[key][:2])
+        del firsts[i], order[i]
+    del walks[drop]
+    for key, walk in new.items():
+        walks[key] = walk
+        i = bisect_left(firsts, walk[:2])
+        firsts.insert(i, walk[:2])
+        order.insert(i, key)
+    if len(order) != len(data.order) - 1:
+        raise AssertionError("split did not merge exactly two faces")
+    return FaceData(walks=walks, corners=corners, order=order,
+                    firsts=firsts)
 
 
 def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
@@ -117,7 +249,8 @@ def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
 
     Returns (graph, op).  Every slot of g survives, with v renamed to the
     copy that owns the slot's edge, so an outer designation carries over
-    through the old outer face's first slot."""
+    through the old outer face's first slot.  The result's faces are
+    derived from g's by _split_faces, not traced."""
     rot = g.rotation[v]
     d = len(rot)
     copy_1 = f"{v}.1"
@@ -134,21 +267,22 @@ def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
     owner = {w: copy_2 for w in arc_2}
     owner.update({w: copy_1 for w in arc_1})
 
-    new_rot: dict[Vertex, tuple[Vertex, ...]] = dict(g.rotation)
+    new_rot: dict[Vertex, tuple[Vertex, ...]] = g.rotation.copy()
     del new_rot[v]
     new_rot[copy_1] = arc_1
     new_rot[copy_2] = arc_2
     for w in rot:
         new_rot[w] = tuple(owner[w] if x == v else x for x in new_rot[w])
 
-    op = SplitOp(vertex=v, face_a=g.face_of_slot((rot[gap_a], v)),
-                 face_b=g.face_of_slot((rot[gap_b], v)),
+    data = g.face_data
+    op = SplitOp(vertex=v, face_a=data.face_id(data.corners[v][gap_a]),
+                 face_b=data.face_id(data.corners[v][gap_b]),
                  copy_1=copy_1, copy_2=copy_2)
     result = PlaneGraph(rotation=new_rot, outer_face=None)
-    if len(result.faces) != len(g.faces) - 1:
-        raise AssertionError("split did not merge exactly two faces")
+    result.__dict__["face_data"] = _split_faces(
+        data, v, rot, gap_a, gap_b, owner)
     if g.outer_face is not None:
-        x, y = g.faces[g.outer_face].boundary[0]
+        x, y = data.walks[data.order[g.outer_face]][:2]
         slot = ((owner[y], y) if x == v else
                 (x, owner[x]) if y == v else (x, y))
         result = with_outer_face(result, result.face_of_slot(slot))
@@ -228,8 +362,8 @@ def merge_faces_at_vertex(
         # The merged face touches every copy of v, but a face merged at
         # an earlier vertex may have corners at several of them; split a
         # copy the next face touches.
-        c = next(c for c in reversed(copies)
-                 if c in cur.faces[target].incident_vertices)
+        c = next(c for c in reversed(copies) if c in
+                 cur.face_data.walks[cur.face_data.order[target]])
         cur, op = _split_at_gaps(cur, c, _corner_gap(cur, c, merged),
                                  _corner_gap(cur, c, target))
         ops.append(op)

@@ -1,8 +1,9 @@
-"""Face tracing happens once per graph that needs its faces.
+"""Face tracing happens once per built graph that needs its faces.
 
 Counting calls to _trace_faces is a machine-independent guard against
 code that re-traces an embedding it has already traced, for instance
-after designating an outer face or after a split.
+after designating an outer face.  A split derives its faces from its
+parent's, so replaying or realizing a split sequence traces nothing.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from outersplit import (
     parse_rot,
     random_biconnected,
     random_triangulation,
+    realize_cover,
     replay,
     serialize_rot,
     solve_osn,
@@ -33,15 +35,31 @@ def traces(monkeypatch):
     return calls
 
 
-def test_replay_traces_once_per_split(traces):
+def test_replay_traces_nothing(traces):
     g = random_biconnected(100, 130, 0)
     seq = solve_osn(g).splits
     assert len(seq) == 12
     traces.clear()
     final = replay(g, seq)
-    assert len(traces) == 12
     assert is_outerplane(final)
-    assert len(traces) == 12
+    assert traces == []
+
+
+def test_realize_cover_traces_nothing(traces):
+    g = random_triangulation(60, 0)
+    cover = solve_osn(g).cover
+    traces.clear()
+    seq = realize_cover(g, cover)
+    assert len(seq) == len(cover.faces) - 1
+    assert traces == []
+
+
+def test_solve_from_text_traces_once(traces):
+    text = serialize_rot(random_biconnected(100, 130, 0))
+    traces.clear()
+    res = solve_osn(parse_rot(text))
+    assert len(res.splits) == 12
+    assert len(traces) == 1
 
 
 def test_generated_graph_serializes_without_retrace(traces):
