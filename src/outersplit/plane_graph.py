@@ -91,61 +91,64 @@ class PlaneGraph:
     @cached_property
     def face_data(self) -> FaceData:
         faces, slot_face = _trace_faces(self.rotation)
-        data = FaceData(
-            walks={f.id: tuple(map(itemgetter(0), f.boundary))
-                   for f in faces},
-            corners={v: tuple(slot_face[(u, v)] for u in nbrs)
-                     for v, nbrs in self.rotation.items()},
-            order=range(len(faces)),
-            firsts=[f.boundary[0] for f in faces],
-        )
-        data.__dict__["faces"] = faces
-        return data
+        return FaceData(slot_face, range(len(faces)), faces=faces)
 
     @property
     def faces(self) -> tuple[Face, ...]:
         return self.face_data.faces
 
     def face_of_slot(self, slot: Slot) -> FaceId:
-        u, v = slot
         data = self.face_data
-        return data.face_id(data.corners[v][self.rotation[v].index(u)])
+        return data.face_id(data.slot_face[slot])
 
 
-@dataclass(frozen=True)
 class FaceData:
     """The faces of one embedding, held under keys that a split keeps.
 
-    walks maps a key to the vertices of its face's walk, in walk order
-    from the tail of the face's smallest slot: the walk (u0, u1, ...)
-    has the slots (u0, u1), (u1, u2), ... and (u_last, u0).  corners[v][i]
-    is the key of the face whose corner at v lies between rotation[v][i]
-    and rotation[v][i+1], the face of the slot (rotation[v][i], v).  order
-    lists the keys by smallest slot, so the position of a key there is its
-    face id, and firsts holds those smallest slots in the same order.
+    slot_face maps every slot to the key of its face.  order lists the
+    keys by smallest slot, so the position of a key there is its face id,
+    and firsts holds those smallest slots in the same order.  walks maps a
+    key to the vertices of its face's walk, in walk order from the tail of
+    the smallest slot: the walk (u0, u1, ...) has the slots (u0, u1),
+    (u1, u2), ... and (u_last, u0).
 
-    A traced graph keys each face by its id.  A split keeps the key of
+    A trace keys each face by its id and gives the faces; walks and firsts
+    are read off them when a split first asks.  A split keeps the key of
     every face it does not merge, so most entries carry over from the
-    parent unchanged, and Face objects are made only when asked for.
+    parent unchanged.  It gives walks and firsts, and the Face objects
+    are made when asked for.
     """
 
-    walks: dict[int, tuple[Vertex, ...]]
-    corners: dict[Vertex, tuple[int, ...]]
-    order: Sequence[int]
-    firsts: Sequence[Slot]
-
-    def face_id(self, key: int) -> FaceId:
-        return bisect_left(self.firsts, self.walks[key][:2])
-
-    def face(self, face_id: FaceId) -> Face:
-        walk = self.walks[self.order[face_id]]
-        return Face(id=face_id,
-                    boundary=tuple(zip(walk, walk[1:] + walk[:1])),
-                    incident_vertices=frozenset(walk))
+    def __init__(self, slot_face: dict[Slot, int], order: Sequence[int],
+                 **given):
+        self.slot_face = slot_face
+        self.order = order
+        self.__dict__.update(given)  # faces, or walks and firsts
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        return tuple(map(self.face, range(len(self.order))))
+        walks = self.walks
+        return tuple(
+            Face(id=i, boundary=tuple(zip(walk, walk[1:] + walk[:1])),
+                 incident_vertices=frozenset(walk))
+            for i, walk in enumerate(map(walks.__getitem__, self.order)))
+
+    @cached_property
+    def walks(self) -> dict[int, tuple[Vertex, ...]]:
+        return {f.id: tuple(map(itemgetter(0), f.boundary))
+                for f in self.faces}
+
+    @cached_property
+    def firsts(self) -> list[Slot]:
+        return [f.boundary[0] for f in self.faces]
+
+    def face_id(self, key: int) -> FaceId:
+        # a key found at its own position is its own id, which holds for
+        # every face of a traced graph
+        order = self.order
+        if key < len(order) and order[key] == key:
+            return key
+        return bisect_left(self.firsts, self.walks[key][:2])
 
 
 def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]):

@@ -110,7 +110,8 @@ def _corner_gap(g: PlaneGraph, v: Vertex, fid: FaceId) -> int:
     if not 0 <= fid < len(data.order):
         raise NotIncident(f"face {fid} does not exist")
     key = data.order[fid]
-    gaps = [i for i, k in enumerate(data.corners[v]) if k == key]
+    rot = g.rotation[v]
+    gaps = [i for i, x in enumerate(rot) if data.slot_face[(x, v)] == key]
     if not gaps:
         raise NotIncident(
             f"vertex {v!r} is not on the boundary of face {fid}")
@@ -123,7 +124,7 @@ def _corner_gap(g: PlaneGraph, v: Vertex, fid: FaceId) -> int:
         p = walk.index(v, 1)
     except ValueError:
         p = 0
-    return g.rotation[v].index(walk[p - 1])
+    return rot.index(walk[p - 1])
 
 
 def _rename(walk: tuple[Vertex, ...], v: Vertex,
@@ -163,27 +164,32 @@ def _starts(d: int, at: list[int]) -> Iterable[int]:
     return [0] + [j for i in at for j in (i - 1, i)]
 
 
-def _split_faces(data: FaceData, v: Vertex, rot: tuple[Vertex, ...],
-                 gap_a: int, gap_b: int,
+def _split_faces(data: FaceData, v: Vertex, in_a: Slot, in_b: Slot,
                  owner: Mapping[Vertex, Vertex]) -> FaceData:
-    """Face data after splitting v at gap_a and gap_b, derived from the
-    data before.
+    """Face data after splitting v, derived from the data before.
 
-    rot is the rotation of v and owner maps each neighbor of v to the
-    copy that takes its edge.  Faces without a corner at v keep their
-    entries.  A face with corners at v has v renamed there.  The two
-    faces cornered at the cut gaps are spliced into one walk: the tail of
-    face_a after its corner joins the head of face_b, and the tail of
-    face_b joins the head of face_a.  The merged face keeps the key of
-    the longer face, so only the shorter one's corners are entered
-    again."""
-    around = data.corners[v]
-    key_a, key_b = around[gap_a], around[gap_b]
+    owner maps each neighbor of v to the copy that takes its edge; in_a
+    and in_b are the slots into v at the corners where the split cuts,
+    on the two faces that merge.  Faces without a corner at v keep their
+    entries.  A face with corners at v has v renamed there.  The two cut
+    faces are spliced into one walk: the tail of face_a after its corner
+    joins the head of face_b, and the tail of face_b joins the head of
+    face_a.  The merged face keeps the key of the longer face, so only
+    the shorter one's slots are entered again."""
+    key_a = data.slot_face[in_a]
+    key_b = data.slot_face[in_b]
     if key_a == key_b:
         raise AssertionError("split did not merge exactly two faces")
+    slot_face = data.slot_face.copy()
     walks = data.walks.copy()
+    touched = set()
+    for x, c in owner.items():
+        slot_face[(x, c)] = slot_face.pop((x, v))
+        key = slot_face[(c, x)] = slot_face.pop((v, x))
+        touched.add(key)
+
     new: dict[int, tuple[Vertex, ...]] = {}
-    for key in set(around) - {key_a, key_b}:
+    for key in touched - {key_a, key_b}:
         walk, at = _rename(walks[key], v, owner)
         new[key] = _from_smallest(walk, _starts(len(walk), at))
 
@@ -193,10 +199,10 @@ def _split_faces(data: FaceData, v: Vertex, rot: tuple[Vertex, ...],
     old_a, old_b = walks[key_a], walks[key_b]
     walk_a, at_a = _rename(old_a, v, owner)
     walk_b, at_b = _rename(old_b, v, owner)
-    i = next(i for i in at_a if old_a[i - 1] == rot[gap_a])
-    j = next(j for j in at_b if old_b[j - 1] == rot[gap_b])
+    i = next(i for i in at_a if old_a[i - 1] == in_a[0])
+    j = next(j for j in at_b if old_b[j - 1] == in_b[0])
     len_a, len_b = len(walk_a), len(walk_b)
-    copy_1, copy_2 = owner[rot[gap_a]], owner[rot[gap_b]]
+    copy_1, copy_2 = owner[in_a[0]], owner[in_b[0]]
     if (copy_1 == copy_2 or owner[old_b[(j + 1) % len_b]] != copy_1
             or owner[old_a[(i + 1) % len_a]] != copy_2):
         raise AssertionError("spliced walk does not close")
@@ -207,22 +213,10 @@ def _split_faces(data: FaceData, v: Vertex, rot: tuple[Vertex, ...],
     starts = [(p - i) % len_a for p in _starts(len_a, at_a)]
     starts += [len_a + (q - j) % len_b for q in _starts(len_b, at_b)]
     keep, drop = ((key_a, key_b) if len_a >= len_b else (key_b, key_a))
+    part = (merged[len_a:] + merged[:1] if drop == key_b
+            else merged[:len_a + 1])
+    slot_face.update(dict.fromkeys(zip(part, part[1:]), keep))
     new[keep] = _from_smallest(merged, starts)
-
-    # Each copy takes the corners inside its arc and closes it with a
-    # corner of the merged face; every corner of the dropped face is
-    # renamed to the kept one.
-    corners = data.corners.copy()
-    del corners[v]
-    d = len(rot)
-    corners[copy_1] = tuple(
-        around[(gap_b + 1 + t) % d] for t in range((gap_a - gap_b) % d - 1)
-    ) + (keep,)
-    corners[copy_2] = tuple(
-        around[(gap_a + 1 + t) % d] for t in range((gap_b - gap_a) % d - 1)
-    ) + (keep,)
-    for u in set(walk_b if drop == key_b else walk_a) | {copy_1, copy_2}:
-        corners[u] = tuple(keep if k == drop else k for k in corners[u])
 
     # Re-rank: take every changed face out of the id order, then put the
     # new walks back by their smallest slot.
@@ -239,8 +233,7 @@ def _split_faces(data: FaceData, v: Vertex, rot: tuple[Vertex, ...],
         order.insert(i, key)
     if len(order) != len(data.order) - 1:
         raise AssertionError("split did not merge exactly two faces")
-    return FaceData(walks=walks, corners=corners, order=order,
-                    firsts=firsts)
+    return FaceData(slot_face, order, walks=walks, firsts=firsts)
 
 
 def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
@@ -274,13 +267,12 @@ def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
     for w in rot:
         new_rot[w] = tuple(owner[w] if x == v else x for x in new_rot[w])
 
+    in_a, in_b = (rot[gap_a], v), (rot[gap_b], v)
+    op = SplitOp(vertex=v, face_a=g.face_of_slot(in_a),
+                 face_b=g.face_of_slot(in_b), copy_1=copy_1, copy_2=copy_2)
     data = g.face_data
-    op = SplitOp(vertex=v, face_a=data.face_id(data.corners[v][gap_a]),
-                 face_b=data.face_id(data.corners[v][gap_b]),
-                 copy_1=copy_1, copy_2=copy_2)
     result = PlaneGraph(rotation=new_rot, outer_face=None)
-    result.__dict__["face_data"] = _split_faces(
-        data, v, rot, gap_a, gap_b, owner)
+    result.__dict__["face_data"] = _split_faces(data, v, in_a, in_b, owner)
     if g.outer_face is not None:
         x, y = data.walks[data.order[g.outer_face]][:2]
         slot = ((owner[y], y) if x == v else
