@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotMaximalPlanar
+from .errors import InfeasibleParameters, NotMaximalPlanar
 from .plane_graph import PlaneGraph
 
 ADVISORY_N = 8
@@ -62,7 +62,10 @@ def lower_bound_generic(n: int, max_face: int) -> Fraction:
 
 def lower_bound_3tree(d: int) -> Fraction:
     """The depth-d complete planar 3-tree needs at least 3^d - 1 splits;
-    equals (2 n_d - 8)/3 for its vertex count n_d."""
+    equals (2 n_d - 8)/3 for its vertex count n_d.  InfeasibleParameters
+    for a negative depth, which names no 3-tree."""
+    if d < 0:
+        raise InfeasibleParameters("depth must be nonnegative")
     return Fraction(3 ** d - 1)
 
 

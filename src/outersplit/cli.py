@@ -2,8 +2,8 @@
 
 Verbs: osn, split, verify, gen, bounds, reduce, oracle.  Exit codes:
 0 success, 1 domain error (the failing operation's error name goes to
-stderr), 2 usage or parse error.  --porcelain switches reports to
-key=value lines for scripting.
+stderr), 2 usage or parse error or an output file that cannot be
+written.  --porcelain switches reports to key=value lines for scripting.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from .bounds import report, violations
 from .cover_solver import brute_min_cfc, brute_osn_by_splits, min_fvs, solve_osn
-from .errors import CapExceeded, OutersplitError, ParseError
+from .errors import CapExceeded, OutersplitError, ParseError, WriteFailure
 from .generators import FamilySpec, generate
 from .plane_graph import (
     PlaneGraph,
@@ -44,8 +44,12 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteFailure(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_osn(args) -> int:
@@ -255,6 +259,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except WriteFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OutersplitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -135,3 +135,7 @@ class ParseError(OutersplitError):
 
 class LayoutFailure(OutersplitError):
     """No usable straight-line layout was found for the drawing."""
+
+
+class WriteFailure(OutersplitError):
+    """An output file could not be written."""

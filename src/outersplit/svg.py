@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .errors import LayoutFailure
+from .errors import LayoutFailure, WriteFailure
 from .plane_graph import PlaneGraph, Vertex
 
 _W = 640.0
@@ -130,6 +130,11 @@ def render(g: PlaneGraph, seed: int = 0, labels: bool = True) -> str:
 
 def emit_svg(g: PlaneGraph, path: str, seed: int = 0,
              labels: bool = True) -> None:
-    """Write the drawing of g to path."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(render(g, seed=seed, labels=labels))
+    """Write the drawing of g to path; WriteFailure when that fails."""
+    text = render(g, seed=seed, labels=labels)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteFailure(
+            f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -17,7 +17,7 @@ from outersplit import (
     upper_bound,
     violations,
 )
-from outersplit.errors import NotMaximalPlanar
+from outersplit.errors import InfeasibleParameters, NotMaximalPlanar
 
 
 def test_upper_bound_by_min_degree():
@@ -43,6 +43,14 @@ def test_lower_bounds():
     assert lower_bound_3tree(0) == 0
     assert lower_bound_3tree(1) == 2
     assert lower_bound_3tree(2) == 8
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+def test_negative_3tree_depth_is_rejected(d):
+    with pytest.raises(InfeasibleParameters, match="nonnegative"):
+        lower_bound_3tree(d)
+    with pytest.raises(InfeasibleParameters):
+        report(k4(), tree_depth=d)
 
 
 def test_generic_lower_bound_holds_on_sparse_graphs():

@@ -212,3 +212,32 @@ def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_bounds_negative_depth_is_a_domain_error(tmp_path, capsys):
+    code, out, err = run(capsys, "bounds", write_k4(tmp_path),
+                         "--depth", "-3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InfeasibleParameters")
+    assert "nonnegative" in err
+
+
+def test_unwritable_outputs_are_usage_errors(tmp_path, capsys):
+    rot = write_k4(tmp_path)
+    seq = tmp_path / "k4.seq"
+    run(capsys, "osn", rot, "--seq", str(seq))
+    missing = tmp_path / "no" / "such" / "dir"
+    for argv in (
+            ("gen", "k4", "-o", str(missing / "x.rot")),
+            ("osn", rot, "--seq", str(missing / "k4.seq")),
+            ("osn", rot, "--svg", str(missing / "a.svg"),
+             str(tmp_path / "b.svg")),
+            ("osn", rot, "--svg", str(tmp_path / "a.svg"),
+             str(missing / "b.svg")),
+            ("split", "--apply", rot, str(seq), "-o", str(missing / "s.rot")),
+            ("reduce", rot, "-o", str(missing / "r.rot"))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: cannot write {missing}"), argv
+        assert "Traceback" not in err

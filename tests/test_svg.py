@@ -1,3 +1,5 @@
+import pytest
+
 from outersplit import (
     emit_svg,
     icosahedron,
@@ -7,6 +9,7 @@ from outersplit import (
     random_triangulation,
     render,
 )
+from outersplit.errors import WriteFailure
 
 
 def test_layout_covers_all_vertices_in_the_box():
@@ -42,3 +45,9 @@ def test_emit_svg_writes_the_document(tmp_path):
     path = tmp_path / "k4.svg"
     emit_svg(k4(), str(path))
     assert path.read_text() == render(k4())
+
+
+def test_emit_svg_into_a_missing_directory_fails_by_name(tmp_path):
+    path = tmp_path / "missing" / "k4.svg"
+    with pytest.raises(WriteFailure, match="cannot write"):
+        emit_svg(k4(), str(path))
