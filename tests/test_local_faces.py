@@ -16,16 +16,12 @@ import outersplit.split_engine as split_engine
 from outersplit import (
     build,
     face_cover,
-    fan,
-    k4,
-    octahedron,
     random_biconnected,
     random_triangulation,
     realize_cover,
     replay,
     solve_osn,
 )
-from outersplit.errors import InvalidCover
 from outersplit.plane_graph import _trace_faces
 
 
@@ -74,23 +70,10 @@ def test_solve_and_replay_on_sparse_graphs(checked, n, m):
     assert checked
 
 
-def cover_graphs():
-    graphs = [k4(), octahedron(), fan(5)]
-    graphs += [random_biconnected(n, m, seed=s) for n in (7, 8, 9)
-               for m in (n + 3, n + 5) for s in (0, 1)]
-    return graphs
-
-
-def test_every_connected_cover(checked):
-    for g in cover_graphs():
-        ids = [f.id for f in g.faces]
-        for size in range(2, len(ids) + 1):
-            for combo in combinations(ids, size):
-                try:
-                    cover = face_cover(g, combo)
-                except InvalidCover:
-                    continue
-                realize_cover(g, cover)
+def test_every_connected_cover(checked, every_connected_cover):
+    for g, covers in every_connected_cover:
+        for faces in covers:
+            realize_cover(g, face_cover(g, faces))
     assert checked
 
 
