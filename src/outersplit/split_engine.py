@@ -127,16 +127,13 @@ def _corner_gap(g: PlaneGraph, v: Vertex, fid: FaceId) -> int:
     return rot.index(walk[p - 1])
 
 
-def _rename(walk: tuple[Vertex, ...], v: Vertex,
+def _rename(walk: tuple[Vertex, ...], v: Vertex, visits: int,
             owner: Mapping[Vertex, Vertex]) -> tuple[list[Vertex], list[int]]:
-    """The walk with each visit of v renamed to the copy owning the edges
-    on both sides of it, and the positions of those visits."""
-    at = []
-    try:
-        while True:
-            at.append(walk.index(v, at[-1] + 1 if at else 0))
-    except ValueError:
-        pass
+    """The walk with each of its visits of v renamed to the copy owning
+    the edges on both sides of it, and the positions of those visits."""
+    at = [walk.index(v)]
+    for _ in range(visits - 1):
+        at.append(walk.index(v, at[-1] + 1))
     out = list(walk)
     for i in at:
         out[i] = owner[walk[i - 1]]
@@ -182,23 +179,23 @@ def _split_faces(data: FaceData, v: Vertex, in_a: Slot, in_b: Slot,
         raise AssertionError("split did not merge exactly two faces")
     slot_face = data.slot_face.copy()
     walks = data.walks.copy()
-    touched = set()
+    visits: dict[int, int] = {}  # key of a face at v -> its visits of v
     for x, c in owner.items():
         slot_face[(x, c)] = slot_face.pop((x, v))
         key = slot_face[(c, x)] = slot_face.pop((v, x))
-        touched.add(key)
+        visits[key] = visits.get(key, 0) + 1
 
     new: dict[int, tuple[Vertex, ...]] = {}
-    for key in touched - {key_a, key_b}:
-        walk, at = _rename(walks[key], v, owner)
+    for key in visits.keys() - {key_a, key_b}:
+        walk, at = _rename(walks[key], v, visits[key], owner)
         new[key] = _from_smallest(walk, _starts(len(walk), at))
 
     # Splice at the cut visits of v: face_a's walk from just after its
     # cut, then copy_1, then face_b's walk from just after its cut, then
     # copy_2, which closes the walk.
     old_a, old_b = walks[key_a], walks[key_b]
-    walk_a, at_a = _rename(old_a, v, owner)
-    walk_b, at_b = _rename(old_b, v, owner)
+    walk_a, at_a = _rename(old_a, v, visits[key_a], owner)
+    walk_b, at_b = _rename(old_b, v, visits[key_b], owner)
     i = next(i for i in at_a if old_a[i - 1] == in_a[0])
     j = next(j for j in at_b if old_b[j - 1] == in_b[0])
     len_a, len_b = len(walk_a), len(walk_b)
