@@ -2,7 +2,7 @@
 
 A plane graph is a map from each vertex to the cyclic clockwise order of its
 neighbors.  That map is the single source of truth for the embedding: faces
-and the dual are derived from it and never stored independently.  The
+and the dual are derived from it and never edited independently.  The
 embedding lives on the sphere, so the outer face is a designation (an
 ordinary face id picked by the caller), not a structural property.
 
@@ -90,6 +90,8 @@ class PlaneGraph:
 
     @cached_property
     def face_data(self) -> FaceData:
+        """Faces traced from the rotation system on first use.  A split
+        sets its result's face data itself, derived from its parent's."""
         faces, slot_face = _trace_faces(self.rotation)
         return FaceData(slot_face, range(len(faces)), faces=faces)
 
@@ -119,11 +121,17 @@ class FaceData:
     are made when asked for.
     """
 
-    def __init__(self, slot_face: dict[Slot, int], order: Sequence[int],
-                 **given):
+    def __init__(self, slot_face: dict[Slot, int], order: Sequence[int], *,
+                 faces: tuple[Face, ...] | None = None,
+                 walks: dict[int, tuple[Vertex, ...]] | None = None,
+                 firsts: list[Slot] | None = None):
         self.slot_face = slot_face
         self.order = order
-        self.__dict__.update(given)  # faces, or walks and firsts
+        # keep what is given; the properties below derive the rest
+        for name, value in (("faces", faces), ("walks", walks),
+                            ("firsts", firsts)):
+            if value is not None:
+                self.__dict__[name] = value
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:

@@ -14,6 +14,11 @@ vertex of the original graph it descends from) sends every slot of a
 later graph to a slot of the original.  The original faces merged into a
 current face are the faces of its slots mapped back this way.
 
+A split's faces are derived from its parent's, not traced: faces with no
+corner at v are reused, faces with a corner at v get v renamed there, and
+the two cut faces are spliced into one walk and re-ranked by smallest
+slot.  Only graphs made by build are ever traced, once each.
+
 merge_faces_at_vertex chains splits around one vertex so that a whole set
 of faces incident to it becomes a single face.  realize_cover walks a
 spanning tree of a connected face cover and applies such merges root to
@@ -240,7 +245,8 @@ def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
     Returns (graph, op).  Every slot of g survives, with v renamed to the
     copy that owns the slot's edge, so an outer designation carries over
     through the old outer face's first slot.  The result's faces are
-    derived from g's by _split_faces, not traced."""
+    derived from g's by _split_faces, not traced, and equal what a trace
+    of the new rotation system would give."""
     rot = g.rotation[v]
     d = len(rot)
     copy_1 = f"{v}.1"

@@ -29,19 +29,25 @@ def assert_traced(g):
     faces, slot_face = _trace_faces(g.rotation)
     assert g.faces == faces
     assert {s: g.face_of_slot(s) for s in slot_face} == slot_face
-    if g.outer_face is not None:
-        assert 0 <= g.outer_face < len(faces)
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Counts splits and checks the face data of every split result."""
+    """Records splits and checks the face data of every split result,
+    and that an outer designation stays on the face holding the old
+    outer face's first slot."""
     made = []
     real = split_engine._split_at_gaps
 
     def checking(g, v, gap_a, gap_b):
         result, op = real(g, v, gap_a, gap_b)
         assert_traced(result)
+        assert (result.outer_face is None) == (g.outer_face is None)
+        if g.outer_face is not None:
+            back = {op.copy_1: v, op.copy_2: v}
+            outer = result.faces[result.outer_face].boundary
+            assert g.faces[g.outer_face].boundary[0] in {
+                (back.get(x, x), back.get(y, y)) for x, y in outer}
         made.append(op)
         return result, op
 
