@@ -157,13 +157,11 @@ def _from_smallest(walk: list[Vertex], starts: Iterable[int]
 
 def _starts(d: int, at: list[int]) -> Iterable[int]:
     """Positions where the smallest slot of a walk of length d can begin
-    once its visits of v at the positions at are renamed: the old
-    smallest slot, which begins at 0, when the renaming leaves it alone,
-    and the renamed slots.  When the renaming hits the old smallest
-    slot, any position."""
-    if at[0] <= 1:
-        return range(d)
-    return [0] + [j for i in at for j in (i - 1, i)]
+    once its visits of v at the positions at are renamed.  A copy's name
+    extends v's, so a renamed slot sorts after the slot it replaces and
+    the old smallest slot, at 0, stays smallest unless it is renamed
+    itself; then any position can hold the new one."""
+    return range(d) if at[0] <= 1 else (0,)
 
 
 def _split_faces(data: FaceData, v: Vertex, in_a: Slot, in_b: Slot,

@@ -29,6 +29,15 @@ def assert_traced(g):
     faces, slot_face = _trace_faces(g.rotation)
     assert g.faces == faces
     assert {s: g.face_of_slot(s) for s in slot_face} == slot_face
+    # A split cuts a face at its first corner along the traced walk,
+    # which the derived data must find too.
+    for f in faces:
+        first = {}
+        for x, y in f.boundary:
+            first.setdefault(y, x)
+        for v, x in first.items():
+            assert (split_engine._corner_gap(g, v, f.id)
+                    == g.rotation[v].index(x))
 
 
 @pytest.fixture
@@ -85,6 +94,11 @@ def test_every_connected_cover(checked, every_connected_cover):
 
 BOWTIE = {"a": ("b", "x"), "b": ("x", "a"), "c": ("d", "x"),
           "d": ("x", "c"), "x": ("b", "a", "d", "c")}
+# the bowtie again, named so that "b-" sorts between "b" and its copies
+# "b.1" and "b.2": renaming b can then hand a face's smallest slot from
+# (a, b) to (a, b-)
+NAMED_BOWTIE = {"b": ("c", "a"), "c": ("a", "b"), "b-": ("d", "a"),
+                "d": ("a", "b-"), "a": ("c", "b", "d", "b-")}
 # triangle abc with a pendant path c-d-e hanging into the outer face
 LOLLIPOP = {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b", "d"),
             "d": ("c", "e"), "e": ("d",)}
@@ -122,6 +136,8 @@ def test_every_single_split_at_repeated_corners():
     # At a cut vertex one face has several corners; every gap of it is
     # tried against every gap of another face.
     graphs = [build(BOWTIE), build(LOLLIPOP)]
+    graphs += [build(rot) for rot in (NAMED_BOWTIE, {
+        v: nbrs[::-1] for v, nbrs in NAMED_BOWTIE.items()})]
     g = random_biconnected(9, 12, 0)
     for v in ("1", "6", "8"):
         fids = sorted({g.face_of_slot((x, v)) for x in g.rotation[v]})
