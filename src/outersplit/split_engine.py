@@ -150,9 +150,8 @@ def _from_smallest(walk: list[Vertex], starts: Iterable[int]
     """The cyclic walk rotated to begin at its smallest slot, which is
     known to begin at one of the positions starts."""
     d = len(walk)
-    i = min((p % d for p in starts),
-            key=lambda p: (walk[p], walk[p + 1 - d]))
-    return tuple(walk[i:] + walk[:i])
+    i = min(starts, key=lambda p: (walk[p], walk[p + 1 - d]))
+    return tuple(walk[i:] + walk[:i]) if i else tuple(walk)
 
 
 def _starts(d: int, at: list[int]) -> Iterable[int]:
@@ -193,43 +192,46 @@ def _split_faces(data: FaceData, v: Vertex, in_a: Slot, in_b: Slot,
         walk, at = _rename(walks[key], v, visits[key], owner)
         new[key] = _from_smallest(walk, _starts(len(walk), at))
 
-    # Splice at the cut visits of v: face_a's walk from just after its
-    # cut, then copy_1, then face_b's walk from just after its cut, then
-    # copy_2, which closes the walk.
-    old_a, old_b = walks[key_a], walks[key_b]
-    walk_a, at_a = _rename(old_a, v, visits[key_a], owner)
-    walk_b, at_b = _rename(old_b, v, visits[key_b], owner)
-    i = next(i for i in at_a if old_a[i - 1] == in_a[0])
-    j = next(j for j in at_b if old_b[j - 1] == in_b[0])
-    len_a, len_b = len(walk_a), len(walk_b)
-    copy_1, copy_2 = owner[in_a[0]], owner[in_b[0]]
-    if (copy_1 == copy_2 or owner[old_b[(j + 1) % len_b]] != copy_1
-            or owner[old_a[(i + 1) % len_a]] != copy_2):
+    # Splice at the cut visits of v: the shorter walk, from just after
+    # its cut round to its cut, goes into the longer one just after its
+    # cut.  The merged face keeps the longer one's key.
+    cut_faces = []
+    for key, (x, _) in ((key_a, in_a), (key_b, in_b)):
+        walk, at = _rename(walks[key], v, visits[key], owner)
+        cut = next(i for i in at if walks[key][i - 1] == x)
+        cut_faces.append((key, walk, at, cut))
+    (keep, walk, at, cut), (drop, short, at_s, cut_s) = sorted(
+        cut_faces, key=lambda f: -len(f[1]))
+    d, k = len(walk), len(short)
+    walk[cut + 1:cut + 1] = short[cut_s + 1:] + short[:cut_s + 1]
+    # walk now runs ..., copy, (short's walk), other copy, ...; each
+    # copy must own the edges on both sides of it
+    if (walk[cut] == walk[cut + k] or owner[walk[cut + 1]] != walk[cut]
+            or owner[walk[(cut + k + 1) % (d + k)]] != walk[cut + k]):
         raise AssertionError("spliced walk does not close")
-    merged = ([copy_2] + walk_a[i + 1:] + walk_a[:i]
-              + [copy_1] + walk_b[j + 1:] + walk_b[:j])
-    # a position p of face_a moves to (p - i) % len_a, one of face_b to
-    # len_a + (q - j) % len_b
-    starts = [(p - i) % len_a for p in _starts(len_a, at_a)]
-    starts += [len_a + (q - j) % len_b for q in _starts(len_b, at_b)]
-    keep, drop = ((key_a, key_b) if len_a >= len_b else (key_b, key_a))
-    part = (merged[len_a:] + merged[:1] if drop == key_b
-            else merged[:len_a + 1])
-    slot_face.update(dict.fromkeys(zip(part, part[1:]), keep))
-    new[keep] = _from_smallest(merged, starts)
+    # a position p of the longer walk stays or moves by k, one q of the
+    # shorter moves to cut + 1 + (q - cut_s - 1) % k
+    starts = [p if p <= cut else p + k for p in _starts(d, at)]
+    starts += [cut + 1 + (q - cut_s - 1) % k for q in _starts(k, at_s)]
+    new[keep] = _from_smallest(walk, starts)
+    slot_face.update(dict.fromkeys(
+        zip(walk[cut:cut + k], walk[cut + 1:cut + k + 1]), keep))
 
-    # Re-rank: take every changed face out of the id order, then put the
-    # new walks back by their smallest slot.
+    # Re-rank: take the dropped face and every face whose smallest slot
+    # changed out of the id order, then put the latter back by their new
+    # smallest slot.
+    moved = [key for key, walk in new.items() if walk[:2] != walks[key][:2]]
     order = list(data.order)
     firsts = list(data.firsts)
-    for key in (*new, drop):
+    for key in (*moved, drop):
         i = bisect_left(firsts, walks[key][:2])
         del firsts[i], order[i]
     del walks[drop]
-    for key, walk in new.items():
-        walks[key] = walk
-        i = bisect_left(firsts, walk[:2])
-        firsts.insert(i, walk[:2])
+    walks.update(new)
+    for key in moved:
+        first = walks[key][:2]
+        i = bisect_left(firsts, first)
+        firsts.insert(i, first)
         order.insert(i, key)
     if len(order) != len(data.order) - 1:
         raise AssertionError("split did not merge exactly two faces")
