@@ -160,16 +160,16 @@ def _cmd_oracle(args) -> int:
         print(f"{key}={value}" if kv else f"{key} {value}")
 
     try:
+        osn_val = brute_osn_by_splits(g, k_max=args.k_max)
+    except CapExceeded:
+        osn_val = "skipped"
+    try:
         cfc_val = len(brute_min_cfc(g).faces)
     except CapExceeded:
         cfc_val = "skipped"
     row("cfc", cfc_val)
     fvs = min_fvs(dual(g))
     row("fvs", len(fvs.nodes))
-    try:
-        osn_val = brute_osn_by_splits(g, k_max=args.k_max)
-    except CapExceeded:
-        osn_val = "skipped"
     row("osn", "none" if osn_val is None else osn_val)
 
     cubic = all(len(nbrs) == 3 for nbrs in g.rotation.values())

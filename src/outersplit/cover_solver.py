@@ -11,7 +11,8 @@ Duals of maximum degree 3, which are exactly the duals of triangulations,
 go to a polynomial one: there fvs = beta - nu, the cycle rank minus a
 matroid parity value, and nu is read off the rank of a random matrix over
 GF(p).  Every other dual goes to an exact branch and bound, since there
-the problem is NP-hard.
+the problem is NP-hard; it branches on the nodes of one short cycle, as
+every feedback set holds one of them.
 
 Two independent brute-force oracles cross-check the theory on small
 instances: brute_min_cfc enumerates face subsets by size, and
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     CertificateFailure,
+    InfeasibleParameters,
     InvalidCover,
     NotBiconnected,
     SelfLoopPresent,
@@ -85,18 +87,16 @@ class _Multi:
 
     __slots__ = ("adj", "deg")
 
-    def __init__(self, adj=None, deg=None):
-        self.adj = adj if adj is not None else {}
-        self.deg = deg if deg is not None else {
-            u: sum(nbrs.values()) for u, nbrs in self.adj.items()}
+    def __init__(self, adj, deg):
+        self.adj = adj
+        self.deg = deg
 
     @classmethod
     def from_dual(cls, d: DualGraph) -> "_Multi":
-        adj: dict[int, dict[int, int]] = {u: {} for u in d.nodes}
+        mg = cls({u: {} for u in d.nodes}, dict.fromkeys(d.nodes, 0))
         for a, b in d.edges:
-            adj[a][b] = min(2, adj[a].get(b, 0) + 1)
-            adj[b][a] = min(2, adj[b].get(a, 0) + 1)
-        return cls(adj)
+            mg.add_edge(a, b)
+        return mg
 
     def copy(self) -> "_Multi":
         return _Multi({u: dict(nbrs) for u, nbrs in self.adj.items()},
@@ -115,9 +115,6 @@ class _Multi:
             self.adj[a][b] = self.adj[b][a] = old + 1
             self.deg[a] += 1
             self.deg[b] += 1
-
-    def degree(self, u: int) -> int:
-        return self.deg[u]
 
 
 def _components(mg: _Multi):
@@ -144,16 +141,18 @@ def _lower_bound(mg: _Multi) -> int:
     total = 0
     for comp in _components(mg):
         n = len(comp)
-        m = sum(mg.degree(u) for u in comp) // 2
+        m = sum(mg.deg[u] for u in comp) // 2
         excess = m - n + 1
         if excess <= 0:
             continue
-        max_deg = max(mg.degree(u) for u in comp)
+        max_deg = max(mg.deg[u] for u in comp)
         total += -(-excess // (max_deg - 1))
     return total
 
 
-def _acyclic_under(mg: _Multi, keep) -> bool:
+def _is_forest(edges) -> bool:
+    """Whether a multigraph given by its edges has no cycle; a parallel
+    pair is a cycle."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -164,23 +163,15 @@ def _acyclic_under(mg: _Multi, keep) -> bool:
             parent[x], x = root, parent[x]
         return root
 
-    for u in mg.adj:
-        if u not in keep:
-            continue
-        for w, mult in mg.adj[u].items():
-            if w < u or w not in keep:
-                continue
-            if mult >= 2:
-                return False
-            ru, rw = find(u), find(w)
-            if ru == rw:
-                return False
-            parent[ru] = rw
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
     return True
 
 
-def _reduce(mg: _Multi, budget: int, forbidden: frozenset[int],
-            taken: list[int]) -> bool:
+def _reduce(mg: _Multi, budget: int, taken: list[int]) -> bool:
     """Exhaustively apply safe reductions; False when provably infeasible."""
     changed = True
     while changed:
@@ -188,65 +179,74 @@ def _reduce(mg: _Multi, budget: int, forbidden: frozenset[int],
         for u in list(mg.adj):
             if u not in mg.adj:
                 continue
-            deg = mg.degree(u)
+            deg = mg.deg[u]
             if deg <= 1:
                 mg.remove(u)
                 changed = True
-                continue
-            if deg == 2:
+            elif deg == 2:
                 nbrs = mg.adj[u]
                 if len(nbrs) == 1:
-                    # 2-cycle u=a: u's cycles all pass a, so prefer a
+                    # 2-cycle u=a: u's cycles all pass a, so take a
                     (a,) = nbrs
-                    if a not in forbidden:
-                        taken.append(a)
-                        mg.remove(a)
-                    elif u not in forbidden:
-                        taken.append(u)
-                        mg.remove(u)
-                    else:
-                        return False
+                    taken.append(a)
+                    mg.remove(a)
                     if len(taken) > budget:
                         return False
-                    changed = True
-                    continue
-                a, b = nbrs
-                # Bypassing u assumes some witness avoids u, which needs u
-                # excluded anyway or an allowed neighbor to swap onto.
-                if u in forbidden or a not in forbidden or b not in forbidden:
+                else:
+                    a, b = nbrs
                     mg.remove(u)
                     mg.add_edge(a, b)
-                    changed = True
+                changed = True
     return True
 
 
-def _decide(mg: _Multi, budget: int, forbidden: frozenset[int]):
-    """Nodes of a feedback vertex set of size <= budget avoiding the
-    forbidden set, or None.  Consumes mg."""
+def _short_cycle(mg: _Multi) -> list[int]:
+    """The nodes of a doubled edge, or else of the first cycle that a BFS
+    from the first node closes; every degree must be 3 or more."""
+    for u, nbrs in mg.adj.items():
+        for w, mult in nbrs.items():
+            if mult == 2:
+                return [u, w]
+    root = next(iter(mg.adj))
+    parent = {root: root}
+    queue = [root]
+    for v in queue:
+        for w in mg.adj[v]:
+            if w == parent[v]:
+                continue
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+                continue
+            # v-w closes a cycle: both tree paths up to where they meet
+            path = [v]
+            while path[-1] != root:
+                path.append(parent[path[-1]])
+            cycle = [w]
+            while cycle[-1] not in path:
+                cycle.append(parent[cycle[-1]])
+            return path[:path.index(cycle[-1])] + cycle
+
+
+def _decide(mg: _Multi, budget: int):
+    """Nodes of a feedback vertex set of at most budget nodes, or None;
+    consumes mg.  Every feedback set holds a node of each cycle, so once
+    the reductions leave every degree at 3 or more, the search branches
+    on the nodes of one short cycle, by descending degree and then id."""
     taken: list[int] = []
-    if not _reduce(mg, budget, forbidden, taken):
-        return None
-    if len(taken) > budget:
+    if not _reduce(mg, budget, taken):
         return None
     if not mg.adj:
         return taken
     rem = budget - len(taken)
     if rem <= 0 or _lower_bound(mg) > rem:
         return None
-    if not _acyclic_under(mg, forbidden):
-        return None
-    cands = [u for u in mg.adj if u not in forbidden]
-    if not cands:
-        return None
-    x = max(cands, key=lambda u: (mg.degree(u), -u))
-    m_in = mg.copy()
-    m_in.remove(x)
-    sub = _decide(m_in, rem - 1, forbidden)
-    if sub is not None:
-        return taken + [x] + sub
-    sub = _decide(mg, rem, forbidden | {x})
-    if sub is not None:
-        return taken + sub
+    for x in sorted(_short_cycle(mg), key=lambda u: (-mg.deg[u], u)):
+        trial = mg.copy()
+        trial.remove(x)
+        sub = _decide(trial, rem - 1)
+        if sub is not None:
+            return taken + [x] + sub
     return None
 
 
@@ -255,22 +255,19 @@ def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
     branch and bound: the least feasible budget from the lower bound up,
     then one _decide per node in order."""
     k = _lower_bound(base)
-    while _decide(base.copy(), k, frozenset()) is None:
+    while _decide(base.copy(), k) is None:
         k += 1
 
     chosen: list[int] = []
-    forbidden: set[int] = set()
+    rest = base.copy()  # the dual minus the chosen nodes
     for x in sorted(base.adj):
         if len(chosen) == k:
             break
-        trial = base.copy()
-        for y in chosen:
-            trial.remove(y)
+        trial = rest.copy()
         trial.remove(x)
-        if _decide(trial, k - len(chosen) - 1, frozenset(forbidden)) is not None:
+        if _decide(trial, k - len(chosen) - 1) is not None:
             chosen.append(x)
-        else:
-            forbidden.add(x)
+            rest.remove(x)
     return k, chosen
 
 
@@ -464,8 +461,7 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
     k = oracle.value
     # k is never below the optimum; it is certified by the lower bound or
     # by refuting k - 1
-    while k > _lower_bound(base) and _decide(
-            base.copy(), k - 1, frozenset()) is not None:
+    while k > _lower_bound(base) and _decide(base.copy(), k - 1) is not None:
         k -= 1
 
     # a lower bound on the cycle rank of the dual minus the chosen nodes
@@ -489,7 +485,7 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
             trial = rest.copy()
             trial.remove(x)
             taken: list[int] = []
-            if (not _reduce(trial, budget, frozenset(), taken)
+            if (not _reduce(trial, budget, taken)
                     or len(taken) + _lower_bound(trial) > budget):
                 continue
             if second is None:
@@ -526,7 +522,9 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     errs with probability below (number of nodes) / p, p = 2147483629.
     A slip there could only return an optimum that is not the least one,
     or raise AssertionError; the size stays exact.  Other duals are
-    solved by branch and bound.  The returned set is verified as a
+    solved by branch and bound: k is the least budget _decide meets, and
+    a node is kept when _decide meets the rest of the budget with it and
+    the nodes kept before it.  The returned set is verified as a
     feedback set in either case."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
@@ -542,10 +540,7 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     forest_nodes = tuple(sorted(set(d.nodes) - sol))
     forest_edges = tuple(
         e for e in d.edges if e[0] not in sol and e[1] not in sol)
-    rest = _Multi({u: {} for u in forest_nodes})
-    for a, b in forest_edges:
-        rest.add_edge(a, b)
-    if not _acyclic_under(rest, set(forest_nodes)):
+    if not _is_forest(forest_edges):
         raise AssertionError("solver returned a non-feedback set")
     return FvsSolution(
         nodes=sol,
@@ -628,7 +623,10 @@ def brute_osn_by_splits(g: PlaneGraph, k_max: int | None = None,
                         face_cap: int = 8) -> int | None:
     """Least number of splits reaching an outerplane graph, found by
     iterative deepening over every (vertex, corner pair) split.  Returns
-    None when k_max is exhausted.  Independent of covers and duals."""
+    None when k_max is exhausted; a negative k_max raises
+    InfeasibleParameters.  Independent of covers and duals."""
+    if k_max is not None and k_max < 0:
+        raise InfeasibleParameters("k_max must be nonnegative")
     if len(g.faces) > face_cap:
         raise CapExceeded(
             f"{len(g.faces)} faces exceeds the split-search cap of "

@@ -7,11 +7,13 @@ from outersplit import (
     complete_3tree,
     cycle,
     icosahedron,
+    is_outerplane,
     k4,
     lower_bound_3tree,
     lower_bound_generic,
     octahedron,
     random_biconnected,
+    replay,
     report,
     solve_osn,
     upper_bound,
@@ -93,6 +95,15 @@ def test_large_solids_respect_all_bounds():
     rep = report(icosahedron(), osn=solve_osn(icosahedron()).osn)
     assert violations(rep) == ()
     assert rep.osn == 5
+
+
+def test_complete_3tree_depth_3_meets_its_bound():
+    # beside the bound sweep of acceptance criterion 7, which stops at
+    # depth 2; the cover of 27 faces is certified by refuting 26
+    g = complete_3tree(3)
+    res = solve_osn(g)
+    assert res.osn == 26 == lower_bound_3tree(3)
+    assert is_outerplane(replay(g, res.splits))
 
 
 def test_lower_violation_is_always_hard():

@@ -155,6 +155,15 @@ def test_oracle_porcelain_and_budget(tmp_path, capsys):
     assert "agree_osn=skipped" in lines
 
 
+def test_oracle_negative_budget_is_a_domain_error(tmp_path, capsys):
+    code, out, err = run(capsys, "oracle", write_k4(tmp_path),
+                         "--k-max", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InfeasibleParameters")
+    assert "nonnegative" in err
+
+
 def test_oracle_reports_cfc_skipped_above_the_cap(tmp_path, capsys):
     rot = tmp_path / "t14.rot"
     run(capsys, "gen", "random_triangulation", "-n", "14", "--seed", "1",

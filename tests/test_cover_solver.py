@@ -22,7 +22,12 @@ from outersplit import (
     solve_osn,
     with_outer_face,
 )
-from outersplit.errors import CapExceeded, NotBiconnected, SelfLoopPresent
+from outersplit.errors import (
+    CapExceeded,
+    InfeasibleParameters,
+    NotBiconnected,
+    SelfLoopPresent,
+)
 
 
 def brute_fvs(d):
@@ -179,6 +184,11 @@ def test_brute_osn_by_splits_budget_and_cap():
     assert brute_osn_by_splits(k4(), k_max=0) is None
     with pytest.raises(CapExceeded):
         brute_osn_by_splits(complete_3tree(1))  # 10 faces
+
+
+def test_brute_osn_by_splits_rejects_a_negative_budget():
+    with pytest.raises(InfeasibleParameters, match="nonnegative"):
+        brute_osn_by_splits(k4(), k_max=-1)
 
 
 def test_three_solvers_agree():

@@ -46,7 +46,7 @@ def rank_value(mg, rng):
 def search_optimum(mg):
     """Minimum feedback vertex set size by branch and bound."""
     k = _lower_bound(mg)
-    while _decide(mg.copy(), k, frozenset()) is None:
+    while _decide(mg.copy(), k) is None:
         k += 1
     return k
 
@@ -67,9 +67,10 @@ def test_rank_value_matches_search_on_triangulation_duals():
     assert checked == 69
 
 
-@pytest.mark.parametrize("depth, optimum", [(1, 3), (2, 9)])
+@pytest.mark.parametrize("depth, optimum", [(1, 3), (2, 9), (3, 27)])
 def test_rank_value_on_complete_3trees(depth, optimum):
-    # at depth 2 the value, 9, lies above the degree lower bound of 8
+    # the value lies above the degree lower bound from depth 2 on: 9
+    # against 8, and 27 against 21
     mg = _Multi.from_dual(dual(complete_3tree(depth)))
     assert search_optimum(mg) == optimum
     assert rank_value(mg, random.Random(depth)) == optimum
@@ -109,10 +110,8 @@ def test_rank_value_matches_search_on_subgraphs():
 
 
 def test_node_sets_match_the_search_completion():
-    # seed 2 stops at n=23: the search alone takes 0.5 s at n=24 and
-    # 4.7 s at n=25
-    cases = [(n, s) for n in range(4, 27) for s in (0, 1)]
-    cases += [(n, 2) for n in range(4, 24)]
+    cases = [(n, s) for n in range(4, 27) for s in (0, 1, 2)]
+    cases += [(29, 1), (29, 2)]
     for n, seed in cases:
         d = dual(random_triangulation(n, seed=seed))
         k, chosen = _search_fvs(_Multi.from_dual(d))

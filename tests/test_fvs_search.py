@@ -93,7 +93,7 @@ def test_search_matches_brute_force_on_random_multigraphs():
         want = brute_fvs(d)
         opt = len(want)
         for budget in range(len(d.nodes) + 1):
-            got = _decide(_Multi.from_dual(d), budget, frozenset())
+            got = _decide(_Multi.from_dual(d), budget)
             assert (got is not None) == (budget >= opt), (d, budget)
             if got is not None:
                 assert len(got) == len(set(got)) <= budget, (d, budget)
