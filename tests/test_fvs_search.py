@@ -27,8 +27,8 @@ def random_multigraph(rnd):
         if len(block) < 2:
             continue
         if rnd.random() < 0.5:
-            # a cycle through the block: a chain of degree-2 nodes until
-            # chords land on it, and a doubled edge on two nodes
+            # a cycle through the block: a chain of degree-2 nodes where
+            # no chord lands, and a doubled edge when the block has two
             edges += [(block[i - 1], block[i]) for i in range(len(block))]
         for _ in range(rnd.randint(0, len(block) + 2)):
             a, b = rnd.sample(block, 2)
@@ -64,15 +64,14 @@ def cyclic_components(d):
             u = parent[u]
         return u
 
-    cyclic = set()
+    closing = []
     for a, b in d.edges:
         ra, rb = find(a), find(b)
         if ra == rb:
-            cyclic.add(ra)
+            closing.append(a)
         else:
             parent[ra] = rb
-            cyclic = {find(r) for r in cyclic}
-    return len({find(r) for r in cyclic})
+    return len({find(u) for u in closing})
 
 
 def brute_fvs(d):
