@@ -575,13 +575,16 @@ def solve_osn(g: PlaneGraph) -> OsnResult:
 
 # -- independent brute-force oracles -------------------------------------------
 
-def brute_min_cfc(g: PlaneGraph, cap: int = 20) -> FaceCover:
+_ENUM_CAP = 20  # most faces brute_min_cfc enumerates subsets of
+
+
+def brute_min_cfc(g: PlaneGraph) -> FaceCover:
     """Minimum connected face cover by exhaustive enumeration of face
     subsets in increasing size and lexicographic order."""
     faces = g.faces
-    if len(faces) > cap:
+    if len(faces) > _ENUM_CAP:
         raise CapExceeded(
-            f"{len(faces)} faces exceeds the enumeration cap of {cap}")
+            f"{len(faces)} faces exceeds the enumeration cap of {_ENUM_CAP}")
     order = sorted(set(g.rotation))
     pos = {v: i for i, v in enumerate(order)}
     masks = []

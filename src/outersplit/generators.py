@@ -48,6 +48,8 @@ class FamilySpec:
 # ("0", "2") is its least slot.
 _OUTER_SLOT: Slot = ("0", "2")
 _OUTER_VERTICES = frozenset(("0", "1", "2"))
+_DEPTH_CAP = 9  # deepest complete_3tree: (3^10 + 5) / 2 = 29,527 vertices
+_ATTEMPTS = 20  # thinnings random_biconnected tries before it gives up
 
 
 def _base_k4() -> tuple[Rotation, list[Walk]]:
@@ -79,13 +81,13 @@ def _with_outer_slot(rot: Rotation, slot: Slot) -> PlaneGraph:
     return with_outer_face(g, g.face_of_slot(slot))
 
 
-def complete_3tree(d: int, cap: int = 9) -> PlaneGraph:
+def complete_3tree(d: int) -> PlaneGraph:
     """Depth-d complete planar 3-tree: K4 with every inner triangle
     recursively subdivided d times.  (3^(d+1)+5)/2 vertices."""
     if d < 0:
         raise InfeasibleParameters("depth must be nonnegative")
-    if d > cap:
-        raise CapExceeded(f"depth {d} exceeds the cap of {cap}")
+    if d > _DEPTH_CAP:
+        raise CapExceeded(f"depth {d} exceeds the cap of {_DEPTH_CAP}")
     rot, faces = _base_k4()
     for _ in range(d):
         level = []
@@ -142,8 +144,7 @@ def _try_flip(rot: Rotation, edges: list[Slot], rng: random.Random) -> None:
     insort(edges, (a, b) if a < b else (b, a))
 
 
-def random_biconnected(n: int, m: int, seed: int = 0,
-                       attempts: int = 20) -> PlaneGraph:
+def random_biconnected(n: int, m: int, seed: int = 0) -> PlaneGraph:
     """Biconnected plane graph with n vertices and m edges, made by
     thinning a random triangulation.  Retries with derived sub-seeds when
     a greedy thinning dead-ends; InfeasibleParameters when out of luck or
@@ -153,14 +154,15 @@ def random_biconnected(n: int, m: int, seed: int = 0,
     if n < 4 or not n <= m <= 3 * n - 6:
         raise InfeasibleParameters(
             f"no biconnected plane graph with n={n}, m={m}")
-    for attempt in range(attempts):
+    for attempt in range(_ATTEMPTS):
         sub = seed if attempt == 0 else seed * 100003 + attempt
         rot = _triangulation(n, random.Random(sub))
         outer = _thin(rot, m, random.Random(2 * sub + 1))
         if outer is not None:
             return _with_outer_slot(rot, outer)
     raise InfeasibleParameters(
-        f"could not thin to m={m} in {attempts} attempts (n={n}, seed={seed})")
+        f"could not thin to m={m} in {_ATTEMPTS} attempts (n={n}, "
+        f"seed={seed})")
 
 
 def _thin(rot: Rotation, m: int, rng: random.Random) -> Slot | None:

@@ -12,10 +12,11 @@ and the walk continues from (u, v) to (v, w) where w follows u in the
 clockwise rotation at v.  Face ids are assigned deterministically by sorting
 the walks by their lexicographically smallest slot.
 
-A graph made by build is traced once, when its faces are first needed.
-A split changes only the faces through the split vertex, so split_engine
-derives the result's FaceData from its parent's instead of tracing again;
-the derived data equals what a trace of the new rotation system gives.
+Every PlaneGraph holds its FaceData.  build traces the rotation system
+once.  A split changes only the faces through the split vertex, so
+split_engine derives the result's FaceData from its parent's instead of
+tracing again; the derived data equals what a trace of the new rotation
+system gives.  Designating an outer face shares the data unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -59,14 +59,17 @@ class Face:
 
 @dataclass(frozen=True, eq=False)
 class PlaneGraph:
-    """Immutable rotation system plus an optional outer-face designation.
+    """Immutable rotation system, its faces and an optional outer-face
+    designation.
 
     rotation maps each vertex to the tuple of its neighbors in clockwise
-    order.  Instances compare by identity; use canonical_key() to compare
-    embeddings structurally.
+    order, and face_data holds the faces of that embedding, traced by
+    build or derived by a split.  Instances compare by identity; use
+    canonical_key() to compare embeddings structurally.
     """
 
     rotation: Mapping[Vertex, tuple[Vertex, ...]]
+    face_data: FaceData
     outer_face: FaceId | None = None
 
     @property
@@ -88,13 +91,6 @@ class PlaneGraph:
                 out.add((u, v) if u < v else (v, u))
         return tuple(sorted(out))
 
-    @cached_property
-    def face_data(self) -> FaceData:
-        """Faces traced from the rotation system on first use.  A split
-        sets its result's face data itself, derived from its parent's."""
-        faces, slot_face = _trace_faces(self.rotation)
-        return FaceData(slot_face, range(len(faces)), faces=faces)
-
     @property
     def faces(self) -> tuple[Face, ...]:
         return self.face_data.faces
@@ -104,51 +100,34 @@ class PlaneGraph:
         return data.face_id(data.slot_face[slot])
 
 
+@dataclass(frozen=True, eq=False)
 class FaceData:
     """The faces of one embedding, held under keys that a split keeps.
 
-    slot_face maps every slot to the key of its face.  order lists the
-    keys by smallest slot, so the position of a key there is its face id,
-    and firsts holds those smallest slots in the same order.  walks maps a
-    key to the vertices of its face's walk, in walk order from the tail of
-    the smallest slot: the walk (u0, u1, ...) has the slots (u0, u1),
-    (u1, u2), ... and (u_last, u0).
+    walks maps a key to the vertices of its face's walk, in walk order
+    from the tail of the smallest slot: the walk (u0, u1, ...) has the
+    slots (u0, u1), (u1, u2), ... and (u_last, u0).  slot_face maps every
+    slot to the key of its face.  order lists the keys by smallest slot,
+    so the position of a key there is its face id, and firsts holds those
+    smallest slots in the same order.
 
-    A trace keys each face by its id and gives the faces; walks and firsts
-    are read off them when a split first asks.  A split keeps the key of
-    every face it does not merge, so most entries carry over from the
-    parent unchanged.  It gives walks and firsts, and the Face objects
-    are made when asked for.
+    A trace keys each face by its id.  A split keeps the key of every
+    face it does not merge, so most entries carry over from the parent
+    unchanged.  The Face objects are made when first asked for.
     """
 
-    def __init__(self, slot_face: dict[Slot, int], order: Sequence[int], *,
-                 faces: tuple[Face, ...] | None = None,
-                 walks: dict[int, tuple[Vertex, ...]] | None = None,
-                 firsts: list[Slot] | None = None):
-        self.slot_face = slot_face
-        self.order = order
-        # keep what is given; the properties below derive the rest
-        for name, value in (("faces", faces), ("walks", walks),
-                            ("firsts", firsts)):
-            if value is not None:
-                self.__dict__[name] = value
+    walks: dict[int, tuple[Vertex, ...]]
+    slot_face: dict[Slot, int]
+    order: Sequence[int]
+    firsts: list[Slot]
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        walks = self.walks
         return tuple(
             Face(id=i, boundary=tuple(zip(walk, walk[1:] + walk[:1])),
                  incident_vertices=frozenset(walk))
-            for i, walk in enumerate(map(walks.__getitem__, self.order)))
-
-    @cached_property
-    def walks(self) -> dict[int, tuple[Vertex, ...]]:
-        return {f.id: tuple(map(itemgetter(0), f.boundary))
-                for f in self.faces}
-
-    @cached_property
-    def firsts(self) -> list[Slot]:
-        return [f.boundary[0] for f in self.faces]
+            for i, walk in enumerate(map(self.walks.__getitem__,
+                                         self.order)))
 
     def face_id(self, key: int) -> FaceId:
         # a key found at its own position is its own id, which holds for
@@ -159,40 +138,34 @@ class FaceData:
         return bisect_left(self.firsts, self.walks[key][:2])
 
 
-def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]):
+def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> FaceData:
     succ: dict[Slot, Vertex] = {}
     for v, nbrs in rotation.items():
         d = len(nbrs)
         for i, u in enumerate(nbrs):
             succ[(u, v)] = nbrs[(i + 1) % d]
 
-    faces: list[Face] = []
-    slot_face: dict[Slot, FaceId] = {}
-    seen: set[Slot] = set()
+    walks: dict[int, tuple[Vertex, ...]] = {}
+    slot_face: dict[Slot, int] = {}
+    firsts: list[Slot] = []
     # Slots are consumed in sorted order, so every walk starts at its own
     # lexicographically smallest slot and face ids come out sorted.
     for start in sorted(succ):
-        if start in seen:
+        if start in slot_face:
             continue
-        fid = len(faces)
-        walk: list[Slot] = []
+        fid = len(firsts)
+        walk: list[Vertex] = []
         cur = start
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur)
+        while cur not in slot_face:
             slot_face[cur] = fid
             u, v = cur
-            cur = (v, succ[(u, v)])
+            walk.append(u)
+            cur = (v, succ[cur])
         if cur != start:
             raise NotPlanar("face walk did not close on its start slot")
-        faces.append(
-            Face(
-                id=fid,
-                boundary=tuple(walk),
-                incident_vertices=frozenset(u for u, _ in walk),
-            )
-        )
-    return tuple(faces), slot_face
+        walks[fid] = tuple(walk)
+        firsts.append(start)
+    return FaceData(walks, slot_face, range(len(firsts)), firsts)
 
 
 def build(adjacency: Mapping[Vertex, Iterable[Vertex]],
@@ -225,18 +198,20 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]],
     if rotation and not _connected(rotation):
         raise Disconnected("rotation system describes a disconnected graph")
 
-    g = PlaneGraph(rotation=rotation, outer_face=None)
-    n = g.n
-    m = g.m
+    n = len(rotation)
+    m = sum(len(nbrs) for nbrs in rotation.values()) // 2
     if m == 0:
         raise NotPlanar(
             f"{n} vertices and no edges: a plane graph needs at least one "
             "edge to have a face")
-    f = len(g.faces)  # also raises NotPlanar on a non-closing walk
+    # the trace also raises NotPlanar on a non-closing walk
+    data = _trace_faces(rotation)
+    f = len(data.order)
     if n - m + f != 2:
         raise NotPlanar(
             f"V - E + F = {n - m + f}, not 2: rotation system does not "
             "embed in the sphere")
+    g = PlaneGraph(rotation, data)
     if outer_face is not None:
         return with_outer_face(g, outer_face)
     return g
@@ -262,11 +237,7 @@ def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     if not 0 <= face_id < count:
         raise OuterFaceUnset(
             f"face {face_id} does not exist (graph has {count} faces)")
-    out = PlaneGraph(rotation=g.rotation, outer_face=face_id)
-    # the faces do not depend on the designation, so they are handed
-    # over instead of traced again
-    out.__dict__["face_data"] = g.face_data
-    return out
+    return PlaneGraph(g.rotation, g.face_data, face_id)
 
 
 def canonical_key(g: PlaneGraph):

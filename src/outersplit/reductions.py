@@ -159,13 +159,17 @@ def vc_to_cfc(inst: CfcInstance, chosen) -> FaceCover:
                       sorted(inst.face_of_vertex[v] for v in chosen))
 
 
-def brute_min_vc(g: PlaneGraph, cap: int = 20) -> frozenset[Vertex]:
+_ENUM_CAP = 20  # most vertices brute_min_vc enumerates subsets of
+
+
+def brute_min_vc(g: PlaneGraph) -> frozenset[Vertex]:
     """Lexicographically least minimum vertex cover, by exhaustive
     enumeration in increasing size."""
     order = sorted(g.rotation)
-    if len(order) > cap:
+    if len(order) > _ENUM_CAP:
         raise CapExceeded(
-            f"{len(order)} vertices exceeds the enumeration cap of {cap}")
+            f"{len(order)} vertices exceeds the enumeration cap of "
+            f"{_ENUM_CAP}")
     edges = g.edges()
     for size in range(len(order) + 1):
         for combo in combinations(order, size):

@@ -53,7 +53,6 @@ from .plane_graph import (
     Vertex,
     is_outerplane,
     outerplane_face,
-    with_outer_face,
 )
 
 
@@ -235,7 +234,7 @@ def _split_faces(data: FaceData, v: Vertex, in_a: Slot, in_b: Slot,
         order.insert(i, key)
     if len(order) != len(data.order) - 1:
         raise AssertionError("split did not merge exactly two faces")
-    return FaceData(slot_face, order, walks=walks, firsts=firsts)
+    return FaceData(walks, slot_face, order, firsts)
 
 
 def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
@@ -273,15 +272,14 @@ def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
     in_a, in_b = (rot[gap_a], v), (rot[gap_b], v)
     op = SplitOp(vertex=v, face_a=g.face_of_slot(in_a),
                  face_b=g.face_of_slot(in_b), copy_1=copy_1, copy_2=copy_2)
-    data = g.face_data
-    result = PlaneGraph(rotation=new_rot, outer_face=None)
-    result.__dict__["face_data"] = _split_faces(data, v, in_a, in_b, owner)
+    data = _split_faces(g.face_data, v, in_a, in_b, owner)
+    outer = None
     if g.outer_face is not None:
-        x, y = data.walks[data.order[g.outer_face]][:2]
+        x, y = g.face_data.firsts[g.outer_face]
         slot = ((owner[y], y) if x == v else
                 (x, owner[x]) if y == v else (x, y))
-        result = with_outer_face(result, result.face_of_slot(slot))
-    return result, op
+        outer = data.face_id(data.slot_face[slot])
+    return PlaneGraph(new_rot, data, outer), op
 
 
 def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
@@ -326,18 +324,22 @@ def merge_faces_at_vertex(
     wanted = set(faces)
     if v not in g.rotation:
         raise NotIncident(f"vertex {v!r} does not exist")
-    for fid in wanted:
-        _corner_gap(g, v, fid)  # raises NotIncident when it has no corner
-    if len(wanted) <= 1:
-        return g, []
-
-    # Faces of the set in clockwise order of their first corner around v,
-    # rotated so the smallest id leads.
+    # the first corner of each wanted face, clockwise around v; a face
+    # without one is not incident to v
     corner: dict[FaceId, Vertex] = {}
     for y in g.rotation[v]:
         fid = g.face_of_slot((y, v))
         if fid in wanted:
             corner.setdefault(fid, y)
+    missing = wanted - corner.keys()
+    if missing:
+        raise NotIncident(
+            f"vertex {v!r} is not on the boundary of face {min(missing)}")
+    if len(wanted) <= 1:
+        return g, []
+
+    # Faces of the set in clockwise order of their first corner around v,
+    # rotated so the smallest id leads.
     ordered = list(corner)
     lead = ordered.index(min(wanted))
     ordered = ordered[lead:] + ordered[:lead]
@@ -369,15 +371,13 @@ def merge_faces_at_vertex(
 
 # -- covers and their realization ---------------------------------------------
 
-def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId]):
+def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId],
+                faces_of: Mapping[Vertex, list[FaceId]]):
     """BFS spanning tree of the incidence subgraph on faces plus all
-    vertices; root is the smallest face id, neighbors explored in sorted
-    order.  Returns (tree_edges, root) or None when the subgraph is
-    disconnected."""
-    faces_of: dict[Vertex, list[FaceId]] = {}
-    for f in sorted(faces):
-        for v in g.faces[f].incident_vertices:
-            faces_of.setdefault(v, []).append(f)
+    vertices, for faces that cover every vertex; faces_of lists the faces
+    at each vertex in id order.  root is the smallest face id, neighbors
+    are explored in sorted order.  Returns (tree_edges, root) or None
+    when the subgraph is disconnected."""
     root = min(faces)
     seen_f = {root}
     seen_v: set[Vertex] = set()
@@ -397,7 +397,8 @@ def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId]):
                     seen_f.add(f)
                     tree.append((node, f))
                     queue.append(("f", f))
-    if len(seen_f) != len(faces) or len(seen_v) != g.n:
+    # every vertex lies on a face, so reaching every face reaches them all
+    if len(seen_f) != len(faces):
         return None
     return tuple(tree), root
 
@@ -411,14 +412,15 @@ def face_cover(g: PlaneGraph, faces: Iterable[FaceId]) -> FaceCover:
     for fid in fset:
         if not 0 <= fid < len(g.faces):
             raise InvalidCover(f"face {fid} does not exist")
-    covered: set[Vertex] = set()
-    for fid in fset:
-        covered |= g.faces[fid].incident_vertices
-    missing = set(g.rotation) - covered
+    faces_of: dict[Vertex, list[FaceId]] = {}
+    for fid in sorted(fset):
+        for v in g.faces[fid].incident_vertices:
+            faces_of.setdefault(v, []).append(fid)
+    missing = g.rotation.keys() - faces_of.keys()
     if missing:
         raise InvalidCover(
             f"vertices not covered: {sorted(missing)[:5]}")
-    built = _cover_tree(g, fset)
+    built = _cover_tree(g, fset, faces_of)
     if built is None:
         raise InvalidCover("incidence subgraph of the cover is disconnected")
     tree, root = built

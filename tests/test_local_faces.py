@@ -26,12 +26,14 @@ from outersplit.plane_graph import _trace_faces
 
 
 def assert_traced(g):
-    faces, slot_face = _trace_faces(g.rotation)
-    assert g.faces == faces
-    assert {s: g.face_of_slot(s) for s in slot_face} == slot_face
+    traced = _trace_faces(g.rotation)
+    # a trace keys every face by its id
+    assert g.faces == traced.faces
+    assert ({s: g.face_of_slot(s) for s in traced.slot_face}
+            == traced.slot_face)
     # A split cuts a face at its first corner along the traced walk,
     # which the derived data must find too.
-    for f in faces:
+    for f in traced.faces:
         first = {}
         for x, y in f.boundary:
             first.setdefault(y, x)

@@ -133,6 +133,19 @@ def test_merge_faces_at_vertex():
     assert extract_cover(g, seq).faces == {0, 2, 3}
 
 
+def test_merge_rejects_faces_not_at_the_vertex():
+    g = k4()
+    with pytest.raises(NotIncident):
+        merge_faces_at_vertex(g, "zz", [0, 2])
+    for missing in (9, -1):  # no such face
+        with pytest.raises(NotIncident):
+            merge_faces_at_vertex(g, "d", [0, missing])
+    # face 1 is the only face missing d; a lone face is checked too
+    for faces in ([0, 1], [1]):
+        with pytest.raises(NotIncident):
+            merge_faces_at_vertex(g, "d", faces)
+
+
 def test_face_cover_certificate():
     cover = face_cover(k4(), [0, 1])
     assert cover.faces == frozenset((0, 1))
