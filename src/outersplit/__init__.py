@@ -35,7 +35,6 @@ from .generators import (
     generate,
     icosahedron,
     k4,
-    named,
     octahedron,
     random_biconnected,
     random_triangulation,
@@ -57,7 +56,6 @@ from .plane_graph import (
 )
 from .reductions import (
     CfcInstance,
-    VcInstance,
     brute_min_vc,
     build_cfc_instance,
     cfc_to_vc,

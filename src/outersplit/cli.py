@@ -22,7 +22,7 @@ from .plane_graph import (
     outerplane_face,
     with_outer_face,
 )
-from .reductions import VcInstance, brute_min_vc, build_cfc_instance
+from .reductions import brute_min_vc, build_cfc_instance
 from .rotfile import parse_rot, parse_splits, serialize_rot, serialize_splits
 from .split_engine import replay
 from .svg import emit_svg
@@ -144,8 +144,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    g = _load(args.file)
-    inst = build_cfc_instance(VcInstance(graph=g, k=g.n))
+    inst = build_cfc_instance(_load(args.file))
     lines = [f"# face {f} ~ vertex {v}"
              for f, v in sorted(inst.vertex_of_face.items())]
     _write(args.out, serialize_rot(inst.dstar) + "\n".join(lines) + "\n")

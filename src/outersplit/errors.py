@@ -52,10 +52,6 @@ class DanglingVertex(OutersplitError):
     """The vertex has degree below two and cannot be split."""
 
 
-class CopyNameCollision(OutersplitError):
-    """A split copy name is already taken by an existing vertex."""
-
-
 class InvalidCover(OutersplitError):
     """The face set is not a connected face cover of the graph."""
 

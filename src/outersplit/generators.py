@@ -14,7 +14,6 @@ traced by a single build.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -229,60 +228,37 @@ def fan(n: int) -> PlaneGraph:
     return with_outer_face(g, big.id)
 
 
-_OCTA_COORDS = {
-    "0": (1.0, 0.0, 0.0), "1": (-1.0, 0.0, 0.0),
-    "2": (0.0, 1.0, 0.0), "3": (0.0, -1.0, 0.0),
-    "4": (0.0, 0.0, 1.0), "5": (0.0, 0.0, -1.0),
-}
-
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
-_ICOSA_COORDS = {}
-for _i, (_a, _b) in enumerate([(1.0, _PHI), (1.0, -_PHI),
-                               (-1.0, _PHI), (-1.0, -_PHI)]):
-    _ICOSA_COORDS[str(_i)] = (0.0, _a, _b)
-    _ICOSA_COORDS[str(4 + _i)] = (_a, _b, 0.0)
-    _ICOSA_COORDS[str(8 + _i)] = (_b, 0.0, _a)
-
-
-def _convex_rotation(coords: dict[Vertex, tuple[float, float, float]],
-                     edge_d2: float) -> dict[Vertex, tuple[Vertex, ...]]:
-    # neighbors sorted by angle in the tangent plane of the sphere
-    def d2(p, q):
-        return sum((a - b) ** 2 for a, b in zip(p, q))
-
-    def cross(p, q):
-        return (p[1] * q[2] - p[2] * q[1],
-                p[2] * q[0] - p[0] * q[2],
-                p[0] * q[1] - p[1] * q[0])
-
-    def unit(p):
-        s = math.sqrt(sum(a * a for a in p))
-        return (p[0] / s, p[1] / s, p[2] / s)
-
-    rot = {}
-    for v, pv in coords.items():
-        nbrs = [w for w, pw in coords.items()
-                if w != v and abs(d2(pv, pw) - edge_d2) < 1e-9]
-        k = unit(pv)
-        ref = (0.0, 0.0, 1.0) if abs(k[2]) < 0.9 else (0.0, 1.0, 0.0)
-        e1 = unit(cross(ref, k))
-        e2 = cross(k, e1)
-
-        def angle(w):
-            q = tuple(a - b for a, b in zip(coords[w], pv))
-            return math.atan2(sum(a * b for a, b in zip(q, e2)),
-                              sum(a * b for a, b in zip(q, e1)))
-
-        rot[v] = tuple(sorted(nbrs, key=angle))
-    return rot
-
-
 def octahedron() -> PlaneGraph:
-    return with_outer_face(build(_convex_rotation(_OCTA_COORDS, 2.0)), 0)
+    """Octahedron; 0 and 1, 2 and 3, 4 and 5 are the opposite pairs."""
+    rot = {
+        "0": ("5", "2", "4", "3"),
+        "1": ("5", "3", "4", "2"),
+        "2": ("5", "1", "4", "0"),
+        "3": ("5", "0", "4", "1"),
+        "4": ("3", "0", "2", "1"),
+        "5": ("3", "1", "2", "0"),
+    }
+    return with_outer_face(build(rot), 0)
 
 
 def icosahedron() -> PlaneGraph:
-    return with_outer_face(build(_convex_rotation(_ICOSA_COORDS, 4.0)), 0)
+    """Icosahedron; i and 3 - i, 4 + i and 7 - i, 8 + i and 11 - i are
+    the opposite pairs."""
+    rot = {
+        "0": ("4", "6", "9", "2", "8"),
+        "4": ("10", "1", "6", "0", "8"),
+        "8": ("5", "10", "4", "0", "2"),
+        "1": ("10", "3", "11", "6", "4"),
+        "5": ("3", "10", "8", "2", "7"),
+        "9": ("6", "11", "7", "2", "0"),
+        "2": ("7", "5", "8", "0", "9"),
+        "6": ("1", "11", "9", "0", "4"),
+        "10": ("3", "1", "4", "8", "5"),
+        "3": ("11", "1", "10", "5", "7"),
+        "7": ("11", "3", "5", "2", "9"),
+        "11": ("1", "3", "7", "9", "6"),
+    }
+    return with_outer_face(build(rot), 0)
 
 
 def k4() -> PlaneGraph:
@@ -295,21 +271,6 @@ def k4() -> PlaneGraph:
     return with_outer_face(build(rot), 0)
 
 
-def named(spec: FamilySpec) -> PlaneGraph:
-    """Dispatch for the fixed families; parameterized ones via generate."""
-    if spec.family == "k4":
-        return k4()
-    if spec.family == "octahedron":
-        return octahedron()
-    if spec.family == "icosahedron":
-        return icosahedron()
-    if spec.family == "cycle":
-        return cycle(_need(spec, "n"))
-    if spec.family == "fan":
-        return fan(_need(spec, "n"))
-    raise UnknownFamily(f"no family named {spec.family!r}")
-
-
 def _need(spec: FamilySpec, field: str) -> int:
     value = getattr(spec, field)
     if value is None:
@@ -320,10 +281,20 @@ def _need(spec: FamilySpec, field: str) -> int:
 
 def generate(spec: FamilySpec) -> PlaneGraph:
     """Build any family from its spec."""
+    if spec.family == "k4":
+        return k4()
+    if spec.family == "octahedron":
+        return octahedron()
+    if spec.family == "icosahedron":
+        return icosahedron()
+    if spec.family == "cycle":
+        return cycle(_need(spec, "n"))
+    if spec.family == "fan":
+        return fan(_need(spec, "n"))
     if spec.family == "complete_3tree":
         return complete_3tree(_need(spec, "d"))
     if spec.family == "random_triangulation":
         return random_triangulation(_need(spec, "n"), spec.seed)
     if spec.family == "random_biconnected":
         return random_biconnected(_need(spec, "n"), _need(spec, "m"), spec.seed)
-    return named(spec)
+    raise UnknownFamily(f"no family named {spec.family!r}")

@@ -168,8 +168,7 @@ def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> FaceData:
     return FaceData(walks, slot_face, range(len(firsts)), firsts)
 
 
-def build(adjacency: Mapping[Vertex, Iterable[Vertex]],
-          outer_face: FaceId | None = None) -> PlaneGraph:
+def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
     """Validate a rotation system and wrap it in a PlaneGraph.
 
     The neighbor order of each vertex is kept exactly as given (clockwise).
@@ -211,10 +210,7 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]],
         raise NotPlanar(
             f"V - E + F = {n - m + f}, not 2: rotation system does not "
             "embed in the sphere")
-    g = PlaneGraph(rotation, data)
-    if outer_face is not None:
-        return with_outer_face(g, outer_face)
-    return g
+    return PlaneGraph(rotation, data)
 
 
 def _connected(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> bool:

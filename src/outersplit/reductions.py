@@ -3,8 +3,10 @@
 For a biconnected cubic plane graph G, subdividing every edge of the dual
 once yields a plane graph D* whose faces correspond one-to-one with the
 vertices of G, and whose minimum connected face covers correspond
-one-to-one with minimum vertex covers of G.  The constructions here build
-D* with its correspondence map and translate covers in both directions.
+one-to-one with minimum vertex covers of G.  build_cfc_instance(G)
+builds D* with its correspondence map, and cfc_to_vc and vc_to_cfc
+translate covers in both directions.  No budget is part of the instance,
+since a cover keeps its size in both directions.
 
 D* is assembled directly from G's faces and edges rather than by
 subdividing a dual PlaneGraph: duals of graphs that are merely biconnected
@@ -29,16 +31,8 @@ from .split_engine import FaceCover, face_cover
 
 
 @dataclass(frozen=True)
-class VcInstance:
-    """A vertex cover question: a cubic biconnected plane graph and a budget."""
-
-    graph: PlaneGraph
-    k: int
-
-
-@dataclass(frozen=True)
 class CfcInstance:
-    """The face-cover counterpart of a VcInstance.
+    """The face-cover counterpart of a cubic biconnected plane graph.
 
     dstar is the subdivided dual; vertex_of_face and face_of_vertex tie
     its faces to the primal vertices they stand for."""
@@ -65,7 +59,7 @@ def _edge_names(edges, used: set[str]) -> dict[tuple[Vertex, Vertex], str]:
     return names
 
 
-def build_cfc_instance(inst: VcInstance) -> CfcInstance:
+def build_cfc_instance(g: PlaneGraph) -> CfcInstance:
     """Build the subdivided dual D* of a cubic biconnected plane graph,
     with the bijection between D* faces and primal vertices.
 
@@ -73,7 +67,6 @@ def build_cfc_instance(inst: VcInstance) -> CfcInstance:
     edge, joined by incidence; a face node's rotation lists its edge
     nodes in facial-walk order.  Every face of D* is a hexagon wrapping
     one primal vertex."""
-    g = inst.graph
     degs = {v: len(nbrs) for v, nbrs in g.rotation.items()}
     bad = sorted(v for v, d in degs.items() if d != 3)
     if bad:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import OuterFaceUnset, ParseError
 from .plane_graph import PlaneGraph, build, with_outer_face
-from .split_engine import SplitOp, SplitSequence, _origin
+from .split_engine import SplitOp, SplitSequence
 
 
 def _content_lines(text: str):
@@ -107,20 +107,18 @@ def parse_rot(text: str) -> PlaneGraph:
         raise ParseError(str(exc), line=outer_line) from exc
 
 
-def serialize_rot(g: PlaneGraph, face_comments: bool = True) -> str:
+def serialize_rot(g: PlaneGraph) -> str:
     """Render a PlaneGraph in the .rot format; parse_rot inverts this."""
     out = [f"{g.n} {g.m}"]
     for v in sorted(g.rotation):
         out.append(f"{v}: " + " ".join(g.rotation[v]) if g.rotation[v]
                    else f"{v}:")
-    if face_comments or g.outer_face is not None:
-        out.append("faces")
-        if face_comments:
-            for f in g.faces:
-                walk = " ".join(s[0] for s in f.boundary)
-                out.append(f"# {f.id}: {walk}")
-        if g.outer_face is not None:
-            out.append(f"outer: {g.outer_face}")
+    out.append("faces")
+    for f in g.faces:
+        walk = " ".join(s[0] for s in f.boundary)
+        out.append(f"# {f.id}: {walk}")
+    if g.outer_face is not None:
+        out.append(f"outer: {g.outer_face}")
     return "\n".join(out) + "\n"
 
 
@@ -134,11 +132,10 @@ def parse_splits(text: str) -> SplitSequence:
             raise ParseError(
                 "expected 'SPLIT <v> <f_a> <f_b> -> <copy1> <copy2>'",
                 line=lineno)
-        op = SplitOp(vertex=tokens[1], face_a=int(tokens[2]),
-                     face_b=int(tokens[3]), copy_1=tokens[5],
-                     copy_2=tokens[6])
-        ops.append(op)
-    return SplitSequence(ops=tuple(ops), origin=_origin(ops))
+        ops.append(SplitOp(vertex=tokens[1], face_a=int(tokens[2]),
+                           face_b=int(tokens[3]), copy_1=tokens[5],
+                           copy_2=tokens[6]))
+    return SplitSequence(ops=tuple(ops))
 
 
 def serialize_splits(seq: SplitSequence) -> str:

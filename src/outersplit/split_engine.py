@@ -5,7 +5,10 @@ neighbor arc between them.  The cut points are two rotation gaps of v: the
 corner of face_a at v and the corner of face_b at v.  The two faces merge
 into one; every other face keeps its boundary up to renaming v into one of
 its copies.  One split therefore adds a vertex, keeps the edge count, and
-removes exactly one face.
+removes exactly one face.  The copies are named v.1 and v.2, or the first
+pair v.3 v.4, v.5 v.6, ... whose names are both free.  Either way a
+copy's name extends v's, and the choice depends on the graph alone, so a
+replay makes it again.
 
 Faces are followed through slots, not through face-id maps.  A split
 renames v in every slot at v to the copy owning that slot's edge and
@@ -36,7 +39,6 @@ from typing import Iterable, Mapping
 
 from .errors import (
     CertificateFailure,
-    CopyNameCollision,
     DanglingVertex,
     InvalidCover,
     NotIncident,
@@ -71,14 +73,18 @@ class SplitOp:
 
 @dataclass(frozen=True)
 class SplitSequence:
-    """Ordered splits plus the map from every created copy back to the
-    vertex of the original graph it descends from."""
+    """Ordered splits.  origin maps every copy they create back to the
+    vertex of the original graph it descends from, and is read off the
+    ops, so it always agrees with them."""
 
     ops: tuple[SplitOp, ...]
-    origin: Mapping[Vertex, Vertex]
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    @property
+    def origin(self) -> dict[Vertex, Vertex]:
+        return _origin(self.ops)
 
 
 @dataclass(frozen=True)
@@ -86,12 +92,11 @@ class FaceCover:
     """A set of faces covering every vertex, with a spanning tree of the
     induced incidence subgraph as the connectivity certificate.
 
-    tree holds bipartite (vertex, face) edges; root is the face the tree
-    is rooted at."""
+    tree holds bipartite (vertex, face) edges, rooted at the smallest
+    face, which its first edge holds."""
 
     faces: frozenset[FaceId]
     tree: tuple[tuple[Vertex, FaceId], ...]
-    root: FaceId
 
 
 # -- the split primitive -----------------------------------------------------
@@ -248,11 +253,11 @@ def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
     of the new rotation system would give."""
     rot = g.rotation[v]
     d = len(rot)
-    copy_1 = f"{v}.1"
-    copy_2 = f"{v}.2"
-    if copy_1 in g.rotation or copy_2 in g.rotation:
-        raise CopyNameCollision(
-            f"copy name {copy_1!r} or {copy_2!r} already taken")
+    # the first pair v.1 v.2, v.3 v.4, ... whose names are both free
+    i = 1
+    while f"{v}.{i}" in g.rotation or f"{v}.{i + 1}" in g.rotation:
+        i += 2
+    copy_1, copy_2 = f"{v}.{i}", f"{v}.{i + 1}"
 
     # Arc conventions follow the corner picture: with face_a's corner in
     # gap_a and face_b's in gap_b, copy_2 takes the clockwise arc right
@@ -287,7 +292,8 @@ def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
     """Split v with respect to two distinct incident faces.
 
     The faces merge into one; the result has one more vertex, the same
-    edges, and one face fewer.  Copies are named v.1 and v.2."""
+    edges, and one face fewer.  The copies are named v.1 and v.2, or
+    the first pair v.3 v.4, v.5 v.6, ... whose names are both free."""
     if v not in g.rotation:
         raise NotIncident(f"vertex {v!r} does not exist")
     if face_a == face_b:
@@ -376,8 +382,8 @@ def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId],
     """BFS spanning tree of the incidence subgraph on faces plus all
     vertices, for faces that cover every vertex; faces_of lists the faces
     at each vertex in id order.  root is the smallest face id, neighbors
-    are explored in sorted order.  Returns (tree_edges, root) or None
-    when the subgraph is disconnected."""
+    are explored in sorted order.  Returns the tree edges, or None when
+    the subgraph is disconnected."""
     root = min(faces)
     seen_f = {root}
     seen_v: set[Vertex] = set()
@@ -400,7 +406,7 @@ def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId],
     # every vertex lies on a face, so reaching every face reaches them all
     if len(seen_f) != len(faces):
         return None
-    return tuple(tree), root
+    return tuple(tree)
 
 
 def face_cover(g: PlaneGraph, faces: Iterable[FaceId]) -> FaceCover:
@@ -420,11 +426,10 @@ def face_cover(g: PlaneGraph, faces: Iterable[FaceId]) -> FaceCover:
     if missing:
         raise InvalidCover(
             f"vertices not covered: {sorted(missing)[:5]}")
-    built = _cover_tree(g, fset, faces_of)
-    if built is None:
+    tree = _cover_tree(g, fset, faces_of)
+    if tree is None:
         raise InvalidCover("incidence subgraph of the cover is disconnected")
-    tree, root = built
-    return FaceCover(faces=fset, tree=tree, root=root)
+    return FaceCover(faces=fset, tree=tree)
 
 
 def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
@@ -463,7 +468,7 @@ def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
             f"{len(cover.faces)} faces")
     if not is_outerplane(cur):
         raise AssertionError("realized graph is not outerplane")
-    return SplitSequence(ops=tuple(ops), origin=origin)
+    return SplitSequence(ops=tuple(ops))
 
 
 # -- replay and cover extraction ----------------------------------------------
@@ -495,7 +500,7 @@ def extract_cover(g: PlaneGraph, seq: SplitSequence) -> FaceCover:
     qualifying = outerplane_face(final)
     if qualifying is None:
         raise NotOuterplane("replayed graph has no all-incident face")
-    origin = _origin(seq.ops)
+    origin = seq.origin
     originals = {g.face_of_slot((origin.get(x, x), origin.get(y, y)))
                  for x, y in final.faces[qualifying].boundary}
     try:

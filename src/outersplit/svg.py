@@ -104,8 +104,8 @@ def _degenerate(pos, order) -> bool:
     return False
 
 
-def render(g: PlaneGraph, labels: bool = True) -> str:
-    """Standalone SVG text for one graph."""
+def render(g: PlaneGraph) -> str:
+    """Standalone SVG text for one graph, each vertex labeled by name."""
     pos = layout(g)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:g}" '
@@ -121,17 +121,16 @@ def render(g: PlaneGraph, labels: bool = True) -> str:
     for v, (x, y) in pos.items():
         parts.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="#1f6feb"/>')
-        if labels:
-            parts.append(
-                f'<text x="{x + 8:.2f}" y="{y - 8:.2f}" '
-                f'font-family="monospace" font-size="14">{v}</text>')
+        parts.append(
+            f'<text x="{x + 8:.2f}" y="{y - 8:.2f}" '
+            f'font-family="monospace" font-size="14">{v}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def emit_svg(g: PlaneGraph, path: str, labels: bool = True) -> None:
+def emit_svg(g: PlaneGraph, path: str) -> None:
     """Write the drawing of g to path; WriteFailure when that fails."""
-    text = render(g, labels=labels)
+    text = render(g)
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

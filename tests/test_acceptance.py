@@ -41,7 +41,6 @@ from outersplit import (
     solve_osn,
     split_vertex,
     upper_bound,
-    VcInstance,
     with_outer_face,
     SplitSequence,
 )
@@ -265,7 +264,7 @@ def test_criterion_6_vertex_cover_equals_face_cover(criterion):
     for g in cubic_corpus():
         assert g.n <= 10
         assert is_biconnected(g)
-        inst = build_cfc_instance(VcInstance(graph=g, k=g.n))
+        inst = build_cfc_instance(g)
         vc = len(brute_min_vc(g))
         cfc = len(brute_min_cfc(inst.dstar).faces)
         assert vc == cfc
@@ -330,7 +329,7 @@ def test_criterion_8_structural_invariants(criterion):
     for gg, cover, _ in mid_covers()[:30]:
         cur = gg
         for op in realize_cover(gg, cover).ops:
-            nxt = replay(cur, SplitSequence(ops=(op,), origin={}))
+            nxt = replay(cur, SplitSequence(ops=(op,)))
             assert nxt.n == cur.n + 1
             assert nxt.m == cur.m
             assert len(nxt.faces) == len(cur.faces) - 1

@@ -106,8 +106,8 @@ def test_min_fvs_certificate_is_exact_remainder():
 
 def test_min_fvs_small_duals():
     assert min_fvs(dual(k4())).nodes == frozenset((0, 1))
-    tri = build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")},
-                outer_face=0)
+    tri = with_outer_face(
+        build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")}), 0)
     assert min_fvs(dual(tri)).nodes == frozenset((0,))
     assert min_fvs(dual(cycle(7))).nodes == frozenset((0,))
 
@@ -115,8 +115,8 @@ def test_min_fvs_small_duals():
 def test_min_fvs_rejects_self_loops():
     # the pendant edge is a bridge, so the dual loops at the sole face
     # on both of its sides
-    g = build({"a": ("b", "c", "d"), "b": ("c", "a"), "c": ("a", "b"),
-               "d": ("a",)}, outer_face=0)
+    g = with_outer_face(build({"a": ("b", "c", "d"), "b": ("c", "a"),
+                               "c": ("a", "b"), "d": ("a",)}), 0)
     d = dual(g)
     assert d.has_self_loop()
     with pytest.raises(SelfLoopPresent):
@@ -161,8 +161,8 @@ def test_fvs_to_cover_keeps_nodes():
 
 def test_brute_min_cfc_small():
     assert brute_min_cfc(k4()).faces == frozenset((0, 1))
-    tri = build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")},
-                outer_face=0)
+    tri = with_outer_face(
+        build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")}), 0)
     assert brute_min_cfc(tri).faces == frozenset((0,))
     assert len(brute_min_cfc(octahedron()).faces) == 3
 
@@ -174,8 +174,8 @@ def test_brute_min_cfc_cap():
 
 def test_brute_osn_by_splits_small():
     assert brute_osn_by_splits(k4()) == 1
-    tri = build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")},
-                outer_face=0)
+    tri = with_outer_face(
+        build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")}), 0)
     assert brute_osn_by_splits(tri) == 0
     assert brute_osn_by_splits(octahedron()) == 2
 

@@ -10,7 +10,6 @@ from outersplit import (
     is_biconnected,
     is_outerplane,
     k4,
-    named,
     octahedron,
     random_biconnected,
     random_triangulation,
@@ -133,15 +132,15 @@ def test_outerplane_families():
 
 
 def test_named_dispatch():
-    assert named(FamilySpec(family="k4")).n == 4
-    assert named(FamilySpec(family="octahedron")).n == 6
-    assert named(FamilySpec(family="icosahedron")).n == 12
-    assert named(FamilySpec(family="cycle", n=5)).n == 5
-    assert named(FamilySpec(family="fan", n=5)).n == 6
+    assert generate(FamilySpec(family="k4")).n == 4
+    assert generate(FamilySpec(family="octahedron")).n == 6
+    assert generate(FamilySpec(family="icosahedron")).n == 12
+    assert generate(FamilySpec(family="cycle", n=5)).n == 5
+    assert generate(FamilySpec(family="fan", n=5)).n == 6
     with pytest.raises(UnknownFamily):
-        named(FamilySpec(family="petersen"))
+        generate(FamilySpec(family="petersen"))
     with pytest.raises(InfeasibleParameters):
-        named(FamilySpec(family="cycle"))  # n missing
+        generate(FamilySpec(family="cycle"))  # n missing
 
 
 def test_generate_dispatch():

@@ -6,6 +6,7 @@ graph it returns is compared, face by face and slot by slot, with
 _trace_faces run on that graph's rotation system.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import outersplit.split_engine as split_engine
 from outersplit import (
     build,
+    extract_cover,
     face_cover,
     random_biconnected,
     random_triangulation,
@@ -92,6 +94,34 @@ def test_every_connected_cover(checked, every_connected_cover):
         for faces in covers:
             realize_cover(g, face_cover(g, faces))
     assert checked
+
+
+def crowded(g, seed):
+    """g with vertices renamed into the copy names of others: x.1, x.2
+    and x.1.1 beside x, and y- beside y, which sorts between y and
+    y's copies."""
+    names = sorted(g.rotation)
+    random.Random(seed).shuffle(names)
+    new = {}
+    for i in range(0, len(names) - 5, 6):
+        x, a, b, c, y, z = names[i:i + 6]
+        new.update({a: f"{x}.1", b: f"{x}.2", c: f"{x}.1.1", z: f"{y}-"})
+    return build({new.get(v, v): [new.get(u, u) for u in nbrs]
+                  for v, nbrs in g.rotation.items()})
+
+
+def test_solve_and_replay_with_crowded_names(checked):
+    graphs = [random_triangulation(n, seed) for n in range(8, 31)
+              for seed in range(2)]
+    graphs += [random_biconnected(n, m, seed) for n, m in
+               ((12, 16), (20, 26), (40, 50)) for seed in range(2)]
+    for i, g in enumerate(graphs):
+        g = crowded(g, i)
+        res = solve_osn(g)
+        replay(g, res.splits)
+        assert extract_cover(g, res.splits).faces == res.cover.faces
+    # some splits had to pass over taken names
+    assert any(op.copy_1 != f"{op.vertex}.1" for op in checked)
 
 
 BOWTIE = {"a": ("b", "x"), "b": ("x", "a"), "c": ("d", "x"),

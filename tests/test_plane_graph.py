@@ -21,17 +21,17 @@ from outersplit.errors import (
 
 
 def triangle():
-    return build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")},
-                 outer_face=0)
+    return with_outer_face(
+        build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")}), 0)
 
 
 def k4():
-    return build({
+    return with_outer_face(build({
         "a": ("b", "c", "d"),
         "b": ("c", "a", "d"),
         "c": ("a", "b", "d"),
         "d": ("a", "c", "b"),
-    }, outer_face=0)
+    }), 0)
 
 
 def bowtie():

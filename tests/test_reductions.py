@@ -3,7 +3,6 @@ import pytest
 from outersplit import (
     CfcInstance,
     FaceCover,
-    VcInstance,
     brute_min_cfc,
     brute_min_vc,
     build,
@@ -44,7 +43,7 @@ def bridged_cubic():
 
 
 def test_cfc_instance_of_k4():
-    inst = build_cfc_instance(VcInstance(graph=k4(), k=4))
+    inst = build_cfc_instance(k4())
     d = inst.dstar
     assert d.n == 4 + 6
     assert d.m == 12
@@ -57,7 +56,7 @@ def test_cfc_instance_of_k4():
 
 def test_cfc_instance_faces_wrap_their_vertex():
     g = prism(4)
-    inst = build_cfc_instance(VcInstance(graph=g, k=8))
+    inst = build_cfc_instance(g)
     for f in inst.dstar.faces:
         v = inst.vertex_of_face[f.id]
         # the three edge nodes on the hexagon are exactly v's edges
@@ -69,7 +68,7 @@ def test_cfc_instance_faces_wrap_their_vertex():
 def test_build_cfc_instance_rejects_non_cubic():
     tri = build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")})
     with pytest.raises(NotCubic) as info:
-        build_cfc_instance(VcInstance(graph=tri, k=3))
+        build_cfc_instance(tri)
     assert "a" in str(info.value)
 
 
@@ -77,7 +76,7 @@ def test_build_cfc_instance_rejects_bridged():
     g = bridged_cubic()
     assert all(len(nbrs) == 3 for nbrs in g.rotation.values())
     with pytest.raises(NotBiconnected):
-        build_cfc_instance(VcInstance(graph=g, k=10))
+        build_cfc_instance(g)
 
 
 def test_brute_min_vc_values():
@@ -96,13 +95,13 @@ def test_brute_min_vc_cap():
 
 def test_cover_sizes_match_across_the_reduction():
     for g in [k4(), prism(3), prism(4), prism(5)]:
-        inst = build_cfc_instance(VcInstance(graph=g, k=g.n))
+        inst = build_cfc_instance(g)
         assert len(brute_min_vc(g)) == len(brute_min_cfc(inst.dstar).faces)
 
 
 def test_translations_round_trip():
     for g in [k4(), prism(3), prism(4)]:
-        inst = build_cfc_instance(VcInstance(graph=g, k=g.n))
+        inst = build_cfc_instance(g)
         vc = brute_min_vc(g)
         cover = vc_to_cfc(inst, vc)
         assert len(cover.faces) == len(vc)
@@ -115,7 +114,7 @@ def test_translations_round_trip():
 
 
 def test_vc_to_cfc_rejects_bad_input():
-    inst = build_cfc_instance(VcInstance(graph=k4(), k=4))
+    inst = build_cfc_instance(k4())
     with pytest.raises(NotAVertexCover):
         vc_to_cfc(inst, {"a", "zz"})
     with pytest.raises(NotAVertexCover):
@@ -123,7 +122,7 @@ def test_vc_to_cfc_rejects_bad_input():
 
 
 def test_cfc_to_vc_rejects_partial_cover():
-    inst = build_cfc_instance(VcInstance(graph=k4(), k=4))
-    fake = FaceCover(faces=frozenset((0,)), tree=(), root=0)
+    inst = build_cfc_instance(k4())
+    fake = FaceCover(faces=frozenset((0,)), tree=())
     with pytest.raises(NotACover):
         cfc_to_vc(inst, fake)

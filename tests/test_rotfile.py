@@ -53,14 +53,6 @@ def test_round_trip_families():
         assert serialize_rot(h) == text
 
 
-def test_serialize_without_face_comments():
-    g = k4()
-    text = serialize_rot(g, face_comments=False)
-    assert "#" not in text
-    assert "outer: 0" in text
-    assert parse_rot(text).outer_face == 0
-
-
 def test_parse_without_faces_block():
     text = "3 3\na: b c\nb: c a\nc: a b\n"
     g = parse_rot(text)
@@ -120,7 +112,7 @@ def test_split_chain_origin_reconstruction():
 
 def test_empty_split_file():
     assert parse_splits("").ops == ()
-    assert serialize_splits(SplitSequence(ops=(), origin={})) == ""
+    assert serialize_splits(SplitSequence(ops=())) == ""
 
 
 def test_bad_split_lines():

@@ -15,12 +15,16 @@ from outersplit import (
     is_outerplane,
     merge_faces_at_vertex,
     octahedron,
+    parse_rot,
+    parse_splits,
     random_biconnected,
     random_triangulation,
     realize_cover,
     replay,
+    serialize_splits,
     solve_osn,
     split_vertex,
+    with_outer_face,
 )
 from outersplit.errors import (
     DanglingVertex,
@@ -33,12 +37,12 @@ from outersplit.errors import (
 
 
 def k4():
-    return build({
+    return with_outer_face(build({
         "a": ("b", "c", "d"),
         "b": ("c", "a", "d"),
         "c": ("a", "b", "d"),
         "d": ("a", "c", "b"),
-    }, outer_face=0)
+    }), 0)
 
 
 def prism(k):
@@ -99,6 +103,19 @@ def test_split_arcs_are_contiguous_everywhere():
                 assert g2.n - g2.m + len(g2.faces) == 2
 
 
+def test_copies_skip_taken_names():
+    # K4 with a vertex already named a.1: splitting a takes the first
+    # pair of free names, a.3 and a.4
+    g = parse_rot("4 6\na: b c a.1\nb: c a a.1\nc: a b a.1\n"
+                  "a.1: a c b\n")
+    res = solve_osn(g)
+    assert res.osn == 1
+    assert serialize_splits(res.splits) == "SPLIT a 0 1 -> a.3 a.4\n"
+    seq = parse_splits(serialize_splits(res.splits))
+    assert is_outerplane(replay(g, seq))
+    assert extract_cover(g, seq).faces == res.cover.faces
+
+
 def test_split_rejects_same_face():
     with pytest.raises(SameFace):
         split_vertex(k4(), "d", 0, 0)
@@ -129,7 +146,7 @@ def test_merge_faces_at_vertex():
     assert len(g2.faces) == 2
     assert is_outerplane(g2)
     assert g2.n == 6
-    seq = SplitSequence(ops=tuple(ops), origin={})
+    seq = SplitSequence(ops=tuple(ops))
     assert extract_cover(g, seq).faces == {0, 2, 3}
 
 
@@ -149,7 +166,7 @@ def test_merge_rejects_faces_not_at_the_vertex():
 def test_face_cover_certificate():
     cover = face_cover(k4(), [0, 1])
     assert cover.faces == frozenset((0, 1))
-    assert cover.root in (0, 1)
+    assert cover.tree[0][1] == min(cover.faces) == 0
     # the tree must connect both faces through shared vertices
     assert len(cover.tree) >= 2
 
@@ -191,8 +208,8 @@ def test_realize_cover_is_size_minus_one():
 
 
 def test_zero_split_cover():
-    g = build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")},
-              outer_face=0)
+    g = with_outer_face(
+        build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")}), 0)
     seq = realize_cover(g, face_cover(g, [0]))
     assert len(seq) == 0
     assert replay(g, seq) is not None
@@ -208,7 +225,7 @@ def test_extract_cover_round_trip():
 
 def test_extract_cover_requires_outerplane_result():
     with pytest.raises(NotOuterplane):
-        extract_cover(k4(), SplitSequence(ops=(), origin={}))
+        extract_cover(k4(), SplitSequence(ops=()))
 
 
 def test_replay_checks_copy_names():
@@ -216,14 +233,12 @@ def test_replay_checks_copy_names():
     seq = realize_cover(g, face_cover(g, [0, 1]))
     renamed = SplitSequence(
         ops=(SplitOp(vertex="a", face_a=0, face_b=1,
-                     copy_1="x.1", copy_2="x.2"),),
-        origin={"x.1": "a", "x.2": "a"})
+                     copy_1="x.1", copy_2="x.2"),))
     with pytest.raises(ReplayFailure):
         replay(g, renamed)
     bad_face = SplitSequence(
         ops=(SplitOp(vertex="a", face_a=0, face_b=0,
-                     copy_1="a.1", copy_2="a.2"),),
-        origin=seq.origin)
+                     copy_1="a.1", copy_2="a.2"),))
     with pytest.raises(ReplayFailure):
         replay(g, bad_face)
 
@@ -234,7 +249,7 @@ def test_split_bookkeeping_step_by_step():
     seq = realize_cover(g, cover)
     cur = g
     for op in seq.ops:
-        nxt = replay(cur, SplitSequence(ops=(op,), origin={}))
+        nxt = replay(cur, SplitSequence(ops=(op,)))
         assert nxt.n == cur.n + 1
         assert nxt.m == cur.m
         assert len(nxt.faces) == len(cur.faces) - 1

@@ -38,7 +38,6 @@ def test_render_shape():
     assert doc.count("<circle") == g.n
     assert doc.count("<text") == g.n
     assert render(g) == doc  # deterministic
-    assert "<text" not in render(g, labels=False)
 
 
 def test_emit_svg_writes_the_document(tmp_path):
