@@ -250,24 +250,52 @@ def _decide(mg: _Multi, budget: int):
     return None
 
 
+def _peel_bound(mg: _Multi) -> int:
+    """A lower bound on the feedback vertex set size; consumes mg.  Every
+    feedback set holds a node of each cycle C, so fvs(G) >= 1 +
+    fvs(G - V(C)), and the reductions keep fvs, counting each node they
+    take.  So peel short cycles off one by one and keep the best of the
+    count so far plus the degree bound of what is left."""
+    count = best = 0
+    while True:
+        taken: list[int] = []
+        _reduce(mg, len(mg.adj), taken)
+        count += len(taken)
+        best = max(best, count + _lower_bound(mg))
+        if not mg.adj:
+            return best
+        for x in _short_cycle(mg):
+            mg.remove(x)
+        count += 1
+
+
 def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
     """Optimum size and lexicographically least optimal node set by
-    branch and bound: the least feasible budget from the lower bound up,
-    then one _decide per node in order."""
-    k = _lower_bound(base)
-    while _decide(base.copy(), k) is None:
+    branch and bound: the least feasible budget from the peel bound up,
+    then the nodes in order, each kept when the witness holds it or else
+    when _decide meets the rest of the budget."""
+    k = _peel_bound(base.copy())
+    while (found := _decide(base.copy(), k)) is None:
         k += 1
 
+    # the witness is the last feedback set _decide found: it holds every
+    # chosen node and, k being optimal, has k nodes, so a node in it can
+    # be kept without a search
+    witness = set(found)
     chosen: list[int] = []
     rest = base.copy()  # the dual minus the chosen nodes
     for x in sorted(base.adj):
         if len(chosen) == k:
             break
-        trial = rest.copy()
-        trial.remove(x)
-        if _decide(trial, k - len(chosen) - 1) is not None:
-            chosen.append(x)
-            rest.remove(x)
+        if x not in witness:
+            trial = rest.copy()
+            trial.remove(x)
+            sub = _decide(trial, k - len(chosen) - 1)
+            if sub is None:
+                continue
+            witness = {*chosen, x, *sub}
+        chosen.append(x)
+        rest.remove(x)
     return k, chosen
 
 
@@ -459,9 +487,12 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
     oracle = _ParityRank(nodes, d.edges, rng)
 
     k = oracle.value
-    # k is never below the optimum; it is certified by the lower bound or
-    # by refuting k - 1
-    while k > _lower_bound(base) and _decide(base.copy(), k - 1) is not None:
+    # k is never below the optimum; it is certified by the degree bound,
+    # else by the peel bound, else by refuting k - 1
+    floor = _lower_bound(base)
+    if k > floor:
+        floor = _peel_bound(base.copy())
+    while k > floor and _decide(base.copy(), k - 1) is not None:
         k -= 1
 
     # a lower bound on the cycle rank of the dual minus the chosen nodes
@@ -515,17 +546,22 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     parity rank and the nodes are taken in order, each kept when the rank
     says one node fewer remains to find.  A random evaluation can only
     lose rank, so these steps are certified: k, once it meets the degree
-    lower bound or _decide refutes k - 1; every node taken; and every
-    node passed over because a lower bound on what would remain exceeds
-    the budget.  A node passed over on the rank alone, confirmed by a
-    second independent draw, is right with high probability: each draw
-    errs with probability below (number of nodes) / p, p = 2147483629.
+    lower bound, else the peel bound (short cycles deleted one by one,
+    each counting one node), or else _decide refutes k - 1; every node
+    taken; and every node passed over because a lower bound on what
+    would remain exceeds the budget.  A node passed over on the rank
+    alone, confirmed by a second independent draw, is right with high
+    probability: each draw errs with probability below (number of
+    nodes) / p, p = 2147483629.
     A slip there could only return an optimum that is not the least one,
     or raise AssertionError; the size stays exact.  Other duals are
-    solved by branch and bound: k is the least budget _decide meets, and
-    a node is kept when _decide meets the rest of the budget with it and
-    the nodes kept before it.  The returned set is verified as a
-    feedback set in either case."""
+    solved by branch and bound: k is the least budget _decide meets,
+    counting up from the peel bound, and a node is kept when the witness
+    holds it, or else when _decide meets the rest of the budget with it
+    and the nodes kept before it.  The witness is the last feedback set
+    _decide found; it holds every node kept so far, so a node in it is
+    kept without a search.  The returned set is verified as a feedback
+    set in either case."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
     base = _Multi.from_dual(d)

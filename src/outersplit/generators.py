@@ -2,7 +2,8 @@
 
 All generators return validated PlaneGraphs with a designated outer face
 and deterministic labels, so serialized output is byte-identical for the
-same parameters.  Randomized families draw from random.Random(seed) only.
+same parameters.  Randomized families draw only from random.Random(seed),
+and random_biconnected's retries from streams seeded by (seed, attempt).
 
 The stacked and random families edit plain rotation lists in place and
 keep only the indexes their random choices need (the sorted inner-face
@@ -145,18 +146,24 @@ def _try_flip(rot: Rotation, edges: list[Slot], rng: random.Random) -> None:
 
 def random_biconnected(n: int, m: int, seed: int = 0) -> PlaneGraph:
     """Biconnected plane graph with n vertices and m edges, made by
-    thinning a random triangulation.  Retries with derived sub-seeds when
-    a greedy thinning dead-ends; InfeasibleParameters when out of luck or
-    out of range."""
+    thinning a random triangulation.  Retries with sub-seeds derived from
+    (seed, attempt) when a greedy thinning dead-ends; InfeasibleParameters
+    when out of luck or out of range."""
     if n == 3 and m == 3:
         return cycle(3)
     if n < 4 or not n <= m <= 3 * n - 6:
         raise InfeasibleParameters(
             f"no biconnected plane graph with n={n}, m={m}")
     for attempt in range(_ATTEMPTS):
-        sub = seed if attempt == 0 else seed * 100003 + attempt
-        rot = _triangulation(n, random.Random(sub))
-        outer = _thin(rot, m, random.Random(2 * sub + 1))
+        if attempt == 0:
+            tri, thin = random.Random(seed), random.Random(2 * seed + 1)
+        else:
+            # a str seed goes through SHA-512, so a retry shares no
+            # stream with another seed or attempt
+            tri, thin = (random.Random(f"{seed}/{attempt}/{use}")
+                         for use in ("tri", "thin"))
+        rot = _triangulation(n, tri)
+        outer = _thin(rot, m, thin)
         if outer is not None:
             return _with_outer_slot(rot, outer)
     raise InfeasibleParameters(

@@ -27,11 +27,13 @@ from outersplit import (
     replay,
     solve_osn,
 )
+from outersplit import cover_solver
 from outersplit.cover_solver import (
     _decide,
     _lower_bound,
     _Multi,
     _ParityRank,
+    _peel_bound,
     _search_fvs,
 )
 
@@ -75,6 +77,28 @@ def test_rank_value_on_complete_3trees(depth, optimum):
     assert search_optimum(mg) == optimum
     assert rank_value(mg, random.Random(depth)) == optimum
     assert len(min_fvs(dual(complete_3tree(depth))).nodes) == optimum
+
+
+@pytest.mark.parametrize("depth, degree, peel", [(1, 3, 3), (2, 8, 9),
+                                                  (3, 21, 27), (4, 62, 81)])
+def test_peel_bound_on_complete_3trees(depth, degree, peel):
+    # peeling reaches the optimum 3^depth, which the degree bound misses
+    mg = _Multi.from_dual(dual(complete_3tree(depth)))
+    assert _lower_bound(mg) == degree
+    assert _peel_bound(mg) == peel
+
+
+def test_complete_3tree_depth_4_needs_no_refutation(monkeypatch):
+    calls = []
+    decide = cover_solver._decide
+
+    def counted(mg, budget):
+        calls.append(budget)
+        return decide(mg, budget)
+
+    monkeypatch.setattr(cover_solver, "_decide", counted)
+    assert len(min_fvs(dual(complete_3tree(4))).nodes) == 81
+    assert calls == []
 
 
 def test_rank_value_matches_search_on_subgraphs():

@@ -8,7 +8,7 @@ of degree-2 nodes, isolated nodes and several components.
 import random
 from itertools import combinations
 
-from outersplit.cover_solver import _decide, _Multi, _search_fvs
+from outersplit.cover_solver import _decide, _Multi, _peel_bound, _search_fvs
 from outersplit.plane_graph import DualGraph
 
 
@@ -97,6 +97,7 @@ def test_search_matches_brute_force_on_random_multigraphs():
             if got is not None:
                 assert len(got) == len(set(got)) <= budget, (d, budget)
                 assert acyclic_without(d, set(got)), (d, budget)
+        assert _peel_bound(_Multi.from_dual(d)) <= opt, d
         k, chosen = _search_fvs(_Multi.from_dual(d))
         assert (k, chosen) == (opt, want), d
         seen_triple += any(d.edges[i] == d.edges[i + 2]

@@ -79,6 +79,14 @@ def test_random_biconnected_cycle_edge_case():
     assert all(len(r) == 2 for r in g.rotation.values())
 
 
+def test_random_biconnected_seeds_draw_distinct_graphs():
+    # (15, 17) retries often; retries once drew the streams of the
+    # seeds after them, so seeds 0 and 2 gave the same graph
+    texts = {serialize_rot(random_biconnected(15, 17, seed=s))
+             for s in range(12)}
+    assert len(texts) == 12
+
+
 def test_random_biconnected_range_checks():
     with pytest.raises(InfeasibleParameters):
         random_biconnected(5, 4, seed=0)  # below n

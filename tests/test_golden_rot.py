@@ -19,7 +19,7 @@ from outersplit import (
 )
 from outersplit.errors import InfeasibleParameters
 
-GOLDEN = "70c97b3189008d7ceda7c1417e695e878d2a8c139cd19af77401112e8e3f2596"
+GOLDEN = "3da746eec7d50999b4aea160802382f8206d490ae7ae8fbe7b951e058c3ef18a"
 
 
 def specs():
@@ -54,7 +54,7 @@ def digest() -> tuple[int, int, str]:
 def test_generator_outputs_are_frozen():
     count, infeasible, value = digest()
     assert count == 111 + 78 + 5
-    assert infeasible == 9
+    assert infeasible == 10
     assert value == GOLDEN
 
 
