@@ -47,7 +47,6 @@ from .plane_graph import (
     Slot,
     Vertex,
     build,
-    canonical_key,
     dual,
     is_biconnected,
     is_outerplane,

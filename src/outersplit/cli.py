@@ -89,15 +89,16 @@ def _cmd_verify(args) -> int:
     g = _load(args.file)
     fid = outerplane_face(g)
     ok = fid is not None
+    faces = len(g.face_data.order)
     if args.porcelain:
         print(f"n={g.n}")
         print(f"m={g.m}")
-        print(f"faces={len(g.faces)}")
+        print(f"faces={faces}")
         print(f"outerplane={'true' if ok else 'false'}")
         if ok:
             print(f"face={fid}")
     else:
-        print(f"n {g.n} m {g.m} faces {len(g.faces)}")
+        print(f"n {g.n} m {g.m} faces {faces}")
         tail = f" (face {fid})" if ok else ""
         print(f"outerplane {'true' if ok else 'false'}{tail}")
     return 0

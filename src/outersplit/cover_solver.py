@@ -511,13 +511,15 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
         if len(new) <= 1 or cycles - len(new) + 1 > 2 * budget:
             continue
         if oracle.value_without(new) != budget:
-            # the rank says no: a lower bound on rest - x may prove it, and
-            # otherwise the second draw has to agree
+            # the rank says no: a lower bound on rest - x may prove it (the
+            # degree bound, else the peel bound), and otherwise the second
+            # draw has to agree
             trial = rest.copy()
             trial.remove(x)
             taken: list[int] = []
             if (not _reduce(trial, budget, taken)
-                    or len(taken) + _lower_bound(trial) > budget):
+                    or len(taken) + _lower_bound(trial) > budget
+                    or len(taken) + _peel_bound(trial) > budget):
                 continue
             if second is None:
                 left = [e for e in range(len(d.edges)) if e not in done]
@@ -549,10 +551,10 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     lower bound, else the peel bound (short cycles deleted one by one,
     each counting one node), or else _decide refutes k - 1; every node
     taken; and every node passed over because a lower bound on what
-    would remain exceeds the budget.  A node passed over on the rank
-    alone, confirmed by a second independent draw, is right with high
-    probability: each draw errs with probability below (number of
-    nodes) / p, p = 2147483629.
+    would remain, the degree bound or else the peel bound, exceeds the
+    budget.  A node passed over on the rank alone, confirmed by a second
+    independent draw, is right with high probability: each draw errs
+    with probability below (number of nodes) / p, p = 2147483629.
     A slip there could only return an optimum that is not the least one,
     or raise AssertionError; the size stays exact.  Other duals are
     solved by branch and bound: k is the least budget _decide meets,

@@ -99,11 +99,21 @@ def complete_3tree(d: int) -> PlaneGraph:
 
 def random_triangulation(n: int, seed: int = 0) -> PlaneGraph:
     """Maximal planar graph on n vertices: random inner-face insertions
-    into K4 followed by random legal edge flips.  Deterministic per seed."""
+    into K4 followed by random legal edge flips.  Deterministic per
+    nonnegative seed; InfeasibleParameters for a negative one, which
+    random.Random would read as its absolute value."""
+    _check_seed(seed)
     if n < 4:
         raise InfeasibleParameters("triangulations need at least 4 vertices")
     return _with_outer_slot(_triangulation(n, random.Random(seed)),
                             _OUTER_SLOT)
+
+
+def _check_seed(seed: int) -> None:
+    # random.Random seeds an int by its absolute value, so -s would
+    # repeat the stream of s
+    if seed < 0:
+        raise InfeasibleParameters(f"seed must be nonnegative, got {seed}")
 
 
 def _triangulation(n: int, rng: random.Random) -> Rotation:
@@ -148,7 +158,8 @@ def random_biconnected(n: int, m: int, seed: int = 0) -> PlaneGraph:
     """Biconnected plane graph with n vertices and m edges, made by
     thinning a random triangulation.  Retries with sub-seeds derived from
     (seed, attempt) when a greedy thinning dead-ends; InfeasibleParameters
-    when out of luck or out of range."""
+    when out of luck or out of range, or for a negative seed."""
+    _check_seed(seed)
     if n == 3 and m == 3:
         return cycle(3)
     if n < 4 or not n <= m <= 3 * n - 6:

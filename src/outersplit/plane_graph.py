@@ -17,6 +17,11 @@ once.  A split changes only the faces through the split vertex, so
 split_engine derives the result's FaceData from its parent's instead of
 tracing again; the derived data equals what a trace of the new rotation
 system gives.  Designating an outer face shares the data unchanged.
+
+The package reads faces from FaceData itself: a face's vertices come from
+its walk, found by id through FaceData.walk, and the face on each side of
+an edge from slot_face.  Face records, with their slot tuples and vertex
+sets, are made only for callers of PlaneGraph.faces.
 """
 
 from __future__ import annotations
@@ -64,8 +69,9 @@ class PlaneGraph:
 
     rotation maps each vertex to the tuple of its neighbors in clockwise
     order, and face_data holds the faces of that embedding, traced by
-    build or derived by a split.  Instances compare by identity; use
-    canonical_key() to compare embeddings structurally.
+    build or derived by a split.  Instances compare by identity; two
+    graphs are the same labeled embedding when their rotation and
+    outer_face are equal.
     """
 
     rotation: Mapping[Vertex, tuple[Vertex, ...]]
@@ -113,7 +119,9 @@ class FaceData:
 
     A trace keys each face by its id.  A split keeps the key of every
     face it does not merge, so most entries carry over from the parent
-    unchanged.  The Face objects are made when first asked for.
+    unchanged, so a key need not be its face's id: walk finds a face by
+    id through order.  The package reads walks; the Face records in
+    faces are made when first asked for, for callers of PlaneGraph.faces.
     """
 
     walks: dict[int, tuple[Vertex, ...]]
@@ -128,6 +136,10 @@ class FaceData:
                  incident_vertices=frozenset(walk))
             for i, walk in enumerate(map(self.walks.__getitem__,
                                          self.order)))
+
+    def walk(self, fid: FaceId) -> tuple[Vertex, ...]:
+        """The walk of the face with id fid."""
+        return self.walks[self.order[fid]]
 
     def face_id(self, key: int) -> FaceId:
         # a key found at its own position is its own id, which holds for
@@ -236,12 +248,6 @@ def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     return PlaneGraph(g.rotation, g.face_data, face_id)
 
 
-def canonical_key(g: PlaneGraph):
-    """Hashable structural key: two graphs with equal keys are the same
-    labeled embedding (outer-face designation included)."""
-    return (tuple(sorted(g.rotation.items())), g.outer_face)
-
-
 @dataclass(frozen=True)
 class DualGraph:
     """Multigraph on face ids with one edge per primal edge.
@@ -275,16 +281,17 @@ class DualGraph:
 
 def dual(g: PlaneGraph) -> DualGraph:
     """Dual multigraph of the embedding: one node per face, the outer one
-    included, and one edge per primal edge."""
+    included, and one edge per primal edge: the faces of its two slots."""
+    data = g.face_data
+    slot_face = data.slot_face
+    id_of = {key: i for i, key in enumerate(data.order)}
     edges = []
-    for u, v in g.edges():
-        a = g.face_of_slot((u, v))
-        b = g.face_of_slot((v, u))
-        edges.append((a, b) if a <= b else (b, a))
-    return DualGraph(
-        nodes=tuple(f.id for f in g.faces),
-        edges=tuple(sorted(edges)),
-    )
+    for (u, v), key in slot_face.items():
+        if u < v:
+            a, b = id_of[key], id_of[slot_face[(v, u)]]
+            edges.append((a, b) if a <= b else (b, a))
+    return DualGraph(nodes=tuple(range(len(id_of))),
+                     edges=tuple(sorted(edges)))
 
 
 def is_biconnected(g: PlaneGraph) -> bool:
@@ -297,20 +304,23 @@ def is_biconnected(g: PlaneGraph) -> bool:
     embeddings, and splits keep both properties, so every PlaneGraph
     meets the precondition."""
     return g.n >= 3 and all(
-        len(f) == len(f.incident_vertices) for f in g.faces)
+        len(walk) == len(set(walk)) for walk in g.face_data.walks.values())
 
 
 def outerplane_face(g: PlaneGraph) -> FaceId | None:
     """Face incident to every vertex: the designated outer face when it
     qualifies, else the smallest qualifying id, else None."""
-    all_vertices = frozenset(g.rotation)
-    if g.outer_face is not None:
-        if g.faces[g.outer_face].incident_vertices == all_vertices:
-            return g.outer_face
-    for face in g.faces:
-        if face.incident_vertices == all_vertices:
-            return face.id
-    return None
+    n = g.n
+    data = g.face_data
+
+    def touches_all(fid: FaceId) -> bool:
+        # a walk holds vertices of g only, so n distinct ones are all
+        walk = data.walk(fid)
+        return len(walk) >= n and len(set(walk)) == n
+
+    if g.outer_face is not None and touches_all(g.outer_face):
+        return g.outer_face
+    return next(filter(touches_all, range(len(data.order))), None)
 
 
 def is_outerplane(g: PlaneGraph) -> bool:

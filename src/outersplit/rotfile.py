@@ -114,9 +114,9 @@ def serialize_rot(g: PlaneGraph) -> str:
         out.append(f"{v}: " + " ".join(g.rotation[v]) if g.rotation[v]
                    else f"{v}:")
     out.append("faces")
-    for f in g.faces:
-        walk = " ".join(s[0] for s in f.boundary)
-        out.append(f"# {f.id}: {walk}")
+    walk = g.face_data.walk
+    for fid in range(len(g.face_data.order)):
+        out.append(f"# {fid}: " + " ".join(walk(fid)))
     if g.outer_face is not None:
         out.append(f"outer: {g.outer_face}")
     return "\n".join(out) + "\n"

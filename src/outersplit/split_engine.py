@@ -128,7 +128,7 @@ def _corner_gap(g: PlaneGraph, v: Vertex, fid: FaceId) -> int:
         return gaps[0]
     # The first slot into v is the one before the first v after the
     # walk's start; when v only starts the walk, it is the last slot.
-    walk = data.walks[key]
+    walk = data.walk(fid)
     try:
         p = walk.index(v, 1)
     except ValueError:
@@ -365,8 +365,8 @@ def merge_faces_at_vertex(
         # The merged face touches every copy of v, but a face merged at
         # an earlier vertex may have corners at several of them; split a
         # copy the next face touches.
-        c = next(c for c in reversed(copies) if c in
-                 cur.face_data.walks[cur.face_data.order[target]])
+        c = next(c for c in reversed(copies)
+                 if c in cur.face_data.walk(target))
         cur, op = _split_at_gaps(cur, c, _corner_gap(cur, c, merged),
                                  _corner_gap(cur, c, target))
         ops.append(op)
@@ -377,14 +377,15 @@ def merge_faces_at_vertex(
 
 # -- covers and their realization ---------------------------------------------
 
-def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId],
+def _cover_tree(vertices_of: Mapping[FaceId, set[Vertex]],
                 faces_of: Mapping[Vertex, list[FaceId]]):
-    """BFS spanning tree of the incidence subgraph on faces plus all
-    vertices, for faces that cover every vertex; faces_of lists the faces
-    at each vertex in id order.  root is the smallest face id, neighbors
-    are explored in sorted order.  Returns the tree edges, or None when
-    the subgraph is disconnected."""
-    root = min(faces)
+    """BFS spanning tree of the incidence subgraph on the faces of
+    vertices_of plus all vertices, for faces that cover every vertex;
+    vertices_of maps each face to its vertices and faces_of lists the
+    faces at each vertex in id order.  root is the smallest face id,
+    neighbors are explored in sorted order.  Returns the tree edges, or
+    None when the subgraph is disconnected."""
+    root = min(vertices_of)
     seen_f = {root}
     seen_v: set[Vertex] = set()
     tree: list[tuple[Vertex, FaceId]] = []
@@ -392,7 +393,7 @@ def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId],
     while queue:
         kind, node = queue.popleft()
         if kind == "f":
-            for v in sorted(g.faces[node].incident_vertices):
+            for v in sorted(vertices_of[node]):
                 if v not in seen_v:
                     seen_v.add(v)
                     tree.append((v, node))
@@ -404,7 +405,7 @@ def _cover_tree(g: PlaneGraph, faces: frozenset[FaceId],
                     tree.append((node, f))
                     queue.append(("f", f))
     # every vertex lies on a face, so reaching every face reaches them all
-    if len(seen_f) != len(faces):
+    if len(seen_f) != len(vertices_of):
         return None
     return tuple(tree)
 
@@ -415,18 +416,20 @@ def face_cover(g: PlaneGraph, faces: Iterable[FaceId]) -> FaceCover:
     fset = frozenset(faces)
     if not fset:
         raise InvalidCover("a cover needs at least one face")
+    data = g.face_data
     for fid in fset:
-        if not 0 <= fid < len(g.faces):
+        if not 0 <= fid < len(data.order):
             raise InvalidCover(f"face {fid} does not exist")
+    vertices_of = {fid: set(data.walk(fid)) for fid in sorted(fset)}
     faces_of: dict[Vertex, list[FaceId]] = {}
-    for fid in sorted(fset):
-        for v in g.faces[fid].incident_vertices:
+    for fid, vertices in vertices_of.items():
+        for v in vertices:
             faces_of.setdefault(v, []).append(fid)
     missing = g.rotation.keys() - faces_of.keys()
     if missing:
         raise InvalidCover(
             f"vertices not covered: {sorted(missing)[:5]}")
-    tree = _cover_tree(g, fset, faces_of)
+    tree = _cover_tree(vertices_of, faces_of)
     if tree is None:
         raise InvalidCover("incidence subgraph of the cover is disconnected")
     return FaceCover(faces=fset, tree=tree)

@@ -232,6 +232,19 @@ def test_bounds_negative_depth_is_a_domain_error(tmp_path, capsys):
     assert "nonnegative" in err
 
 
+def test_gen_negative_seed_is_a_domain_error(tmp_path, capsys):
+    out_path = tmp_path / "t.rot"
+    for argv in (("random_triangulation", "-n", "12"),
+                 ("random_biconnected", "-n", "12", "-m", "16")):
+        code, out, err = run(capsys, "gen", *argv, "--seed", "-3",
+                             "-o", str(out_path))
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: InfeasibleParameters"), argv
+        assert "nonnegative" in err
+        assert not out_path.exists()
+
+
 def test_unwritable_outputs_are_usage_errors(tmp_path, capsys):
     rot = write_k4(tmp_path)
     seq = tmp_path / "k4.seq"

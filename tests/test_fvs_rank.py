@@ -144,6 +144,28 @@ def test_node_sets_match_the_search_completion():
         assert sol.nodes == frozenset(chosen), (n, seed)
 
 
+def test_peel_bound_saves_second_draws(monkeypatch):
+    """On the 14 triangulations of the tri_exact benchmark, the peel bound
+    certifies most rejections the degree bound cannot, so few second
+    draws are built: 17 rank oracles in all, 14 first draws and 3
+    second ones (23 with the degree bound alone)."""
+    built = []
+
+    class Counted(_ParityRank):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cover_solver, "_ParityRank", Counted)
+    specs = [(24, 0), (24, 1), (25, 0), (25, 1), (26, 0), (26, 1), (27, 0),
+             (27, 1), (28, 0), (28, 1), (29, 0), (29, 3), (30, 0), (30, 1)]
+    for n, seed in specs:
+        d = dual(random_triangulation(n, seed=seed))
+        k, chosen = _search_fvs(_Multi.from_dual(d))
+        assert min_fvs(d).nodes == frozenset(chosen), (n, seed)
+    assert len(built) <= 17
+
+
 @pytest.mark.parametrize("n, seed, osn", [(29, 1, 13), (29, 2, 13),
                                           (100, 0, 49)])
 def test_large_triangulations_solve_quickly(n, seed, osn):

@@ -96,6 +96,18 @@ def test_random_biconnected_range_checks():
         random_biconnected(2, 2, seed=0)
 
 
+def test_negative_seeds_are_rejected():
+    # random.Random seeds an int by its absolute value, so seed -3 drew
+    # the stream of seed 3 and serialized byte for byte like it
+    with pytest.raises(InfeasibleParameters, match="nonnegative"):
+        random_triangulation(12, seed=-3)
+    with pytest.raises(InfeasibleParameters, match="nonnegative"):
+        random_biconnected(12, 16, seed=-3)
+    with pytest.raises(InfeasibleParameters, match="nonnegative"):
+        random_biconnected(3, 3, seed=-1)
+    assert random_triangulation(12, seed=0).n == 12
+
+
 def test_generators_are_deterministic():
     for spec in [FamilySpec(family="random_triangulation", n=8, seed=3),
                  FamilySpec(family="random_biconnected", n=8, m=12, seed=3),
