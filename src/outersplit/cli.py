@@ -24,7 +24,7 @@ from .plane_graph import (
 )
 from .reductions import brute_min_vc, build_cfc_instance
 from .rotfile import parse_rot, parse_splits, serialize_rot, serialize_splits
-from .split_engine import replay
+from .split_engine import extract_cover, replay
 from .svg import emit_svg
 
 
@@ -189,6 +189,13 @@ def _cmd_oracle(args) -> int:
     row("agree_osn" if kv else "agree osn==cfc-1",
         verdict(osn_val == cfc_val - 1)
         if cfc_ok and isinstance(osn_val, int) else "skipped")
+    # the cover read back off the solver's splits is the solver's cover
+    if is_biconnected(g):
+        res = solve_osn(g)
+        extract = verdict(extract_cover(g, res.splits) == res.cover)
+    else:
+        extract = "skipped"
+    row("agree_extract" if kv else "agree extract==cover", extract)
     return 0
 
 

@@ -4,7 +4,8 @@ The splitting number of a plane biconnected graph is one less than the size
 of a minimum connected face cover, and that in turn equals the size of a
 minimum feedback vertex set of the dual multigraph.  min_fvs solves the
 dual problem exactly; fvs_to_cover certifies the resulting face set as a
-connected cover; solve_osn chains both with realize_cover.
+connected cover; solve_osn chains both and realizes that cover as
+realize_cover does, without certifying it a second time.
 
 min_fvs has two solvers and picks one by the largest dual degree alone.
 Duals of maximum degree 3, which are exactly the duals of triangulations,
@@ -47,9 +48,9 @@ from .plane_graph import (
 from .split_engine import (
     FaceCover,
     SplitSequence,
+    _realize,
     _split_at_gaps,
     face_cover,
-    realize_cover,
 )
 
 
@@ -607,8 +608,9 @@ def solve_osn(g: PlaneGraph) -> OsnResult:
             "splitting numbers are defined here for biconnected graphs")
     sol = min_fvs(dual(g))
     cover = fvs_to_cover(g, sol)
+    # fvs_to_cover has just certified the cover, so it is realized as is
     return OsnResult(osn=len(sol.nodes) - 1, cover=cover,
-                     splits=realize_cover(g, cover))
+                     splits=_realize(g, cover))
 
 
 # -- independent brute-force oracles -------------------------------------------

@@ -14,9 +14,12 @@ the walks by their lexicographically smallest slot.
 
 Every PlaneGraph holds its FaceData.  build traces the rotation system
 once.  A split changes only the faces through the split vertex, so
-split_engine derives the result's FaceData from its parent's instead of
-tracing again; the derived data equals what a trace of the new rotation
-system gives.  Designating an outer face shares the data unchanged.
+split_engine derives the faces after a split from those before instead
+of tracing again; the derived data equals what a trace of the new
+rotation system gives.  It edits one working copy of the maps through a
+whole split sequence and wraps them in a FaceData and a PlaneGraph once,
+at the end, so a graph is built only where the API returns one.
+Designating an outer face shares the data unchanged.
 
 The package reads faces from FaceData itself: a face's vertices come from
 its walk, found by id through FaceData.walk, and the face on each side of

@@ -29,6 +29,12 @@ from .plane_graph import PlaneGraph, build, with_outer_face
 from .split_engine import SplitOp, SplitSequence
 
 
+def _is_count(token: str) -> bool:
+    # ASCII digits only: str.isdigit also accepts digits such as "²",
+    # which int rejects
+    return token.isascii() and token.isdigit()
+
+
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -45,7 +51,7 @@ def parse_rot(text: str) -> PlaneGraph:
 
     lineno, header = lines[pos]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(map(_is_count, parts)):
         raise ParseError("expected header 'n m'", line=lineno)
     n, m = int(parts[0]), int(parts[1])
     pos += 1
@@ -89,7 +95,7 @@ def parse_rot(text: str) -> PlaneGraph:
             lineno, line = lines[pos]
             tokens = line.split()
             if tokens[0] != "outer:" or len(tokens) != 2 \
-                    or not tokens[1].isdigit():
+                    or not _is_count(tokens[1]):
                 raise ParseError("expected 'outer: <face id>'", line=lineno)
             outer = int(tokens[1])
             outer_line = lineno
@@ -128,7 +134,7 @@ def parse_splits(text: str) -> SplitSequence:
     for lineno, line in _content_lines(text):
         tokens = line.split()
         if (len(tokens) != 7 or tokens[0] != "SPLIT" or tokens[4] != "->"
-                or not tokens[2].isdigit() or not tokens[3].isdigit()):
+                or not _is_count(tokens[2]) or not _is_count(tokens[3])):
             raise ParseError(
                 "expected 'SPLIT <v> <f_a> <f_b> -> <copy1> <copy2>'",
                 line=lineno)

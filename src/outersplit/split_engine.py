@@ -17,10 +17,20 @@ vertex of the original graph it descends from) sends every slot of a
 later graph to a slot of the original.  The original faces merged into a
 current face are the faces of its slots mapped back this way.
 
-A split's faces are derived from its parent's, not traced: faces with no
-corner at v are reused, faces with a corner at v get v renamed there, and
-the two cut faces are spliced into one walk and re-ranked by smallest
-slot.  Only graphs made by build are ever traced, once each.
+A split's faces are derived from the faces before it, not traced: faces
+with no corner at v are untouched, faces with a corner at v get v renamed
+there, and the two cut faces are spliced into one walk and re-ranked by
+smallest slot.  Only graphs made by build are ever traced, once each.
+
+A sequence of splits edits one working state in place: the rotation, the
+slot map, the walks by key and the id order, copied once from the input
+graph, which is never changed.  Graphs are built at the API boundary
+only, one when the sequence is done, so replay, realize_cover and
+merge_faces_at_vertex each build a single PlaneGraph, and split_vertex
+is a sequence of one split.  Within a sequence faces are followed by key,
+through the slots into the split vertex; a face id, which costs a search
+of the id order once keys and ids part, is computed only where a SplitOp
+records one.
 
 merge_faces_at_vertex chains splits around one vertex so that a whole set
 of faces incident to it becomes a single face.  realize_cover walks a
@@ -99,7 +109,7 @@ class FaceCover:
     tree: tuple[tuple[Vertex, FaceId], ...]
 
 
-# -- the split primitive -----------------------------------------------------
+# -- the working state and its split primitive ------------------------------
 
 def _cyclic_slice(items: tuple, start: int, end: int) -> tuple:
     # inclusive slice from start to end, wrapping
@@ -107,33 +117,6 @@ def _cyclic_slice(items: tuple, start: int, end: int) -> tuple:
     if start <= end:
         return items[start:end + 1]
     return items[start:] + items[:end + 1]
-
-
-def _corner_gap(g: PlaneGraph, v: Vertex, fid: FaceId) -> int:
-    """Rotation gap index of the first corner of face fid at v.
-
-    Gap i sits between rotation[v][i] and rotation[v][i+1]; a corner of a
-    face at v occupies exactly one gap.  Walk order makes the choice
-    deterministic when the face touches v more than once."""
-    data = g.face_data
-    if not 0 <= fid < len(data.order):
-        raise NotIncident(f"face {fid} does not exist")
-    key = data.order[fid]
-    rot = g.rotation[v]
-    gaps = [i for i, x in enumerate(rot) if data.slot_face[(x, v)] == key]
-    if not gaps:
-        raise NotIncident(
-            f"vertex {v!r} is not on the boundary of face {fid}")
-    if len(gaps) == 1:
-        return gaps[0]
-    # The first slot into v is the one before the first v after the
-    # walk's start; when v only starts the walk, it is the last slot.
-    walk = data.walk(fid)
-    try:
-        p = walk.index(v, 1)
-    except ValueError:
-        p = 0
-    return rot.index(walk[p - 1])
 
 
 def _rename(walk: tuple[Vertex, ...], v: Vertex, visits: int,
@@ -167,124 +150,218 @@ def _starts(d: int, at: list[int]) -> Iterable[int]:
     return range(d) if at[0] <= 1 else (0,)
 
 
-def _split_faces(data: FaceData, v: Vertex, in_a: Slot, in_b: Slot,
-                 owner: Mapping[Vertex, Vertex]) -> FaceData:
-    """Face data after splitting v, derived from the data before.
+class _SplitState:
+    """A rotation system and its faces, edited in place by the splits of
+    one sequence.
 
-    owner maps each neighbor of v to the copy that takes its edge; in_a
-    and in_b are the slots into v at the corners where the split cuts,
-    on the two faces that merge.  Faces without a corner at v keep their
-    entries.  A face with corners at v has v renamed there.  The two cut
-    faces are spliced into one walk: the tail of face_a after its corner
-    joins the head of face_b, and the tail of face_b joins the head of
-    face_a.  The merged face keeps the key of the longer face, so only
-    the shorter one's slots are entered again."""
-    key_a = data.slot_face[in_a]
-    key_b = data.slot_face[in_b]
-    if key_a == key_b:
-        raise AssertionError("split did not merge exactly two faces")
-    slot_face = data.slot_face.copy()
-    walks = data.walks.copy()
-    visits: dict[int, int] = {}  # key of a face at v -> its visits of v
-    for x, c in owner.items():
-        slot_face[(x, c)] = slot_face.pop((x, v))
-        key = slot_face[(c, x)] = slot_face.pop((v, x))
-        visits[key] = visits.get(key, 0) + 1
+    It holds the fields of FaceData under the same names, so that
+    FaceData.face_id applies to it, and the outer face, if one is
+    designated, by key.  It starts as a copy of one graph, which the
+    splits therefore never change, and graph wraps it in a PlaneGraph
+    once the sequence is done."""
 
-    new: dict[int, tuple[Vertex, ...]] = {}
-    for key in visits.keys() - {key_a, key_b}:
-        walk, at = _rename(walks[key], v, visits[key], owner)
-        new[key] = _from_smallest(walk, _starts(len(walk), at))
+    __slots__ = ("rotation", "walks", "slot_face", "order", "firsts",
+                 "outer")
 
-    # Splice at the cut visits of v: the shorter walk, from just after
-    # its cut round to its cut, goes into the longer one just after its
-    # cut.  The merged face keeps the longer one's key.
-    cut_faces = []
-    for key, (x, _) in ((key_a, in_a), (key_b, in_b)):
-        walk, at = _rename(walks[key], v, visits[key], owner)
-        cut = next(i for i in at if walks[key][i - 1] == x)
-        cut_faces.append((key, walk, at, cut))
-    (keep, walk, at, cut), (drop, short, at_s, cut_s) = sorted(
-        cut_faces, key=lambda f: -len(f[1]))
-    d, k = len(walk), len(short)
-    walk[cut + 1:cut + 1] = short[cut_s + 1:] + short[:cut_s + 1]
-    # walk now runs ..., copy, (short's walk), other copy, ...; each
-    # copy must own the edges on both sides of it
-    if (walk[cut] == walk[cut + k] or owner[walk[cut + 1]] != walk[cut]
-            or owner[walk[(cut + k + 1) % (d + k)]] != walk[cut + k]):
-        raise AssertionError("spliced walk does not close")
-    # a position p of the longer walk stays or moves by k, one q of the
-    # shorter moves to cut + 1 + (q - cut_s - 1) % k
-    starts = [p if p <= cut else p + k for p in _starts(d, at)]
-    starts += [cut + 1 + (q - cut_s - 1) % k for q in _starts(k, at_s)]
-    new[keep] = _from_smallest(walk, starts)
-    slot_face.update(dict.fromkeys(
-        zip(walk[cut:cut + k], walk[cut + 1:cut + k + 1]), keep))
+    def __init__(self, g: PlaneGraph):
+        data = g.face_data
+        self.rotation = dict(g.rotation)
+        self.walks = data.walks.copy()
+        self.slot_face = data.slot_face.copy()
+        self.order = list(data.order)
+        self.firsts = list(data.firsts)
+        self.outer = (None if g.outer_face is None
+                      else data.order[g.outer_face])
 
-    # Re-rank: take the dropped face and every face whose smallest slot
-    # changed out of the id order, then put the latter back by their new
-    # smallest slot.
-    moved = [key for key, walk in new.items() if walk[:2] != walks[key][:2]]
-    order = list(data.order)
-    firsts = list(data.firsts)
-    for key in (*moved, drop):
-        i = bisect_left(firsts, walks[key][:2])
-        del firsts[i], order[i]
-    del walks[drop]
-    walks.update(new)
-    for key in moved:
-        first = walks[key][:2]
-        i = bisect_left(firsts, first)
-        firsts.insert(i, first)
-        order.insert(i, key)
-    if len(order) != len(data.order) - 1:
-        raise AssertionError("split did not merge exactly two faces")
-    return FaceData(walks, slot_face, order, firsts)
+    face_id = FaceData.face_id
+
+    def graph(self) -> PlaneGraph:
+        """The graph of the current state, which must not be split
+        again, as the graph shares its maps."""
+        data = FaceData(self.walks, self.slot_face, self.order, self.firsts)
+        outer = None if self.outer is None else data.face_id(self.outer)
+        return PlaneGraph(self.rotation, data, outer)
+
+    def key(self, fid: FaceId) -> int:
+        if not 0 <= fid < len(self.order):
+            raise NotIncident(f"face {fid} does not exist")
+        return self.order[fid]
+
+    def corner_gap(self, v: Vertex, key: int) -> int:
+        """Rotation gap index of the first corner of face key at v.
+
+        Gap i sits between rotation[v][i] and rotation[v][i+1]; a corner
+        of a face at v occupies exactly one gap.  Walk order makes the
+        choice deterministic when the face touches v more than once."""
+        rot = self.rotation[v]
+        slot_face = self.slot_face
+        gaps = [i for i, x in enumerate(rot) if slot_face[(x, v)] == key]
+        if not gaps:
+            raise NotIncident(f"vertex {v!r} is not on the boundary of "
+                              f"face {self.face_id(key)}")
+        if len(gaps) == 1:
+            return gaps[0]
+        # The first slot into v is the one before the first v after the
+        # walk's start; when v only starts the walk, it is the last slot.
+        walk = self.walks[key]
+        try:
+            p = walk.index(v, 1)
+        except ValueError:
+            p = 0
+        return rot.index(walk[p - 1])
+
+    def split(self, v: Vertex, gap_a: int,
+              gap_b: int) -> tuple[Vertex, Vertex]:
+        """Split v at two rotation gaps owned by two distinct faces and
+        return the copies (copy_1, copy_2).
+
+        Every slot survives, with v renamed to the copy that owns the
+        slot's edge, so an outer designation carries over through the
+        old outer face's first slot.  The faces are derived from the
+        faces before, not traced, and equal what a trace of the new
+        rotation system would give."""
+        rotation = self.rotation
+        rot = rotation[v]
+        d = len(rot)
+        # the first pair v.1 v.2, v.3 v.4, ... whose names are both free
+        i = 1
+        while f"{v}.{i}" in rotation or f"{v}.{i + 1}" in rotation:
+            i += 2
+        copy_1, copy_2 = f"{v}.{i}", f"{v}.{i + 1}"
+
+        # Arc conventions follow the corner picture: with face_a's corner
+        # in gap_a and face_b's in gap_b, copy_2 takes the clockwise arc
+        # right after gap_a up to gap_b's entry, copy_1 the rest.
+        arc_2 = _cyclic_slice(rot, (gap_a + 1) % d, gap_b)
+        arc_1 = _cyclic_slice(rot, (gap_b + 1) % d, gap_a)
+        owner = dict.fromkeys(arc_2, copy_2)
+        owner.update(dict.fromkeys(arc_1, copy_1))
+
+        if self.outer is not None:
+            x, y = self.walks[self.outer][:2]
+            outer = ((owner[y], y) if x == v else
+                     (x, owner[x]) if y == v else (x, y))
+        self._split_faces(v, (rot[gap_a], v), (rot[gap_b], v), owner)
+        if self.outer is not None:
+            self.outer = self.slot_face[outer]
+
+        del rotation[v]
+        rotation[copy_1] = arc_1
+        rotation[copy_2] = arc_2
+        for w in rot:
+            rotation[w] = tuple(owner[w] if x == v else x
+                                for x in rotation[w])
+        return copy_1, copy_2
+
+    def _split_faces(self, v: Vertex, in_a: Slot, in_b: Slot,
+                     owner: Mapping[Vertex, Vertex]) -> None:
+        """Update the faces for splitting v, touching only the faces with
+        a corner at v.
+
+        owner maps each neighbor of v to the copy that takes its edge;
+        in_a and in_b are the slots into v at the corners where the split
+        cuts, on the two faces that merge.  A face with corners at v has
+        v renamed there.  The two cut faces are spliced into one walk:
+        the tail of face_a after its corner joins the head of face_b, and
+        the tail of face_b joins the head of face_a.  The merged face
+        keeps the key of the longer face, so only the shorter one's
+        slots are entered again."""
+        slot_face, walks = self.slot_face, self.walks
+        key_a = slot_face[in_a]
+        key_b = slot_face[in_b]
+        if key_a == key_b:
+            raise AssertionError("split did not merge exactly two faces")
+        visits: dict[int, int] = {}  # key of a face at v -> its visits of v
+        for x, c in owner.items():
+            slot_face[(x, c)] = slot_face.pop((x, v))
+            key = slot_face[(c, x)] = slot_face.pop((v, x))
+            visits[key] = visits.get(key, 0) + 1
+
+        # walks holds the walks before the split until the end
+        new: dict[int, tuple[Vertex, ...]] = {}
+        for key in visits.keys() - {key_a, key_b}:
+            walk, at = _rename(walks[key], v, visits[key], owner)
+            new[key] = _from_smallest(walk, _starts(len(walk), at))
+
+        # Splice at the cut visits of v: the shorter walk, from just after
+        # its cut round to its cut, goes into the longer one just after
+        # its cut.  The merged face keeps the longer one's key.
+        cut_faces = []
+        for key, (x, _) in ((key_a, in_a), (key_b, in_b)):
+            walk, at = _rename(walks[key], v, visits[key], owner)
+            cut = next(i for i in at if walks[key][i - 1] == x)
+            cut_faces.append((key, walk, at, cut))
+        (keep, walk, at, cut), (drop, short, at_s, cut_s) = sorted(
+            cut_faces, key=lambda f: -len(f[1]))
+        d, k = len(walk), len(short)
+        walk[cut + 1:cut + 1] = short[cut_s + 1:] + short[:cut_s + 1]
+        # walk now runs ..., copy, (short's walk), other copy, ...; each
+        # copy must own the edges on both sides of it
+        if (walk[cut] == walk[cut + k] or owner[walk[cut + 1]] != walk[cut]
+                or owner[walk[(cut + k + 1) % (d + k)]] != walk[cut + k]):
+            raise AssertionError("spliced walk does not close")
+        # a position p of the longer walk stays or moves by k, one q of the
+        # shorter moves to cut + 1 + (q - cut_s - 1) % k
+        starts = [p if p <= cut else p + k for p in _starts(d, at)]
+        starts += [cut + 1 + (q - cut_s - 1) % k for q in _starts(k, at_s)]
+        new[keep] = _from_smallest(walk, starts)
+        slot_face.update(dict.fromkeys(
+            zip(walk[cut:cut + k], walk[cut + 1:cut + k + 1]), keep))
+
+        # Re-rank: take the dropped face and every face whose smallest slot
+        # changed out of the id order, then put the latter back by their
+        # new smallest slot.
+        moved = [key for key, walk in new.items()
+                 if walk[:2] != walks[key][:2]]
+        order, firsts = self.order, self.firsts
+        count = len(order)
+        for key in (*moved, drop):
+            i = bisect_left(firsts, walks[key][:2])
+            del firsts[i], order[i]
+        del walks[drop]
+        walks.update(new)
+        for key in moved:
+            first = walks[key][:2]
+            i = bisect_left(firsts, first)
+            firsts.insert(i, first)
+            order.insert(i, key)
+        if len(order) != count - 1:
+            raise AssertionError("split did not merge exactly two faces")
+
+
+def _split_recorded(st: _SplitState, v: Vertex, gap_a: int,
+                    gap_b: int) -> SplitOp:
+    """Split v at two gaps of st and record the op with the ids of the
+    faces at those gaps."""
+    rot = st.rotation[v]
+    face_a = st.face_id(st.slot_face[(rot[gap_a], v)])
+    face_b = st.face_id(st.slot_face[(rot[gap_b], v)])
+    return SplitOp(v, face_a, face_b, *st.split(v, gap_a, gap_b))
 
 
 def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
                    gap_b: int) -> tuple[PlaneGraph, SplitOp]:
-    """Split v at two rotation gaps owned by two distinct faces.
+    """Split v at two rotation gaps owned by two distinct faces, as a
+    sequence of one split; returns (graph, op)."""
+    st = _SplitState(g)
+    op = _split_recorded(st, v, gap_a, gap_b)
+    return st.graph(), op
 
-    Returns (graph, op).  Every slot of g survives, with v renamed to the
-    copy that owns the slot's edge, so an outer designation carries over
-    through the old outer face's first slot.  The result's faces are
-    derived from g's by _split_faces, not traced, and equal what a trace
-    of the new rotation system would give."""
-    rot = g.rotation[v]
-    d = len(rot)
-    # the first pair v.1 v.2, v.3 v.4, ... whose names are both free
-    i = 1
-    while f"{v}.{i}" in g.rotation or f"{v}.{i + 1}" in g.rotation:
-        i += 2
-    copy_1, copy_2 = f"{v}.{i}", f"{v}.{i + 1}"
 
-    # Arc conventions follow the corner picture: with face_a's corner in
-    # gap_a and face_b's in gap_b, copy_2 takes the clockwise arc right
-    # after gap_a up to gap_b's entry, copy_1 the rest.
-    arc_2 = _cyclic_slice(rot, (gap_a + 1) % d, gap_b)
-    arc_1 = _cyclic_slice(rot, (gap_b + 1) % d, gap_a)
-    owner = {w: copy_2 for w in arc_2}
-    owner.update({w: copy_1 for w in arc_1})
-
-    new_rot: dict[Vertex, tuple[Vertex, ...]] = g.rotation.copy()
-    del new_rot[v]
-    new_rot[copy_1] = arc_1
-    new_rot[copy_2] = arc_2
-    for w in rot:
-        new_rot[w] = tuple(owner[w] if x == v else x for x in new_rot[w])
-
-    in_a, in_b = (rot[gap_a], v), (rot[gap_b], v)
-    op = SplitOp(vertex=v, face_a=g.face_of_slot(in_a),
-                 face_b=g.face_of_slot(in_b), copy_1=copy_1, copy_2=copy_2)
-    data = _split_faces(g.face_data, v, in_a, in_b, owner)
-    outer = None
-    if g.outer_face is not None:
-        x, y = g.face_data.firsts[g.outer_face]
-        slot = ((owner[y], y) if x == v else
-                (x, owner[x]) if y == v else (x, y))
-        outer = data.face_id(data.slot_face[slot])
-    return PlaneGraph(new_rot, data, outer), op
+def _split_by_ids(st: _SplitState, v: Vertex, face_a: FaceId,
+                  face_b: FaceId) -> SplitOp:
+    """Split v of st with respect to two distinct incident faces, given
+    by their ids."""
+    if v not in st.rotation:
+        raise NotIncident(f"vertex {v!r} does not exist")
+    if face_a == face_b:
+        raise SameFace(f"split needs two distinct faces, got {face_a} twice")
+    if len(st.rotation[v]) < 2:
+        raise DanglingVertex(
+            f"vertex {v!r} has degree {len(st.rotation[v])}, cannot split")
+    gap_a = st.corner_gap(v, st.key(face_a))
+    gap_b = st.corner_gap(v, st.key(face_b))
+    return SplitOp(v, face_a, face_b, *st.split(v, gap_a, gap_b))
 
 
 def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
@@ -294,15 +371,9 @@ def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
     The faces merge into one; the result has one more vertex, the same
     edges, and one face fewer.  The copies are named v.1 and v.2, or
     the first pair v.3 v.4, v.5 v.6, ... whose names are both free."""
-    if v not in g.rotation:
-        raise NotIncident(f"vertex {v!r} does not exist")
-    if face_a == face_b:
-        raise SameFace(f"split needs two distinct faces, got {face_a} twice")
-    if len(g.rotation[v]) < 2:
-        raise DanglingVertex(
-            f"vertex {v!r} has degree {len(g.rotation[v])}, cannot split")
-    return _split_at_gaps(g, v, _corner_gap(g, v, face_a),
-                          _corner_gap(g, v, face_b))
+    st = _SplitState(g)
+    op = _split_by_ids(st, v, face_a, face_b)
+    return st.graph(), op
 
 
 def _origin(ops: Iterable[SplitOp]) -> dict[Vertex, Vertex]:
@@ -318,61 +389,68 @@ def _origin(ops: Iterable[SplitOp]) -> dict[Vertex, Vertex]:
 
 # -- merging several faces at one vertex --------------------------------------
 
+def _merge(st: _SplitState, v: Vertex, keys: set[int]) -> list[SplitOp]:
+    """Merge the faces of st with the given keys, all incident to v, into
+    one face with len(keys) - 1 splits, iterating clockwise around v.
+
+    Each face is held by the neighbor y of its first clockwise corner
+    (y, v): a split only renames v, so the slot from y to its copy of v
+    stays on that face."""
+    corner: dict[int, Vertex] = {}
+    for y in st.rotation[v]:
+        key = st.slot_face[(y, v)]
+        if key in keys:
+            corner.setdefault(key, y)
+    # Faces in clockwise order of their first corner around v, rotated
+    # so the smallest id, which has the smallest first slot, leads.
+    lead = list(corner).index(min(corner, key=lambda k: st.walks[k][:2]))
+    held = list(corner.values())
+    held = held[lead:] + held[:lead]
+
+    copies = [v]  # current copies of v, the newest copy_1 last
+
+    def now(y: Vertex) -> int:
+        return st.slot_face[
+            (y, next(x for x in st.rotation[y] if x in copies))]
+
+    ops: list[SplitOp] = []
+    for y in held[1:]:
+        merged = now(held[0])
+        target = now(y)
+        # The merged face touches every copy of v, but a face merged at
+        # an earlier vertex may have corners at several of them; split a
+        # copy the next face touches.
+        c = next(c for c in reversed(copies) if c in st.walks[target])
+        op = _split_recorded(st, c, st.corner_gap(c, merged),
+                             st.corner_gap(c, target))
+        ops.append(op)
+        copies.remove(c)
+        copies += [op.copy_2, op.copy_1]
+    return ops
+
+
 def merge_faces_at_vertex(
         g: PlaneGraph, v: Vertex, faces: Iterable[FaceId]
 ) -> tuple[PlaneGraph, list[SplitOp]]:
     """Merge all given faces incident to v into one face using exactly
     len(faces) - 1 splits, iterating clockwise around v.
 
-    Returns (graph, ops).  Each face is held by the neighbor y of its
-    first clockwise corner (y, v): a split only renames v, so the slot
-    from y to its copy of v stays on that face."""
+    Returns (graph, ops)."""
     wanted = set(faces)
     if v not in g.rotation:
         raise NotIncident(f"vertex {v!r} does not exist")
-    # the first corner of each wanted face, clockwise around v; a face
-    # without one is not incident to v
-    corner: dict[FaceId, Vertex] = {}
-    for y in g.rotation[v]:
-        fid = g.face_of_slot((y, v))
-        if fid in wanted:
-            corner.setdefault(fid, y)
-    missing = wanted - corner.keys()
+    data = g.face_data
+    at_v = {data.slot_face[(y, v)] for y in g.rotation[v]}
+    missing = [f for f in wanted
+               if not (0 <= f < len(data.order) and data.order[f] in at_v)]
     if missing:
         raise NotIncident(
             f"vertex {v!r} is not on the boundary of face {min(missing)}")
     if len(wanted) <= 1:
         return g, []
-
-    # Faces of the set in clockwise order of their first corner around v,
-    # rotated so the smallest id leads.
-    ordered = list(corner)
-    lead = ordered.index(min(wanted))
-    ordered = ordered[lead:] + ordered[:lead]
-
-    cur = g
-    copies = [v]  # current copies of v, the newest copy_1 last
-
-    def now(fid: FaceId) -> FaceId:
-        y = corner[fid]
-        return cur.face_of_slot(
-            (y, next(x for x in cur.rotation[y] if x in copies)))
-
-    ops: list[SplitOp] = []
-    for fid in ordered[1:]:
-        merged = now(ordered[0])
-        target = now(fid)
-        # The merged face touches every copy of v, but a face merged at
-        # an earlier vertex may have corners at several of them; split a
-        # copy the next face touches.
-        c = next(c for c in reversed(copies)
-                 if c in cur.face_data.walk(target))
-        cur, op = _split_at_gaps(cur, c, _corner_gap(cur, c, merged),
-                                 _corner_gap(cur, c, target))
-        ops.append(op)
-        copies.remove(c)
-        copies += [op.copy_2, op.copy_1]
-    return cur, ops
+    st = _SplitState(g)
+    ops = _merge(st, v, {data.order[f] for f in wanted})
+    return st.graph(), ops
 
 
 # -- covers and their realization ---------------------------------------------
@@ -444,24 +522,29 @@ def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
     cover.tree.  The walk goes root to leaf and merges, at every vertex,
     the faces joined to it by tree edges.  Tree leaves are vertices of
     tree degree one and are never split."""
-    cover = face_cover(g, cover.faces)
+    return _realize(g, face_cover(g, cover.faces))
+
+
+def _realize(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
+    """realize_cover for a cover that face_cover made on g, whose tree is
+    therefore the certificate's own."""
     # vertices in order of first appearance, which is BFS discovery order
     tree_faces: dict[Vertex, list[FaceId]] = {}
     for v, f in cover.tree:
         tree_faces.setdefault(v, []).append(f)
 
-    cur = g
+    data = g.face_data
+    st = _SplitState(g)
     ops: list[SplitOp] = []
     origin: dict[Vertex, Vertex] = {}
     for v, group in tree_faces.items():
         if len(group) < 2:
             continue
         # v is still unsplit at its turn, so each original face cornered
-        # at v is found through a slot into v.
-        now = {g.face_of_slot((origin.get(y, y), v)): cur.face_of_slot((y, v))
-               for y in cur.rotation[v]}
-        cur, new_ops = merge_faces_at_vertex(
-            cur, v, sorted(now[f] for f in group))
+        # at v is followed to its current key through a slot into v.
+        now = {data.slot_face[(origin.get(y, y), v)]: st.slot_face[(y, v)]
+               for y in st.rotation[v]}
+        new_ops = _merge(st, v, {now[data.order[f]] for f in group})
         ops += new_ops
         origin.update(_origin(new_ops))  # every new copy descends from v
 
@@ -469,7 +552,7 @@ def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
         raise AssertionError(
             f"realization used {len(ops)} splits for a cover of "
             f"{len(cover.faces)} faces")
-    if not is_outerplane(cur):
+    if not is_outerplane(st.graph()):
         raise AssertionError("realized graph is not outerplane")
     return SplitSequence(ops=tuple(ops))
 
@@ -479,17 +562,17 @@ def realize_cover(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
 def replay(g: PlaneGraph, seq: SplitSequence) -> PlaneGraph:
     """Apply a recorded split sequence step by step; ReplayFailure when a
     step does not apply or produces different copy names."""
-    cur = g
+    st = _SplitState(g)
     for step, op in enumerate(seq.ops):
         try:
-            cur, applied = split_vertex(cur, op.vertex, op.face_a, op.face_b)
+            applied = _split_by_ids(st, op.vertex, op.face_a, op.face_b)
         except OutersplitError as exc:
             raise ReplayFailure(f"step {step} ({op}): {exc}") from exc
         if (applied.copy_1, applied.copy_2) != (op.copy_1, op.copy_2):
             raise ReplayFailure(
                 f"step {step}: expected copies {op.copy_1}/{op.copy_2}, "
                 f"got {applied.copy_1}/{applied.copy_2}")
-    return cur
+    return st.graph()
 
 
 def extract_cover(g: PlaneGraph, seq: SplitSequence) -> FaceCover:
@@ -504,8 +587,9 @@ def extract_cover(g: PlaneGraph, seq: SplitSequence) -> FaceCover:
     if qualifying is None:
         raise NotOuterplane("replayed graph has no all-incident face")
     origin = seq.origin
-    originals = {g.face_of_slot((origin.get(x, x), origin.get(y, y)))
-                 for x, y in final.faces[qualifying].boundary}
+    walk = [origin.get(x, x) for x in final.face_data.walk(qualifying)]
+    originals = {g.face_of_slot(slot)
+                 for slot in zip(walk, walk[1:] + walk[:1])}
     try:
         return face_cover(g, originals)
     except InvalidCover as exc:

@@ -142,6 +142,7 @@ def test_oracle_agreement(tmp_path, capsys):
     assert "vc 3" in lines
     assert "agree fvs==cfc yes" in lines
     assert "agree osn==cfc-1 yes" in lines
+    assert "agree extract==cover yes" in lines
 
 
 def test_oracle_porcelain_and_budget(tmp_path, capsys):
@@ -153,6 +154,7 @@ def test_oracle_porcelain_and_budget(tmp_path, capsys):
     assert "osn=none" in lines
     assert "agree_fvs=true" in lines
     assert "agree_osn=skipped" in lines
+    assert "agree_extract=true" in lines
 
 
 def test_oracle_negative_budget_is_a_domain_error(tmp_path, capsys):
@@ -180,6 +182,26 @@ def test_oracle_reports_cfc_skipped_above_the_cap(tmp_path, capsys):
     lines = out.splitlines()
     assert "cfc=skipped" in lines
     assert "agree_fvs=skipped" in lines
+
+
+def test_oracle_skips_extract_when_not_biconnected(tmp_path, capsys):
+    rot = tmp_path / "bowtie.rot"
+    rot.write_text(BOWTIE)
+    code, out, _ = run(capsys, "oracle", str(rot), "--porcelain")
+    assert code == 0
+    assert "agree_extract=skipped" in out.splitlines()
+    code, out, _ = run(capsys, "oracle", str(rot))
+    assert "agree extract==cover skipped" in out.splitlines()
+
+
+def test_split_with_non_ascii_digits_is_a_parse_error(tmp_path, capsys):
+    seq = tmp_path / "bad.seq"
+    seq.write_text("SPLIT a ² 1 -> a.1 a.2\n", encoding="utf-8")
+    code, out, err = run(capsys, "split", "--apply", write_k4(tmp_path),
+                         str(seq))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:")
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):

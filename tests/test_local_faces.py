@@ -1,9 +1,10 @@
 """Face data derived through splits equals a full retrace.
 
-A split's faces come from its parent's faces, never from tracing the new
-rotation system.  Every test here wraps the split primitive so that each
-graph it returns is compared, face by face and slot by slot, with
-_trace_faces run on that graph's rotation system.
+A split's faces come from the faces before it, never from tracing the
+new rotation system.  The tests here wrap the split primitive, or call a
+one-split sequence, so that the graph after every split is compared, face
+by face and slot by slot, with _trace_faces run on its rotation system.
+One more checks that a split sequence leaves its input graph unchanged.
 """
 
 import random
@@ -18,11 +19,14 @@ from outersplit import (
     build,
     extract_cover,
     face_cover,
+    merge_faces_at_vertex,
     random_biconnected,
     random_triangulation,
     realize_cover,
     replay,
+    serialize_rot,
     solve_osn,
+    with_outer_face,
 )
 from outersplit.plane_graph import _trace_faces
 
@@ -35,36 +39,39 @@ def assert_traced(g):
             == traced.slot_face)
     # A split cuts a face at its first corner along the traced walk,
     # which the derived data must find too.
+    st = split_engine._SplitState(g)
     for f in traced.faces:
         first = {}
         for x, y in f.boundary:
             first.setdefault(y, x)
         for v, x in first.items():
-            assert (split_engine._corner_gap(g, v, f.id)
+            assert (st.corner_gap(v, g.face_data.order[f.id])
                     == g.rotation[v].index(x))
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Records splits and checks the face data of every split result,
-    and that an outer designation stays on the face holding the old
-    outer face's first slot."""
+    """Records splits and checks the face data after every split of a
+    sequence, and that an outer designation stays on the face holding
+    the old outer face's first slot."""
     made = []
-    real = split_engine._split_at_gaps
+    real = split_engine._SplitState.split
 
-    def checking(g, v, gap_a, gap_b):
-        result, op = real(g, v, gap_a, gap_b)
+    def checking(st, v, gap_a, gap_b):
+        first = None if st.outer is None else st.walks[st.outer][:2]
+        copies = real(st, v, gap_a, gap_b)
+        result = st.graph()
         assert_traced(result)
-        assert (result.outer_face is None) == (g.outer_face is None)
-        if g.outer_face is not None:
-            back = {op.copy_1: v, op.copy_2: v}
+        assert (result.outer_face is None) == (first is None)
+        if first is not None:
+            back = dict.fromkeys(copies, v)
             outer = result.faces[result.outer_face].boundary
-            assert g.faces[g.outer_face].boundary[0] in {
+            assert first in {
                 (back.get(x, x), back.get(y, y)) for x, y in outer}
-        made.append(op)
-        return result, op
+        made.append((v, *copies))
+        return copies
 
-    monkeypatch.setattr(split_engine, "_split_at_gaps", checking)
+    monkeypatch.setattr(split_engine._SplitState, "split", checking)
     return made
 
 
@@ -96,6 +103,39 @@ def test_every_connected_cover(checked, every_connected_cover):
     assert checked
 
 
+def snapshot(g):
+    data = g.face_data
+    return (dict(g.rotation), dict(data.walks), dict(data.slot_face),
+            list(data.order), list(data.firsts), g.outer_face,
+            serialize_rot(g))
+
+
+def test_sequences_leave_their_input_unchanged():
+    # A sequence edits a copy of its input.  Inputs include graphs made
+    # by splits, whose face keys are not their ids, and designated outer
+    # faces; each comes with a sequence that applies to it and a cover.
+    cases = []
+    for g in (random_triangulation(30, 0), random_biconnected(40, 52, 1)):
+        res = solve_osn(g)
+        ops = res.splits.ops
+        head = split_engine.SplitSequence(ops[:len(ops) // 2])
+        tail = split_engine.SplitSequence(ops[len(ops) // 2:])
+        part = replay(g, head)
+        every = face_cover(part, range(len(part.face_data.order)))
+        cases += [(g, res.splits, res.cover),
+                  (with_outer_face(g, 3), res.splits, res.cover),
+                  (part, tail, every),
+                  (with_outer_face(part, 1), tail, every)]
+    for g, seq, cover in cases:
+        before = snapshot(g)
+        replay(g, seq)
+        realize_cover(g, cover)
+        for v in sorted(g.rotation)[:5]:
+            fids = {g.face_of_slot((x, v)) for x in g.rotation[v]}
+            merge_faces_at_vertex(g, v, fids)
+        assert snapshot(g) == before
+
+
 def crowded(g, seed):
     """g with vertices renamed into the copy names of others: x.1, x.2
     and x.1.1 beside x, and y- beside y, which sorts between y and
@@ -121,7 +161,7 @@ def test_solve_and_replay_with_crowded_names(checked):
         replay(g, res.splits)
         assert extract_cover(g, res.splits).faces == res.cover.faces
     # some splits had to pass over taken names
-    assert any(op.copy_1 != f"{op.vertex}.1" for op in checked)
+    assert any(copy_1 != f"{v}.1" for v, copy_1, _ in checked)
 
 
 BOWTIE = {"a": ("b", "x"), "b": ("x", "a"), "c": ("d", "x"),

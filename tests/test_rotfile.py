@@ -72,6 +72,9 @@ def test_parse_errors_carry_line_numbers():
          "trailing"),
         ("3 3\na: b c\nb: c a\nc: a b\nfaces\nouter: 9\n", 6, "9"),
         ("3 3\na b c\nb: c a\nc: a b\n", 2, "vertex"),
+        # digits that str.isdigit accepts and int rejects
+        ("3 ³\na: b c\nb: c a\nc: a b\n", 1, "header"),
+        ("3 3\na: b c\nb: c a\nc: a b\nfaces\nouter: ²\n", 6, "outer"),
         ("3 3\n: b c\nb: c a\nc: a b\n", 2, "vertex"),
     ]
     for text, line, needle in cases:
@@ -118,6 +121,8 @@ def test_bad_split_lines():
     for text in ["SPLIT a 0 -> a.1 a.2\n",
                  "CUT a 0 1 -> a.1 a.2\n",
                  "SPLIT a x 1 -> a.1 a.2\n",
+                 "SPLIT a ² 1 -> a.1 a.2\n",
+                 "SPLIT a 0 ¹ -> a.1 a.2\n",
                  "SPLIT a 0 1 => a.1 a.2\n",
                  "SPLIT a 0 1 -> a.1 a.2 extra\n"]:
         with pytest.raises(ParseError) as info:

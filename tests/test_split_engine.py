@@ -187,6 +187,18 @@ def test_face_cover_rejects_bad_input():
         face_cover(p, tri)
 
 
+def test_realize_cover_recertifies_its_cover():
+    # a cover made by hand, not by face_cover, is checked again
+    g = k4()
+    with pytest.raises(InvalidCover):
+        realize_cover(g, FaceCover(faces=frozenset({0}),
+                                   tree=(("a", 0), ("b", 0), ("d", 0))))
+    p = prism(3)
+    tri = frozenset(f.id for f in p.faces if len(f) == 3)
+    with pytest.raises(InvalidCover):
+        realize_cover(p, FaceCover(faces=tri, tree=()))
+
+
 def test_realize_cover_k4():
     g = k4()
     cover = face_cover(g, [0, 1])

@@ -4,6 +4,8 @@ Counting calls to _trace_faces is a machine-independent guard against
 code that re-traces an embedding it has already traced, for instance
 after designating an outer face.  A split derives its faces from its
 parent's, so replaying or realizing a split sequence traces nothing.
+A sequence edits one working copy of its input, so replaying it builds
+a single graph, at the end.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from outersplit import (
     serialize_rot,
     solve_osn,
 )
+from outersplit.plane_graph import FaceData, PlaneGraph
 
 
 @pytest.fixture
@@ -43,6 +46,21 @@ def test_replay_traces_nothing(traces):
     final = replay(g, seq)
     assert is_outerplane(final)
     assert traces == []
+
+
+def test_replay_builds_one_graph(monkeypatch):
+    g = random_biconnected(100, 130, 0)
+    seq = solve_osn(g).splits
+    assert len(seq) == 12
+    built = []
+    for cls in (FaceData, PlaneGraph):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    replay(g, seq)
+    assert sorted(built) == ["FaceData", "PlaneGraph"]
 
 
 def test_realize_cover_traces_nothing(traces):
