@@ -82,7 +82,7 @@ def report(g: PlaneGraph, osn: int | None = None,
         n=g.n,
         min_degree=min(g.degree(v) for v in g.rotation),
         lower_generic=lower_bound_generic(
-            g.n, max(len(set(walk)) for walk in g.face_data.walks.values())),
+            g.n, max(len(set(walk)) for walk in g.face_data.walks)),
         lower_family=family,
         upper=upper,
         osn=osn,

@@ -22,7 +22,7 @@ from .plane_graph import (
     outerplane_face,
     with_outer_face,
 )
-from .reductions import brute_min_vc, build_cfc_instance
+from .reductions import brute_min_vc, build_cfc_instance, cfc_to_vc, vc_to_cfc
 from .rotfile import parse_rot, parse_splits, serialize_rot, serialize_splits
 from .split_engine import extract_cover, replay
 from .svg import emit_svg
@@ -89,7 +89,7 @@ def _cmd_verify(args) -> int:
     g = _load(args.file)
     fid = outerplane_face(g)
     ok = fid is not None
-    faces = len(g.face_data.order)
+    faces = len(g.face_data.walks)
     if args.porcelain:
         print(f"n={g.n}")
         print(f"m={g.m}")
@@ -152,6 +152,16 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _vc_round_trip(g: PlaneGraph, vc: frozenset) -> bool:
+    """Whether the minimum vertex cover vc of the cubic biconnected g
+    maps to a cover of the subdivided dual D* as small as its minimum
+    one, which maps back to vc."""
+    inst = build_cfc_instance(g)
+    cover = vc_to_cfc(inst, vc)
+    return (len(cover.faces) == len(brute_min_cfc(inst.dstar).faces)
+            and cfc_to_vc(inst, cover) == vc)
+
+
 def _cmd_oracle(args) -> int:
     g = _load(args.file)
     kv = args.porcelain
@@ -172,10 +182,13 @@ def _cmd_oracle(args) -> int:
     row("fvs", len(fvs.nodes))
     row("osn", "none" if osn_val is None else osn_val)
 
+    biconnected = is_biconnected(g)
     cubic = all(len(nbrs) == 3 for nbrs in g.rotation.values())
-    if cubic and is_biconnected(g):
+    vc = None
+    if cubic and biconnected:
         try:
-            row("vc", len(brute_min_vc(g)))
+            vc = brute_min_vc(g)
+            row("vc", len(vc))
         except CapExceeded:
             row("vc", "skipped")
 
@@ -190,12 +203,17 @@ def _cmd_oracle(args) -> int:
         verdict(osn_val == cfc_val - 1)
         if cfc_ok and isinstance(osn_val, int) else "skipped")
     # the cover read back off the solver's splits is the solver's cover
-    if is_biconnected(g):
+    if biconnected:
         res = solve_osn(g)
         extract = verdict(extract_cover(g, res.splits) == res.cover)
     else:
         extract = "skipped"
     row("agree_extract" if kv else "agree extract==cover", extract)
+    if cubic and biconnected:
+        # D* has one face per vertex of g, so it is within the face cover
+        # enumeration cap whenever g is within the vertex cover one
+        row("agree_vc" if kv else "agree vc==cfc(D*)",
+            "skipped" if vc is None else verdict(_vc_round_trip(g, vc)))
     return 0
 
 

@@ -621,22 +621,17 @@ _ENUM_CAP = 20  # most faces brute_min_cfc enumerates subsets of
 def brute_min_cfc(g: PlaneGraph) -> FaceCover:
     """Minimum connected face cover by exhaustive enumeration of face
     subsets in increasing size and lexicographic order."""
-    faces = g.faces
-    if len(faces) > _ENUM_CAP:
+    walks = g.face_data.walks
+    if len(walks) > _ENUM_CAP:
         raise CapExceeded(
-            f"{len(faces)} faces exceeds the enumeration cap of {_ENUM_CAP}")
+            f"{len(walks)} faces exceeds the enumeration cap of {_ENUM_CAP}")
     order = sorted(set(g.rotation))
     pos = {v: i for i, v in enumerate(order)}
-    masks = []
-    for f in faces:
-        m = 0
-        for v in f.incident_vertices:
-            m |= 1 << pos[v]
-        masks.append(m)
+    masks = [sum(1 << pos[v] for v in set(walk)) for walk in walks]
     full = (1 << len(order)) - 1
 
-    for size in range(1, len(faces) + 1):
-        for combo in combinations(range(len(faces)), size):
+    for size in range(1, len(walks) + 1):
+        for combo in combinations(range(len(walks)), size):
             union = 0
             for i in combo:
                 union |= masks[i]
@@ -670,12 +665,12 @@ def brute_osn_by_splits(g: PlaneGraph, k_max: int | None = None,
     InfeasibleParameters.  Independent of covers and duals."""
     if k_max is not None and k_max < 0:
         raise InfeasibleParameters("k_max must be nonnegative")
-    if len(g.faces) > face_cap:
+    faces = len(g.face_data.walks)
+    if faces > face_cap:
         raise CapExceeded(
-            f"{len(g.faces)} faces exceeds the split-search cap of "
-            f"{face_cap}")
+            f"{faces} faces exceeds the split-search cap of {face_cap}")
     if k_max is None:
-        k_max = len(g.faces) - 1
+        k_max = faces - 1
     for depth in range(k_max + 1):
         if _split_search(g, depth, {}):
             return depth

@@ -242,8 +242,8 @@ def fan(n: int) -> PlaneGraph:
     for i in range(2, n):
         rot[str(i)] = (str(i + 1), "0", str(i - 1))
     g = build(rot)
-    big = max(g.faces, key=len)
-    return with_outer_face(g, big.id)
+    big, _ = max(enumerate(g.face_data.walks), key=lambda fw: len(fw[1]))
+    return with_outer_face(g, big)
 
 
 def octahedron() -> PlaneGraph:

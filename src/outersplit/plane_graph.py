@@ -21,18 +21,17 @@ whole split sequence and wraps them in a FaceData and a PlaneGraph once,
 at the end, so a graph is built only where the API returns one.
 Designating an outer face shares the data unchanged.
 
-The package reads faces from FaceData itself: a face's vertices come from
-its walk, found by id through FaceData.walk, and the face on each side of
-an edge from slot_face.  Face records, with their slot tuples and vertex
-sets, are made only for callers of PlaneGraph.faces.
+The package reads faces from FaceData itself: face i's vertices are
+walks[i], and the face on each side of an edge comes from slot_face.
+Face records, with their slot tuples and vertex sets, are made only for
+callers of PlaneGraph.faces.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     AsymmetricRotation,
@@ -105,52 +104,29 @@ class PlaneGraph:
         return self.face_data.faces
 
     def face_of_slot(self, slot: Slot) -> FaceId:
-        data = self.face_data
-        return data.face_id(data.slot_face[slot])
+        return self.face_data.slot_face[slot]
 
 
 @dataclass(frozen=True, eq=False)
 class FaceData:
-    """The faces of one embedding, held under keys that a split keeps.
+    """The faces of one embedding, by face id.
 
-    walks maps a key to the vertices of its face's walk, in walk order
-    from the tail of the smallest slot: the walk (u0, u1, ...) has the
-    slots (u0, u1), (u1, u2), ... and (u_last, u0).  slot_face maps every
-    slot to the key of its face.  order lists the keys by smallest slot,
-    so the position of a key there is its face id, and firsts holds those
-    smallest slots in the same order.
-
-    A trace keys each face by its id.  A split keeps the key of every
-    face it does not merge, so most entries carry over from the parent
-    unchanged, so a key need not be its face's id: walk finds a face by
-    id through order.  The package reads walks; the Face records in
+    walks[i] holds the vertices of face i's walk, in walk order from the
+    tail of its smallest slot: the walk (u0, u1, ...) has the slots
+    (u0, u1), (u1, u2), ... and (u_last, u0).  slot_face maps every slot
+    to the id of its face.  The package reads walks; the Face records in
     faces are made when first asked for, for callers of PlaneGraph.faces.
     """
 
-    walks: dict[int, tuple[Vertex, ...]]
-    slot_face: dict[Slot, int]
-    order: Sequence[int]
-    firsts: list[Slot]
+    walks: tuple[tuple[Vertex, ...], ...]
+    slot_face: dict[Slot, FaceId]
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         return tuple(
             Face(id=i, boundary=tuple(zip(walk, walk[1:] + walk[:1])),
                  incident_vertices=frozenset(walk))
-            for i, walk in enumerate(map(self.walks.__getitem__,
-                                         self.order)))
-
-    def walk(self, fid: FaceId) -> tuple[Vertex, ...]:
-        """The walk of the face with id fid."""
-        return self.walks[self.order[fid]]
-
-    def face_id(self, key: int) -> FaceId:
-        # a key found at its own position is its own id, which holds for
-        # every face of a traced graph
-        order = self.order
-        if key < len(order) and order[key] == key:
-            return key
-        return bisect_left(self.firsts, self.walks[key][:2])
+            for i, walk in enumerate(self.walks))
 
 
 def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> FaceData:
@@ -160,15 +136,14 @@ def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> FaceData:
         for i, u in enumerate(nbrs):
             succ[(u, v)] = nbrs[(i + 1) % d]
 
-    walks: dict[int, tuple[Vertex, ...]] = {}
-    slot_face: dict[Slot, int] = {}
-    firsts: list[Slot] = []
+    walks: list[tuple[Vertex, ...]] = []
+    slot_face: dict[Slot, FaceId] = {}
     # Slots are consumed in sorted order, so every walk starts at its own
     # lexicographically smallest slot and face ids come out sorted.
     for start in sorted(succ):
         if start in slot_face:
             continue
-        fid = len(firsts)
+        fid = len(walks)
         walk: list[Vertex] = []
         cur = start
         while cur not in slot_face:
@@ -178,9 +153,8 @@ def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> FaceData:
             cur = (v, succ[cur])
         if cur != start:
             raise NotPlanar("face walk did not close on its start slot")
-        walks[fid] = tuple(walk)
-        firsts.append(start)
-    return FaceData(walks, slot_face, range(len(firsts)), firsts)
+        walks.append(tuple(walk))
+    return FaceData(tuple(walks), slot_face)
 
 
 def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
@@ -220,7 +194,7 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
             "edge to have a face")
     # the trace also raises NotPlanar on a non-closing walk
     data = _trace_faces(rotation)
-    f = len(data.order)
+    f = len(data.walks)
     if n - m + f != 2:
         raise NotPlanar(
             f"V - E + F = {n - m + f}, not 2: rotation system does not "
@@ -244,7 +218,7 @@ def _connected(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> bool:
 def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     """Return the same embedding with face_id designated as outer,
     sharing g's rotation and face data."""
-    count = len(g.face_data.order)
+    count = len(g.face_data.walks)
     if not 0 <= face_id < count:
         raise OuterFaceUnset(
             f"face {face_id} does not exist (graph has {count} faces)")
@@ -285,15 +259,13 @@ class DualGraph:
 def dual(g: PlaneGraph) -> DualGraph:
     """Dual multigraph of the embedding: one node per face, the outer one
     included, and one edge per primal edge: the faces of its two slots."""
-    data = g.face_data
-    slot_face = data.slot_face
-    id_of = {key: i for i, key in enumerate(data.order)}
+    slot_face = g.face_data.slot_face
     edges = []
-    for (u, v), key in slot_face.items():
+    for (u, v), a in slot_face.items():
         if u < v:
-            a, b = id_of[key], id_of[slot_face[(v, u)]]
+            b = slot_face[(v, u)]
             edges.append((a, b) if a <= b else (b, a))
-    return DualGraph(nodes=tuple(range(len(id_of))),
+    return DualGraph(nodes=tuple(range(len(g.face_data.walks))),
                      edges=tuple(sorted(edges)))
 
 
@@ -307,23 +279,23 @@ def is_biconnected(g: PlaneGraph) -> bool:
     embeddings, and splits keep both properties, so every PlaneGraph
     meets the precondition."""
     return g.n >= 3 and all(
-        len(walk) == len(set(walk)) for walk in g.face_data.walks.values())
+        len(walk) == len(set(walk)) for walk in g.face_data.walks)
 
 
 def outerplane_face(g: PlaneGraph) -> FaceId | None:
     """Face incident to every vertex: the designated outer face when it
     qualifies, else the smallest qualifying id, else None."""
     n = g.n
-    data = g.face_data
+    walks = g.face_data.walks
 
     def touches_all(fid: FaceId) -> bool:
         # a walk holds vertices of g only, so n distinct ones are all
-        walk = data.walk(fid)
+        walk = walks[fid]
         return len(walk) >= n and len(set(walk)) == n
 
     if g.outer_face is not None and touches_all(g.outer_face):
         return g.outer_face
-    return next(filter(touches_all, range(len(data.order))), None)
+    return next(filter(touches_all, range(len(walks))), None)
 
 
 def is_outerplane(g: PlaneGraph) -> bool:

@@ -74,12 +74,13 @@ def build_cfc_instance(g: PlaneGraph) -> CfcInstance:
     if not is_biconnected(g):
         raise NotBiconnected("the construction needs a biconnected input")
 
+    walks = g.face_data.walks
     used: set[str] = set()
     face_name: dict[FaceId, str] = {}
-    for f in g.faces:
-        name = _fresh_name(f"f{f.id}", used)
+    for fid in range(len(walks)):
+        name = _fresh_name(f"f{fid}", used)
         used.add(name)
-        face_name[f.id] = name
+        face_name[fid] = name
     edge_name = _edge_names(g.edges(), used)
 
     def name_of(slot) -> str:
@@ -87,17 +88,18 @@ def build_cfc_instance(g: PlaneGraph) -> CfcInstance:
         return edge_name[(min(u, v), max(u, v))]
 
     rot: dict[str, list[str]] = {}
-    for f in g.faces:
-        rot[face_name[f.id]] = [name_of(s) for s in f.boundary]
+    for fid, walk in enumerate(walks):
+        rot[face_name[fid]] = [name_of(s)
+                               for s in zip(walk, walk[1:] + walk[:1])]
     for (u, v), w in edge_name.items():
         fa = g.face_of_slot((u, v))
         fb = g.face_of_slot((v, u))
         rot[w] = [face_name[fa], face_name[fb]]
 
     dstar = build(rot)
-    if len(dstar.faces) != g.n:
+    if len(dstar.face_data.walks) != g.n:
         raise AssertionError(
-            f"subdivided dual has {len(dstar.faces)} faces for "
+            f"subdivided dual has {len(dstar.face_data.walks)} faces for "
             f"{g.n} primal vertices")
 
     # for each primal slot (x, v) on face F, the D* slot from the edge

@@ -120,9 +120,8 @@ def serialize_rot(g: PlaneGraph) -> str:
         out.append(f"{v}: " + " ".join(g.rotation[v]) if g.rotation[v]
                    else f"{v}:")
     out.append("faces")
-    walk = g.face_data.walk
-    for fid in range(len(g.face_data.order)):
-        out.append(f"# {fid}: " + " ".join(walk(fid)))
+    for fid, walk in enumerate(g.face_data.walks):
+        out.append(f"# {fid}: " + " ".join(walk))
     if g.outer_face is not None:
         out.append(f"outer: {g.outer_face}")
     return "\n".join(out) + "\n"

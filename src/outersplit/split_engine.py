@@ -24,13 +24,15 @@ smallest slot.  Only graphs made by build are ever traced, once each.
 
 A sequence of splits edits one working state in place: the rotation, the
 slot map, the walks by key and the id order, copied once from the input
-graph, which is never changed.  Graphs are built at the API boundary
-only, one when the sequence is done, so replay, realize_cover and
-merge_faces_at_vertex each build a single PlaneGraph, and split_vertex
-is a sequence of one split.  Within a sequence faces are followed by key,
-through the slots into the split vertex; a face id, which costs a search
-of the id order once keys and ids part, is computed only where a SplitOp
-records one.
+graph, which is never changed.  The state holds faces by keys, which
+start as the input's face ids and which a split keeps for every face it
+does not merge.  Graphs are built at the API boundary only, one when the
+sequence is done, with the faces renumbered by id, so replay,
+realize_cover and merge_faces_at_vertex each build a single PlaneGraph,
+and split_vertex is a sequence of one split.  Within a sequence faces
+are followed by key, through the slots into the split vertex; a face id,
+which costs a search of the id order once keys and ids part, is computed
+only where a SplitOp records one.
 
 merge_faces_at_vertex chains splits around one vertex so that a whole set
 of faces incident to it becomes a single face.  realize_cover walks a
@@ -113,7 +115,6 @@ class FaceCover:
 
 def _cyclic_slice(items: tuple, start: int, end: int) -> tuple:
     # inclusive slice from start to end, wrapping
-    d = len(items)
     if start <= end:
         return items[start:end + 1]
     return items[start:] + items[:end + 1]
@@ -154,11 +155,14 @@ class _SplitState:
     """A rotation system and its faces, edited in place by the splits of
     one sequence.
 
-    It holds the fields of FaceData under the same names, so that
-    FaceData.face_id applies to it, and the outer face, if one is
-    designated, by key.  It starts as a copy of one graph, which the
-    splits therefore never change, and graph wraps it in a PlaneGraph
-    once the sequence is done."""
+    walks maps a key to its face's walk, slot_face maps every slot to
+    the key of its face, and outer is the outer face's key, if one is
+    designated.  order lists the keys by smallest slot, so the position
+    of a key there is its face id, and firsts holds those smallest slots
+    in the same order.  The state starts as a copy of one graph, keyed
+    by its face ids, so the splits never change that graph; a split
+    keeps the key of every face it does not merge, so keys and ids part.
+    graph renumbers the faces by id once the sequence is done."""
 
     __slots__ = ("rotation", "walks", "slot_face", "order", "firsts",
                  "outer")
@@ -166,20 +170,29 @@ class _SplitState:
     def __init__(self, g: PlaneGraph):
         data = g.face_data
         self.rotation = dict(g.rotation)
-        self.walks = data.walks.copy()
+        self.walks = dict(enumerate(data.walks))
         self.slot_face = data.slot_face.copy()
-        self.order = list(data.order)
-        self.firsts = list(data.firsts)
-        self.outer = (None if g.outer_face is None
-                      else data.order[g.outer_face])
+        self.order = list(range(len(data.walks)))
+        self.firsts = [walk[:2] for walk in data.walks]
+        self.outer = g.outer_face
 
-    face_id = FaceData.face_id
+    def face_id(self, key: int) -> FaceId:
+        # a key found at its own position is its own id, as every key is
+        # until a split moves faces in the id order
+        order = self.order
+        if key < len(order) and order[key] == key:
+            return key
+        return bisect_left(self.firsts, self.walks[key][:2])
 
     def graph(self) -> PlaneGraph:
-        """The graph of the current state, which must not be split
-        again, as the graph shares its maps."""
-        data = FaceData(self.walks, self.slot_face, self.order, self.firsts)
-        outer = None if self.outer is None else data.face_id(self.outer)
+        """The graph of the current state, with its faces renumbered by
+        id.  The state must not be split again, as the graph shares its
+        rotation."""
+        id_of = {key: i for i, key in enumerate(self.order)}
+        data = FaceData(tuple(map(self.walks.__getitem__, self.order)),
+                        {slot: id_of[key]
+                         for slot, key in self.slot_face.items()})
+        outer = None if self.outer is None else id_of[self.outer]
         return PlaneGraph(self.rotation, data, outer)
 
     def key(self, fid: FaceId) -> int:
@@ -439,17 +452,16 @@ def merge_faces_at_vertex(
     wanted = set(faces)
     if v not in g.rotation:
         raise NotIncident(f"vertex {v!r} does not exist")
-    data = g.face_data
-    at_v = {data.slot_face[(y, v)] for y in g.rotation[v]}
-    missing = [f for f in wanted
-               if not (0 <= f < len(data.order) and data.order[f] in at_v)]
+    slot_face = g.face_data.slot_face
+    missing = wanted - {slot_face[(y, v)] for y in g.rotation[v]}
     if missing:
         raise NotIncident(
             f"vertex {v!r} is not on the boundary of face {min(missing)}")
     if len(wanted) <= 1:
         return g, []
+    # the state is keyed by g's face ids
     st = _SplitState(g)
-    ops = _merge(st, v, {data.order[f] for f in wanted})
+    ops = _merge(st, v, wanted)
     return st.graph(), ops
 
 
@@ -494,11 +506,11 @@ def face_cover(g: PlaneGraph, faces: Iterable[FaceId]) -> FaceCover:
     fset = frozenset(faces)
     if not fset:
         raise InvalidCover("a cover needs at least one face")
-    data = g.face_data
+    walks = g.face_data.walks
     for fid in fset:
-        if not 0 <= fid < len(data.order):
+        if not 0 <= fid < len(walks):
             raise InvalidCover(f"face {fid} does not exist")
-    vertices_of = {fid: set(data.walk(fid)) for fid in sorted(fset)}
+    vertices_of = {fid: set(walks[fid]) for fid in sorted(fset)}
     faces_of: dict[Vertex, list[FaceId]] = {}
     for fid, vertices in vertices_of.items():
         for v in vertices:
@@ -533,7 +545,7 @@ def _realize(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
     for v, f in cover.tree:
         tree_faces.setdefault(v, []).append(f)
 
-    data = g.face_data
+    slot_face = g.face_data.slot_face
     st = _SplitState(g)
     ops: list[SplitOp] = []
     origin: dict[Vertex, Vertex] = {}
@@ -542,9 +554,9 @@ def _realize(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
             continue
         # v is still unsplit at its turn, so each original face cornered
         # at v is followed to its current key through a slot into v.
-        now = {data.slot_face[(origin.get(y, y), v)]: st.slot_face[(y, v)]
+        now = {slot_face[(origin.get(y, y), v)]: st.slot_face[(y, v)]
                for y in st.rotation[v]}
-        new_ops = _merge(st, v, {now[data.order[f]] for f in group})
+        new_ops = _merge(st, v, {now[f] for f in group})
         ops += new_ops
         origin.update(_origin(new_ops))  # every new copy descends from v
 
@@ -587,7 +599,7 @@ def extract_cover(g: PlaneGraph, seq: SplitSequence) -> FaceCover:
     if qualifying is None:
         raise NotOuterplane("replayed graph has no all-incident face")
     origin = seq.origin
-    walk = [origin.get(x, x) for x in final.face_data.walk(qualifying)]
+    walk = [origin.get(x, x) for x in final.face_data.walks[qualifying]]
     originals = {g.face_of_slot(slot)
                  for slot in zip(walk, walk[1:] + walk[:1])}
     try:

@@ -23,11 +23,8 @@ _SEED = 0  # seeds the weights of the perturbed layout retries
 
 def _outer_cycle(g: PlaneGraph) -> list[Vertex]:
     fid = g.outer_face if g.outer_face is not None else 0
-    seen: list[Vertex] = []
-    for u, _ in g.faces[fid].boundary:
-        if u not in seen:
-            seen.append(u)
-    return seen
+    # the walk's vertices in order of first visit
+    return list(dict.fromkeys(g.face_data.walks[fid]))
 
 
 def layout(g: PlaneGraph) -> dict[Vertex, tuple[float, float]]:

@@ -184,6 +184,44 @@ def test_oracle_reports_cfc_skipped_above_the_cap(tmp_path, capsys):
     assert "agree_fvs=skipped" in lines
 
 
+def prism(k):
+    """Rotation-system text of the cubic prism on an outer k-cycle o0..
+    and an inner k-cycle i0.., with o_j joined to i_j."""
+    lines = [f"{2 * k} {3 * k}"]
+    for j in range(k):
+        nxt, prv = (j + 1) % k, (j - 1) % k
+        lines.append(f"o{j}: o{nxt} o{prv} i{j}")
+        lines.append(f"i{j}: i{nxt} o{j} i{prv}")
+    return "\n".join(lines) + "\n"
+
+
+def test_oracle_round_trips_vertex_covers_on_cubic_graphs(tmp_path,
+                                                          capsys):
+    # a minimum vertex cover of K4 (3 vertices) maps to a minimum cover
+    # of the subdivided dual (3 faces) and back to itself
+    code, out, _ = run(capsys, "oracle", write_k4(tmp_path))
+    assert code == 0
+    assert "agree vc==cfc(D*) yes" in out.splitlines()
+    code, out, _ = run(capsys, "oracle", write_k4(tmp_path), "--porcelain")
+    assert code == 0
+    assert "agree_vc=true" in out.splitlines()
+    # 22 vertices are above the vertex cover enumeration cap
+    rot = tmp_path / "prism.rot"
+    rot.write_text(prism(11))
+    code, out, err = run(capsys, "oracle", str(rot), "--porcelain")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "vc=skipped" in lines
+    assert "agree_vc=skipped" in lines
+    # the octahedron is not cubic, so neither row appears
+    rot = tmp_path / "oct.rot"
+    run(capsys, "gen", "octahedron", "-o", str(rot))
+    code, out, _ = run(capsys, "oracle", str(rot), "--porcelain")
+    assert code == 0
+    assert not [line for line in out.splitlines()
+                if line.startswith(("vc=", "agree_vc="))]
+
+
 def test_oracle_skips_extract_when_not_biconnected(tmp_path, capsys):
     rot = tmp_path / "bowtie.rot"
     rot.write_text(BOWTIE)

@@ -2,10 +2,11 @@
 Face records of PlaneGraph.faces.
 
 Each reader is compared with the same question answered from the
-records, on traced graphs and on graphs derived by splits, whose face
-keys are not their ids: every prefix of solve_osn's split sequences,
-and random split chains on graphs that are not biconnected.  Solving,
-replaying and writing a graph build no records at all.
+records, on traced graphs and on graphs derived by splits, whose faces
+are renumbered by id when the graph is built: every prefix of
+solve_osn's split sequences, and random split chains on graphs that are
+not biconnected.  Solving, replaying, writing, drawing, reducing and the
+brute-force oracles build no records at all.
 """
 
 import random
@@ -14,7 +15,10 @@ from itertools import combinations
 import pytest
 
 from outersplit import (
+    brute_min_cfc,
+    brute_osn_by_splits,
     build,
+    build_cfc_instance,
     complete_3tree,
     cycle,
     dual,
@@ -27,6 +31,7 @@ from outersplit import (
     parse_rot,
     random_biconnected,
     random_triangulation,
+    render,
     replay,
     report,
     serialize_rot,
@@ -92,7 +97,6 @@ def test_traced_graphs_under_every_designation():
 
 
 def test_every_prefix_of_the_solver_splits():
-    keyed_apart = 0
     graphs = [complete_3tree(2), icosahedron()]
     graphs += [random_triangulation(14, seed=s) for s in range(3)]
     graphs += [random_biconnected(20, 26, seed=s) for s in range(3)]
@@ -101,11 +105,10 @@ def test_every_prefix_of_the_solver_splits():
         for op in solve_osn(g).splits.ops:
             cur, _ = split_vertex(cur, op.vertex, op.face_a, op.face_b)
             assert_readers_match_records(cur)
-            keyed_apart += list(cur.face_data.order) != list(
-                range(len(cur.faces)))
+            # face ids follow the smallest slots
+            firsts = [walk[:2] for walk in cur.face_data.walks]
+            assert firsts == sorted(firsts)
         assert outerplane_face(cur) is not None
-    # most derived graphs keep keys that are no longer their face ids
-    assert keyed_apart >= 20
 
 
 def test_random_split_chains_on_graphs_with_cut_vertices():
@@ -139,5 +142,10 @@ def test_solve_and_write_build_no_face_records(monkeypatch):
         assert outerplane_face(final) is not None
         serialize_rot(final)
         report(g, res.osn)
+    fan(6)
+    render(k4())
+    build_cfc_instance(k4())
+    brute_min_cfc(k4())
+    brute_osn_by_splits(k4())
     with pytest.raises(AssertionError, match="Face records"):
         k4().faces

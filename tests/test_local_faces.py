@@ -2,9 +2,10 @@
 
 A split's faces come from the faces before it, never from tracing the
 new rotation system.  The tests here wrap the split primitive, or call a
-one-split sequence, so that the graph after every split is compared, face
-by face and slot by slot, with _trace_faces run on its rotation system.
-One more checks that a split sequence leaves its input graph unchanged.
+one-split sequence, so that the face data of the graph after every split,
+renumbered by id when the graph is built, is compared as a whole with
+_trace_faces run on its rotation system.  One more checks that a split
+sequence leaves its input graph unchanged.
 """
 
 import random
@@ -33,20 +34,18 @@ from outersplit.plane_graph import _trace_faces
 
 def assert_traced(g):
     traced = _trace_faces(g.rotation)
-    # a trace keys every face by its id
-    assert g.faces == traced.faces
-    assert ({s: g.face_of_slot(s) for s in traced.slot_face}
-            == traced.slot_face)
+    assert g.face_data.walks == traced.walks
+    assert g.face_data.slot_face == traced.slot_face
     # A split cuts a face at its first corner along the traced walk,
-    # which the derived data must find too.
+    # which the derived data must find too.  The state starts keyed by
+    # the graph's face ids.
     st = split_engine._SplitState(g)
     for f in traced.faces:
         first = {}
         for x, y in f.boundary:
             first.setdefault(y, x)
         for v, x in first.items():
-            assert (st.corner_gap(v, g.face_data.order[f.id])
-                    == g.rotation[v].index(x))
+            assert st.corner_gap(v, f.id) == g.rotation[v].index(x)
 
 
 @pytest.fixture
@@ -105,14 +104,13 @@ def test_every_connected_cover(checked, every_connected_cover):
 
 def snapshot(g):
     data = g.face_data
-    return (dict(g.rotation), dict(data.walks), dict(data.slot_face),
-            list(data.order), list(data.firsts), g.outer_face,
-            serialize_rot(g))
+    return (dict(g.rotation), data.walks, dict(data.slot_face),
+            g.outer_face, serialize_rot(g))
 
 
 def test_sequences_leave_their_input_unchanged():
     # A sequence edits a copy of its input.  Inputs include graphs made
-    # by splits, whose face keys are not their ids, and designated outer
+    # by splits, whose faces were renumbered by id, and designated outer
     # faces; each comes with a sequence that applies to it and a cover.
     cases = []
     for g in (random_triangulation(30, 0), random_biconnected(40, 52, 1)):
@@ -121,7 +119,7 @@ def test_sequences_leave_their_input_unchanged():
         head = split_engine.SplitSequence(ops[:len(ops) // 2])
         tail = split_engine.SplitSequence(ops[len(ops) // 2:])
         part = replay(g, head)
-        every = face_cover(part, range(len(part.face_data.order)))
+        every = face_cover(part, range(len(part.face_data.walks)))
         cases += [(g, res.splits, res.cover),
                   (with_outer_face(g, 3), res.splits, res.cover),
                   (part, tail, every),
