@@ -72,17 +72,28 @@ def lower_bound_3tree(d: int) -> Fraction:
 def report(g: PlaneGraph, osn: int | None = None,
            tree_depth: int | None = None) -> BoundReport:
     """Collect every applicable bound for one graph.  tree_depth adds the
-    3-tree family bound; osn is the solved value when available."""
+    3-tree family bound, and InfeasibleParameters when it is negative or
+    g does not have the (3^(d+1)+5)/2 vertices of the depth-d 3-tree;
+    osn is the solved value when available."""
+    family = None
+    if tree_depth is not None:
+        # every 3-tree has more vertices than its depth, so a depth above
+        # n is rejected before 3^(d+1) is formed
+        if tree_depth >= 0 and (tree_depth > g.n
+                                or (3 ** (tree_depth + 1) + 5) // 2 != g.n):
+            raise InfeasibleParameters(
+                f"a depth-{tree_depth} complete 3-tree does not have "
+                f"{g.n} vertices")
+        family = lower_bound_3tree(tree_depth)
     try:
         upper = upper_bound(g)
     except NotMaximalPlanar:
         upper = None
-    family = lower_bound_3tree(tree_depth) if tree_depth is not None else None
     return BoundReport(
         n=g.n,
         min_degree=min(g.degree(v) for v in g.rotation),
         lower_generic=lower_bound_generic(
-            g.n, max(len(set(walk)) for walk in g.face_data.walks)),
+            g.n, max(len(set(walk)) for walk in g.walks)),
         lower_family=family,
         upper=upper,
         osn=osn,

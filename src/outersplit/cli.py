@@ -89,7 +89,7 @@ def _cmd_verify(args) -> int:
     g = _load(args.file)
     fid = outerplane_face(g)
     ok = fid is not None
-    faces = len(g.face_data.walks)
+    faces = len(g.walks)
     if args.porcelain:
         print(f"n={g.n}")
         print(f"m={g.m}")

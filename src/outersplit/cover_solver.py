@@ -621,7 +621,7 @@ _ENUM_CAP = 20  # most faces brute_min_cfc enumerates subsets of
 def brute_min_cfc(g: PlaneGraph) -> FaceCover:
     """Minimum connected face cover by exhaustive enumeration of face
     subsets in increasing size and lexicographic order."""
-    walks = g.face_data.walks
+    walks = g.walks
     if len(walks) > _ENUM_CAP:
         raise CapExceeded(
             f"{len(walks)} faces exceeds the enumeration cap of {_ENUM_CAP}")
@@ -665,7 +665,7 @@ def brute_osn_by_splits(g: PlaneGraph, k_max: int | None = None,
     InfeasibleParameters.  Independent of covers and duals."""
     if k_max is not None and k_max < 0:
         raise InfeasibleParameters("k_max must be nonnegative")
-    faces = len(g.face_data.walks)
+    faces = len(g.walks)
     if faces > face_cap:
         raise CapExceeded(
             f"{faces} faces exceeds the split-search cap of {face_cap}")

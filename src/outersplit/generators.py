@@ -49,6 +49,7 @@ class FamilySpec:
 _OUTER_SLOT: Slot = ("0", "2")
 _OUTER_VERTICES = frozenset(("0", "1", "2"))
 _DEPTH_CAP = 9  # deepest complete_3tree: (3^10 + 5) / 2 = 29,527 vertices
+_SIZE_CAP = (3 ** (_DEPTH_CAP + 1) + 5) // 2  # largest n of a sized family
 _ATTEMPTS = 20  # thinnings random_biconnected tries before it gives up
 
 
@@ -103,6 +104,7 @@ def random_triangulation(n: int, seed: int = 0) -> PlaneGraph:
     nonnegative seed; InfeasibleParameters for a negative one, which
     random.Random would read as its absolute value."""
     _check_seed(seed)
+    _check_size(n)
     if n < 4:
         raise InfeasibleParameters("triangulations need at least 4 vertices")
     return _with_outer_slot(_triangulation(n, random.Random(seed)),
@@ -114,6 +116,12 @@ def _check_seed(seed: int) -> None:
     # repeat the stream of s
     if seed < 0:
         raise InfeasibleParameters(f"seed must be nonnegative, got {seed}")
+
+
+def _check_size(n: int) -> None:
+    # the sized families stop where complete_3tree does
+    if n > _SIZE_CAP:
+        raise CapExceeded(f"n={n} exceeds the cap of {_SIZE_CAP}")
 
 
 def _triangulation(n: int, rng: random.Random) -> Rotation:
@@ -160,6 +168,7 @@ def random_biconnected(n: int, m: int, seed: int = 0) -> PlaneGraph:
     (seed, attempt) when a greedy thinning dead-ends; InfeasibleParameters
     when out of luck or out of range, or for a negative seed."""
     _check_seed(seed)
+    _check_size(n)
     if n == 3 and m == 3:
         return cycle(3)
     if n < 4 or not n <= m <= 3 * n - 6:
@@ -224,6 +233,7 @@ def _face_vertices(rot: Rotation, slot: Slot) -> set[Vertex]:
 
 
 def cycle(n: int) -> PlaneGraph:
+    _check_size(n)
     if n < 3:
         raise InfeasibleParameters("cycles need at least 3 vertices")
     rot = {str(i): (str((i - 1) % n), str((i + 1) % n)) for i in range(n)}
@@ -232,6 +242,7 @@ def cycle(n: int) -> PlaneGraph:
 
 def fan(n: int) -> PlaneGraph:
     """Path on n vertices plus an apex joined to all of them."""
+    _check_size(n)
     if n < 3:
         raise InfeasibleParameters("fans need a path of at least 3 vertices")
     rot: dict[Vertex, tuple[Vertex, ...]] = {
@@ -242,7 +253,7 @@ def fan(n: int) -> PlaneGraph:
     for i in range(2, n):
         rot[str(i)] = (str(i + 1), "0", str(i - 1))
     g = build(rot)
-    big, _ = max(enumerate(g.face_data.walks), key=lambda fw: len(fw[1]))
+    big, _ = max(enumerate(g.walks), key=lambda fw: len(fw[1]))
     return with_outer_face(g, big)
 
 

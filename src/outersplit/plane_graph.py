@@ -12,16 +12,16 @@ and the walk continues from (u, v) to (v, w) where w follows u in the
 clockwise rotation at v.  Face ids are assigned deterministically by sorting
 the walks by their lexicographically smallest slot.
 
-Every PlaneGraph holds its FaceData.  build traces the rotation system
-once.  A split changes only the faces through the split vertex, so
-split_engine derives the faces after a split from those before instead
-of tracing again; the derived data equals what a trace of the new
-rotation system gives.  It edits one working copy of the maps through a
-whole split sequence and wraps them in a FaceData and a PlaneGraph once,
-at the end, so a graph is built only where the API returns one.
-Designating an outer face shares the data unchanged.
+Every PlaneGraph holds its faces as two fields, walks and slot_face.
+build traces the rotation system once.  A split changes only the faces
+through the split vertex, so split_engine derives the faces after a
+split from those before instead of tracing again; the derived faces
+equal what a trace of the new rotation system gives.  It edits one
+working copy of the maps through a whole split sequence and builds a
+PlaneGraph once, at the end, so a graph is built only where the API
+returns one.  Designating an outer face shares the fields unchanged.
 
-The package reads faces from FaceData itself: face i's vertices are
+The package reads faces from those fields: face i's vertices are
 walks[i], and the face on each side of an edge comes from slot_face.
 Face records, with their slot tuples and vertex sets, are made only for
 callers of PlaneGraph.faces.
@@ -70,14 +70,18 @@ class PlaneGraph:
     designation.
 
     rotation maps each vertex to the tuple of its neighbors in clockwise
-    order, and face_data holds the faces of that embedding, traced by
-    build or derived by a split.  Instances compare by identity; two
-    graphs are the same labeled embedding when their rotation and
-    outer_face are equal.
+    order.  walks[i] holds the vertices of face i's walk, in walk order
+    from the tail of its smallest slot: the walk (u0, u1, ...) has the
+    slots (u0, u1), (u1, u2), ... and (u_last, u0).  slot_face maps
+    every slot to the id of its face.  Both are traced by build or
+    derived by a split.  Instances compare by identity; two graphs are
+    the same labeled embedding when their rotation and outer_face are
+    equal.
     """
 
     rotation: Mapping[Vertex, tuple[Vertex, ...]]
-    face_data: FaceData
+    walks: tuple[tuple[Vertex, ...], ...]
+    slot_face: dict[Slot, FaceId]
     outer_face: FaceId | None = None
 
     @property
@@ -99,37 +103,22 @@ class PlaneGraph:
                 out.add((u, v) if u < v else (v, u))
         return tuple(sorted(out))
 
-    @property
-    def faces(self) -> tuple[Face, ...]:
-        return self.face_data.faces
-
-    def face_of_slot(self, slot: Slot) -> FaceId:
-        return self.face_data.slot_face[slot]
-
-
-@dataclass(frozen=True, eq=False)
-class FaceData:
-    """The faces of one embedding, by face id.
-
-    walks[i] holds the vertices of face i's walk, in walk order from the
-    tail of its smallest slot: the walk (u0, u1, ...) has the slots
-    (u0, u1), (u1, u2), ... and (u_last, u0).  slot_face maps every slot
-    to the id of its face.  The package reads walks; the Face records in
-    faces are made when first asked for, for callers of PlaneGraph.faces.
-    """
-
-    walks: tuple[tuple[Vertex, ...], ...]
-    slot_face: dict[Slot, FaceId]
-
     @cached_property
     def faces(self) -> tuple[Face, ...]:
+        """Face records of walks, made when first asked for."""
         return tuple(
             Face(id=i, boundary=tuple(zip(walk, walk[1:] + walk[:1])),
                  incident_vertices=frozenset(walk))
             for i, walk in enumerate(self.walks))
 
+    def face_of_slot(self, slot: Slot) -> FaceId:
+        return self.slot_face[slot]
 
-def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> FaceData:
+
+def _trace_faces(
+        rotation: Mapping[Vertex, tuple[Vertex, ...]]
+) -> tuple[tuple[tuple[Vertex, ...], ...], dict[Slot, FaceId]]:
+    """walks and slot_face of the embedding, as PlaneGraph holds them."""
     succ: dict[Slot, Vertex] = {}
     for v, nbrs in rotation.items():
         d = len(nbrs)
@@ -154,7 +143,7 @@ def _trace_faces(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> FaceData:
         if cur != start:
             raise NotPlanar("face walk did not close on its start slot")
         walks.append(tuple(walk))
-    return FaceData(tuple(walks), slot_face)
+    return tuple(walks), slot_face
 
 
 def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
@@ -169,6 +158,8 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
     for v, nbrs in adjacency.items():
         rotation[v] = tuple(nbrs)
 
+    # neighbour sets make the symmetry test linear in the degree
+    nbr_sets = {v: set(nbrs) for v, nbrs in rotation.items()}
     for v, nbrs in rotation.items():
         seen_nbrs = set()
         for u in nbrs:
@@ -179,7 +170,7 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
             seen_nbrs.add(u)
             if u not in rotation:
                 raise AsymmetricRotation(f"{v!r} lists unknown vertex {u!r}")
-            if v not in rotation[u]:
+            if v not in nbr_sets[u]:
                 raise AsymmetricRotation(
                     f"{v!r} lists {u!r} but {u!r} does not list {v!r}")
 
@@ -193,13 +184,13 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
             f"{n} vertices and no edges: a plane graph needs at least one "
             "edge to have a face")
     # the trace also raises NotPlanar on a non-closing walk
-    data = _trace_faces(rotation)
-    f = len(data.walks)
+    walks, slot_face = _trace_faces(rotation)
+    f = len(walks)
     if n - m + f != 2:
         raise NotPlanar(
             f"V - E + F = {n - m + f}, not 2: rotation system does not "
             "embed in the sphere")
-    return PlaneGraph(rotation, data)
+    return PlaneGraph(rotation, walks, slot_face)
 
 
 def _connected(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> bool:
@@ -217,12 +208,12 @@ def _connected(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> bool:
 
 def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     """Return the same embedding with face_id designated as outer,
-    sharing g's rotation and face data."""
-    count = len(g.face_data.walks)
+    sharing g's rotation and faces."""
+    count = len(g.walks)
     if not 0 <= face_id < count:
         raise OuterFaceUnset(
             f"face {face_id} does not exist (graph has {count} faces)")
-    return PlaneGraph(g.rotation, g.face_data, face_id)
+    return PlaneGraph(g.rotation, g.walks, g.slot_face, face_id)
 
 
 @dataclass(frozen=True)
@@ -259,13 +250,13 @@ class DualGraph:
 def dual(g: PlaneGraph) -> DualGraph:
     """Dual multigraph of the embedding: one node per face, the outer one
     included, and one edge per primal edge: the faces of its two slots."""
-    slot_face = g.face_data.slot_face
+    slot_face = g.slot_face
     edges = []
     for (u, v), a in slot_face.items():
         if u < v:
             b = slot_face[(v, u)]
             edges.append((a, b) if a <= b else (b, a))
-    return DualGraph(nodes=tuple(range(len(g.face_data.walks))),
+    return DualGraph(nodes=tuple(range(len(g.walks))),
                      edges=tuple(sorted(edges)))
 
 
@@ -279,23 +270,22 @@ def is_biconnected(g: PlaneGraph) -> bool:
     embeddings, and splits keep both properties, so every PlaneGraph
     meets the precondition."""
     return g.n >= 3 and all(
-        len(walk) == len(set(walk)) for walk in g.face_data.walks)
+        len(walk) == len(set(walk)) for walk in g.walks)
+
+
+def _touches_all(walk: tuple[Vertex, ...], n: int) -> bool:
+    # a walk holds vertices of its graph only, so n distinct ones are all
+    return len(walk) >= n and len(set(walk)) == n
 
 
 def outerplane_face(g: PlaneGraph) -> FaceId | None:
     """Face incident to every vertex: the designated outer face when it
     qualifies, else the smallest qualifying id, else None."""
-    n = g.n
-    walks = g.face_data.walks
-
-    def touches_all(fid: FaceId) -> bool:
-        # a walk holds vertices of g only, so n distinct ones are all
-        walk = walks[fid]
-        return len(walk) >= n and len(set(walk)) == n
-
-    if g.outer_face is not None and touches_all(g.outer_face):
+    n, walks = g.n, g.walks
+    if g.outer_face is not None and _touches_all(walks[g.outer_face], n):
         return g.outer_face
-    return next(filter(touches_all, range(len(walks))), None)
+    return next((fid for fid, walk in enumerate(walks)
+                 if _touches_all(walk, n)), None)
 
 
 def is_outerplane(g: PlaneGraph) -> bool:

@@ -74,7 +74,7 @@ def build_cfc_instance(g: PlaneGraph) -> CfcInstance:
     if not is_biconnected(g):
         raise NotBiconnected("the construction needs a biconnected input")
 
-    walks = g.face_data.walks
+    walks = g.walks
     used: set[str] = set()
     face_name: dict[FaceId, str] = {}
     for fid in range(len(walks)):
@@ -97,9 +97,9 @@ def build_cfc_instance(g: PlaneGraph) -> CfcInstance:
         rot[w] = [face_name[fa], face_name[fb]]
 
     dstar = build(rot)
-    if len(dstar.face_data.walks) != g.n:
+    if len(dstar.walks) != g.n:
         raise AssertionError(
-            f"subdivided dual has {len(dstar.face_data.walks)} faces for "
+            f"subdivided dual has {len(dstar.walks)} faces for "
             f"{g.n} primal vertices")
 
     # for each primal slot (x, v) on face F, the D* slot from the edge

@@ -120,7 +120,7 @@ def serialize_rot(g: PlaneGraph) -> str:
         out.append(f"{v}: " + " ".join(g.rotation[v]) if g.rotation[v]
                    else f"{v}:")
     out.append("faces")
-    for fid, walk in enumerate(g.face_data.walks):
+    for fid, walk in enumerate(g.walks):
         out.append(f"# {fid}: " + " ".join(walk))
     if g.outer_face is not None:
         out.append(f"outer: {g.outer_face}")

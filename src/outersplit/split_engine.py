@@ -26,13 +26,14 @@ A sequence of splits edits one working state in place: the rotation, the
 slot map, the walks by key and the id order, copied once from the input
 graph, which is never changed.  The state holds faces by keys, which
 start as the input's face ids and which a split keeps for every face it
-does not merge.  Graphs are built at the API boundary only, one when the
-sequence is done, with the faces renumbered by id, so replay,
-realize_cover and merge_faces_at_vertex each build a single PlaneGraph,
-and split_vertex is a sequence of one split.  Within a sequence faces
-are followed by key, through the slots into the split vertex; a face id,
-which costs a search of the id order once keys and ids part, is computed
-only where a SplitOp records one.
+does not merge.  Graphs are built only where the API returns one, once
+the sequence is done, with the faces renumbered by id, so replay and
+merge_faces_at_vertex each build a single PlaneGraph, split_vertex is a
+sequence of one split, and realize_cover, which returns only the ops,
+checks that its final walks are outerplane and builds no graph.  Within
+a sequence faces are followed by key, through the slots into the split
+vertex; a face id, which costs a search of the id order once keys and
+ids part, is computed only where a SplitOp records one.
 
 merge_faces_at_vertex chains splits around one vertex so that a whole set
 of faces incident to it becomes a single face.  realize_cover walks a
@@ -60,12 +61,11 @@ from .errors import (
     SameFace,
 )
 from .plane_graph import (
-    FaceData,
     FaceId,
     PlaneGraph,
     Slot,
     Vertex,
-    is_outerplane,
+    _touches_all,
     outerplane_face,
 )
 
@@ -168,12 +168,11 @@ class _SplitState:
                  "outer")
 
     def __init__(self, g: PlaneGraph):
-        data = g.face_data
         self.rotation = dict(g.rotation)
-        self.walks = dict(enumerate(data.walks))
-        self.slot_face = data.slot_face.copy()
-        self.order = list(range(len(data.walks)))
-        self.firsts = [walk[:2] for walk in data.walks]
+        self.walks = dict(enumerate(g.walks))
+        self.slot_face = g.slot_face.copy()
+        self.order = list(range(len(g.walks)))
+        self.firsts = [walk[:2] for walk in g.walks]
         self.outer = g.outer_face
 
     def face_id(self, key: int) -> FaceId:
@@ -189,11 +188,12 @@ class _SplitState:
         id.  The state must not be split again, as the graph shares its
         rotation."""
         id_of = {key: i for i, key in enumerate(self.order)}
-        data = FaceData(tuple(map(self.walks.__getitem__, self.order)),
-                        {slot: id_of[key]
-                         for slot, key in self.slot_face.items()})
         outer = None if self.outer is None else id_of[self.outer]
-        return PlaneGraph(self.rotation, data, outer)
+        return PlaneGraph(self.rotation,
+                          tuple(map(self.walks.__getitem__, self.order)),
+                          {slot: id_of[key]
+                           for slot, key in self.slot_face.items()},
+                          outer)
 
     def key(self, fid: FaceId) -> int:
         if not 0 <= fid < len(self.order):
@@ -452,8 +452,7 @@ def merge_faces_at_vertex(
     wanted = set(faces)
     if v not in g.rotation:
         raise NotIncident(f"vertex {v!r} does not exist")
-    slot_face = g.face_data.slot_face
-    missing = wanted - {slot_face[(y, v)] for y in g.rotation[v]}
+    missing = wanted - {g.slot_face[(y, v)] for y in g.rotation[v]}
     if missing:
         raise NotIncident(
             f"vertex {v!r} is not on the boundary of face {min(missing)}")
@@ -506,7 +505,7 @@ def face_cover(g: PlaneGraph, faces: Iterable[FaceId]) -> FaceCover:
     fset = frozenset(faces)
     if not fset:
         raise InvalidCover("a cover needs at least one face")
-    walks = g.face_data.walks
+    walks = g.walks
     for fid in fset:
         if not 0 <= fid < len(walks):
             raise InvalidCover(f"face {fid} does not exist")
@@ -545,7 +544,7 @@ def _realize(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
     for v, f in cover.tree:
         tree_faces.setdefault(v, []).append(f)
 
-    slot_face = g.face_data.slot_face
+    slot_face = g.slot_face
     st = _SplitState(g)
     ops: list[SplitOp] = []
     origin: dict[Vertex, Vertex] = {}
@@ -564,7 +563,8 @@ def _realize(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
         raise AssertionError(
             f"realization used {len(ops)} splits for a cover of "
             f"{len(cover.faces)} faces")
-    if not is_outerplane(st.graph()):
+    n = len(st.rotation)
+    if not any(_touches_all(walk, n) for walk in st.walks.values()):
         raise AssertionError("realized graph is not outerplane")
     return SplitSequence(ops=tuple(ops))
 
@@ -599,7 +599,7 @@ def extract_cover(g: PlaneGraph, seq: SplitSequence) -> FaceCover:
     if qualifying is None:
         raise NotOuterplane("replayed graph has no all-incident face")
     origin = seq.origin
-    walk = [origin.get(x, x) for x in final.face_data.walks[qualifying]]
+    walk = [origin.get(x, x) for x in final.walks[qualifying]]
     originals = {g.face_of_slot(slot)
                  for slot in zip(walk, walk[1:] + walk[:1])}
     try:

@@ -24,7 +24,7 @@ _SEED = 0  # seeds the weights of the perturbed layout retries
 def _outer_cycle(g: PlaneGraph) -> list[Vertex]:
     fid = g.outer_face if g.outer_face is not None else 0
     # the walk's vertices in order of first visit
-    return list(dict.fromkeys(g.face_data.walks[fid]))
+    return list(dict.fromkeys(g.walks[fid]))
 
 
 def layout(g: PlaneGraph) -> dict[Vertex, tuple[float, float]]:

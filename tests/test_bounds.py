@@ -55,6 +55,19 @@ def test_negative_3tree_depth_is_rejected(d):
         report(k4(), tree_depth=d)
 
 
+def test_3tree_depth_must_match_the_vertex_count():
+    # K4 is the depth-0 3-tree, whose bound is 0
+    assert report(k4(), tree_depth=0).lower_family == 0
+    assert report(complete_3tree(2), tree_depth=2).lower_family == 8
+    # a depth above n is rejected before 3^(d+1) is formed, so the
+    # last two return at once instead of overflowing or running on
+    for g, d in ((k4(), 1), (k4(), 3), (complete_3tree(2), 1),
+                 (complete_3tree(1), 2), (k4(), 10_000),
+                 (k4(), 100_000_000)):
+        with pytest.raises(InfeasibleParameters, match="does not have"):
+            report(g, osn=1, tree_depth=d)
+
+
 def test_generic_lower_bound_holds_on_sparse_graphs():
     # faces longer than triangles lower the bound; a cycle needs no split
     assert report(cycle(6)).lower_generic == 0

@@ -292,6 +292,32 @@ def test_bounds_negative_depth_is_a_domain_error(tmp_path, capsys):
     assert "nonnegative" in err
 
 
+def test_bounds_depth_must_fit_the_graph(tmp_path, capsys):
+    rot = write_k4(tmp_path)
+    code, out, _ = run(capsys, "bounds", rot, "--depth", "0", "--porcelain")
+    assert code == 0
+    assert "lower_family=0" in out.splitlines()
+    for depth in ("3", "10000", "100000000"):
+        code, out, err = run(capsys, "bounds", rot, "--solve",
+                             "--depth", depth)
+        assert code == 1, depth
+        assert out == ""
+        assert err.startswith("error: InfeasibleParameters"), depth
+        assert "Traceback" not in err
+
+
+def test_gen_above_the_size_cap_is_a_domain_error(tmp_path, capsys):
+    out_path = tmp_path / "t.rot"
+    for argv in (("cycle", "-n", "100000000"), ("fan", "-n", "29528"),
+                 ("random_triangulation", "-n", "29528"),
+                 ("random_biconnected", "-n", "29528", "-m", "40000")):
+        code, out, err = run(capsys, "gen", *argv, "-o", str(out_path))
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: CapExceeded"), argv
+        assert not out_path.exists()
+
+
 def test_gen_negative_seed_is_a_domain_error(tmp_path, capsys):
     out_path = tmp_path / "t.rot"
     for argv in (("random_triangulation", "-n", "12"),

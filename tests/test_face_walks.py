@@ -1,5 +1,5 @@
-"""The package's face readers, which read FaceData walks, agree with the
-Face records of PlaneGraph.faces.
+"""The package's face readers, which read a PlaneGraph's walks and slot
+map, agree with the Face records of PlaneGraph.faces.
 
 Each reader is compared with the same question answered from the
 records, on traced graphs and on graphs derived by splits, whose faces
@@ -40,7 +40,7 @@ from outersplit import (
     with_outer_face,
 )
 from outersplit.bounds import lower_bound_generic
-from outersplit.plane_graph import FaceData
+from outersplit.plane_graph import PlaneGraph
 
 BOWTIE = {"a": ("b", "x"), "b": ("x", "a"), "c": ("d", "x"),
           "d": ("x", "c"), "x": ("b", "a", "d", "c")}
@@ -106,7 +106,7 @@ def test_every_prefix_of_the_solver_splits():
             cur, _ = split_vertex(cur, op.vertex, op.face_a, op.face_b)
             assert_readers_match_records(cur)
             # face ids follow the smallest slots
-            firsts = [walk[:2] for walk in cur.face_data.walks]
+            firsts = [walk[:2] for walk in cur.walks]
             assert firsts == sorted(firsts)
         assert outerplane_face(cur) is not None
 
@@ -129,10 +129,10 @@ def test_random_split_chains_on_graphs_with_cut_vertices():
 
 
 def test_solve_and_write_build_no_face_records(monkeypatch):
-    def no_records(data):
+    def no_records(g):
         raise AssertionError("Face records were built")
 
-    monkeypatch.setattr(FaceData, "faces", property(no_records))
+    monkeypatch.setattr(PlaneGraph, "faces", property(no_records))
     for g in (k4(), icosahedron(), complete_3tree(3),
               random_triangulation(30, seed=1),
               random_biconnected(40, 55, seed=2)):

@@ -48,6 +48,17 @@ def test_3tree_guards():
         complete_3tree(10)
 
 
+def test_sized_families_stop_at_the_3tree_cap():
+    cap = 29_527  # the vertices of complete_3tree(9)
+    assert cycle(cap).n == cap
+    for make in (cycle, fan, random_triangulation,
+                 lambda n: random_biconnected(n, n + 30)):
+        with pytest.raises(CapExceeded, match="29527"):
+            make(cap + 1)
+    with pytest.raises(CapExceeded):
+        generate(FamilySpec("cycle", n=100_000_000))
+
+
 def test_random_triangulation_is_maximal_planar():
     for n in range(4, 11):
         for seed in (0, 1, 2):

@@ -29,13 +29,13 @@ from outersplit import (
     solve_osn,
     with_outer_face,
 )
-from outersplit.plane_graph import _trace_faces
+from outersplit.plane_graph import PlaneGraph, _trace_faces
 
 
 def assert_traced(g):
-    traced = _trace_faces(g.rotation)
-    assert g.face_data.walks == traced.walks
-    assert g.face_data.slot_face == traced.slot_face
+    traced = PlaneGraph(g.rotation, *_trace_faces(g.rotation))
+    assert g.walks == traced.walks
+    assert g.slot_face == traced.slot_face
     # A split cuts a face at its first corner along the traced walk,
     # which the derived data must find too.  The state starts keyed by
     # the graph's face ids.
@@ -103,8 +103,7 @@ def test_every_connected_cover(checked, every_connected_cover):
 
 
 def snapshot(g):
-    data = g.face_data
-    return (dict(g.rotation), data.walks, dict(data.slot_face),
+    return (dict(g.rotation), g.walks, dict(g.slot_face),
             g.outer_face, serialize_rot(g))
 
 
@@ -119,7 +118,7 @@ def test_sequences_leave_their_input_unchanged():
         head = split_engine.SplitSequence(ops[:len(ops) // 2])
         tail = split_engine.SplitSequence(ops[len(ops) // 2:])
         part = replay(g, head)
-        every = face_cover(part, range(len(part.face_data.walks)))
+        every = face_cover(part, range(len(part.walks)))
         cases += [(g, res.splits, res.cover),
                   (with_outer_face(g, 3), res.splits, res.cover),
                   (part, tail, every),

@@ -5,7 +5,8 @@ code that re-traces an embedding it has already traced, for instance
 after designating an outer face.  A split derives its faces from its
 parent's, so replaying or realizing a split sequence traces nothing.
 A sequence edits one working copy of its input, so replaying it builds
-a single graph, at the end.
+a single graph, at the end, and solving, which returns no graph, builds
+none.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from outersplit import (
     serialize_rot,
     solve_osn,
 )
-from outersplit.plane_graph import FaceData, PlaneGraph
+from outersplit.plane_graph import PlaneGraph
 
 
 @pytest.fixture
@@ -48,19 +49,34 @@ def test_replay_traces_nothing(traces):
     assert traces == []
 
 
-def test_replay_builds_one_graph(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    calls = []
+    real = PlaneGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlaneGraph, "__init__", counting)
+    return calls
+
+
+def test_replay_builds_one_graph(built):
     g = random_biconnected(100, 130, 0)
     seq = solve_osn(g).splits
     assert len(seq) == 12
-    built = []
-    for cls in (FaceData, PlaneGraph):
-        def counting(self, *args, _init=cls.__init__, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting)
+    built.clear()
     replay(g, seq)
-    assert sorted(built) == ["FaceData", "PlaneGraph"]
+    assert built == ["PlaneGraph"]
+
+
+def test_solve_builds_no_graph(built):
+    g = parse_rot(serialize_rot(random_biconnected(100, 130, 0)))
+    built.clear()
+    res = solve_osn(g)
+    assert len(res.splits) == 12
+    assert built == []
 
 
 def test_realize_cover_traces_nothing(traces):
