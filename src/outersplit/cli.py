@@ -9,6 +9,7 @@ written.  --porcelain switches reports to key=value lines for scripting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bounds import report, violations
@@ -117,8 +118,10 @@ def _fmt(x) -> str:
 
 def _cmd_bounds(args) -> int:
     g = _load(args.file)
-    osn = solve_osn(g).osn if args.solve else None
-    rep = report(g, osn=osn, tree_depth=args.depth)
+    # the report checks --depth, so a wrong one fails before the solve
+    rep = report(g, tree_depth=args.depth)
+    if args.solve:
+        rep = dataclasses.replace(rep, osn=solve_osn(g).osn)
     notes = violations(rep)
     if args.porcelain:
         print(f"n={rep.n}")

@@ -23,17 +23,22 @@ there, and the two cut faces are spliced into one walk and re-ranked by
 smallest slot.  Only graphs made by build are ever traced, once each.
 
 A sequence of splits edits one working state in place: the rotation, the
-slot map, the walks by key and the id order, copied once from the input
-graph, which is never changed.  The state holds faces by keys, which
-start as the input's face ids and which a split keeps for every face it
-does not merge.  Graphs are built only where the API returns one, once
-the sequence is done, with the faces renumbered by id, so replay and
-merge_faces_at_vertex each build a single PlaneGraph, split_vertex is a
-sequence of one split, and realize_cover, which returns only the ops,
-checks that its final walks are outerplane and builds no graph.  Within
-a sequence faces are followed by key, through the slots into the split
-vertex; a face id, which costs a search of the id order once keys and
-ids part, is computed only where a SplitOp records one.
+slot map, the walks by key, the id order and one slot of the outer face,
+copied once from the input graph, which is never changed.  Each of these
+facts is held once: a face's rank is found by searching the id order by
+walk, and the outer face is whichever face holds the outer slot.  The
+state holds faces by keys, which start as the input's face ids and which
+a split keeps for every face it does not merge.  Graphs are built only
+where the API returns one, once the sequence is done, with the faces
+renumbered by id, so replay and merge_faces_at_vertex each build a single
+PlaneGraph, split_vertex is a sequence of one split, and realize_cover,
+which returns only the ops, checks that its final walks are outerplane
+and builds no graph.  Within a sequence faces are followed by key,
+through the slots into the split vertex; a face id, which costs a search
+of the id order once keys and ids part, is computed only where a split
+records its SplitOp.  Copy origins are read off the ops only by
+extract_cover and SplitSequence.origin; realize_cover finds the current
+face of an original one by rotation position instead.
 
 merge_faces_at_vertex chains splits around one vertex so that a whole set
 of faces incident to it becomes a single face.  realize_cover walks a
@@ -45,7 +50,7 @@ maps the slots of the final all-incident face back to original faces.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -96,7 +101,12 @@ class SplitSequence:
 
     @property
     def origin(self) -> dict[Vertex, Vertex]:
-        return _origin(self.ops)
+        origin: dict[Vertex, Vertex] = {}
+        for op in self.ops:
+            base = origin.get(op.vertex, op.vertex)
+            origin[op.copy_1] = base
+            origin[op.copy_2] = base
+        return origin
 
 
 @dataclass(frozen=True)
@@ -156,39 +166,41 @@ class _SplitState:
     one sequence.
 
     walks maps a key to its face's walk, slot_face maps every slot to
-    the key of its face, and outer is the outer face's key, if one is
-    designated.  order lists the keys by smallest slot, so the position
-    of a key there is its face id, and firsts holds those smallest slots
-    in the same order.  The state starts as a copy of one graph, keyed
-    by its face ids, so the splits never change that graph; a split
-    keeps the key of every face it does not merge, so keys and ids part.
-    graph renumbers the faces by id once the sequence is done."""
+    the key of its face, and outer is one slot of the outer face, if one
+    is designated, renamed like every other slot.  order lists the keys
+    by walk, so the position of a key there is its face id: every walk
+    starts at its smallest slot and no two faces share a slot, so walks
+    sort exactly as their smallest slots do.  The state starts as a copy
+    of one graph, keyed by its face ids, so the splits never change that
+    graph; a split keeps the key of every face it does not merge, so
+    keys and ids part.  graph renumbers the faces by id once the
+    sequence is done."""
 
-    __slots__ = ("rotation", "walks", "slot_face", "order", "firsts",
-                 "outer")
+    __slots__ = ("rotation", "walks", "slot_face", "order", "outer")
 
     def __init__(self, g: PlaneGraph):
         self.rotation = dict(g.rotation)
         self.walks = dict(enumerate(g.walks))
         self.slot_face = g.slot_face.copy()
         self.order = list(range(len(g.walks)))
-        self.firsts = [walk[:2] for walk in g.walks]
-        self.outer = g.outer_face
+        self.outer = (None if g.outer_face is None
+                      else g.walks[g.outer_face][:2])
 
     def face_id(self, key: int) -> FaceId:
         # a key found at its own position is its own id, as every key is
         # until a split moves faces in the id order
-        order = self.order
+        order, walks = self.order, self.walks
         if key < len(order) and order[key] == key:
             return key
-        return bisect_left(self.firsts, self.walks[key][:2])
+        return bisect_left(order, walks[key], key=walks.__getitem__)
 
     def graph(self) -> PlaneGraph:
         """The graph of the current state, with its faces renumbered by
         id.  The state must not be split again, as the graph shares its
         rotation."""
         id_of = {key: i for i, key in enumerate(self.order)}
-        outer = None if self.outer is None else id_of[self.outer]
+        outer = (None if self.outer is None
+                 else id_of[self.slot_face[self.outer]])
         return PlaneGraph(self.rotation,
                           tuple(map(self.walks.__getitem__, self.order)),
                           {slot: id_of[key]
@@ -223,19 +235,20 @@ class _SplitState:
             p = 0
         return rot.index(walk[p - 1])
 
-    def split(self, v: Vertex, gap_a: int,
-              gap_b: int) -> tuple[Vertex, Vertex]:
+    def split(self, v: Vertex, gap_a: int, gap_b: int) -> SplitOp:
         """Split v at two rotation gaps owned by two distinct faces and
-        return the copies (copy_1, copy_2).
+        return the op, recorded with the ids those faces had before it.
 
         Every slot survives, with v renamed to the copy that owns the
-        slot's edge, so an outer designation carries over through the
-        old outer face's first slot.  The faces are derived from the
-        faces before, not traced, and equal what a trace of the new
-        rotation system would give."""
-        rotation = self.rotation
+        slot's edge, so the outer slot is renamed the same way and stays
+        on the face that absorbed the old outer face.  The faces are
+        derived from the faces before, not traced, and equal what a
+        trace of the new rotation system would give."""
+        rotation, slot_face = self.rotation, self.slot_face
         rot = rotation[v]
         d = len(rot)
+        face_a = self.face_id(slot_face[(rot[gap_a], v)])
+        face_b = self.face_id(slot_face[(rot[gap_b], v)])
         # the first pair v.1 v.2, v.3 v.4, ... whose names are both free
         i = 1
         while f"{v}.{i}" in rotation or f"{v}.{i + 1}" in rotation:
@@ -250,13 +263,13 @@ class _SplitState:
         owner = dict.fromkeys(arc_2, copy_2)
         owner.update(dict.fromkeys(arc_1, copy_1))
 
-        if self.outer is not None:
-            x, y = self.walks[self.outer][:2]
-            outer = ((owner[y], y) if x == v else
-                     (x, owner[x]) if y == v else (x, y))
         self._split_faces(v, (rot[gap_a], v), (rot[gap_b], v), owner)
         if self.outer is not None:
-            self.outer = self.slot_face[outer]
+            x, y = self.outer
+            if x == v:
+                self.outer = (owner[y], y)
+            elif y == v:
+                self.outer = (x, owner[x])
 
         del rotation[v]
         rotation[copy_1] = arc_1
@@ -264,7 +277,7 @@ class _SplitState:
         for w in rot:
             rotation[w] = tuple(owner[w] if x == v else x
                                 for x in rotation[w])
-        return copy_1, copy_2
+        return SplitOp(v, face_a, face_b, copy_1, copy_2)
 
     def _split_faces(self, v: Vertex, in_a: Slot, in_b: Slot,
                      owner: Mapping[Vertex, Vertex]) -> None:
@@ -323,33 +336,19 @@ class _SplitState:
 
         # Re-rank: take the dropped face and every face whose smallest slot
         # changed out of the id order, then put the latter back by their
-        # new smallest slot.
+        # new walks.
         moved = [key for key, walk in new.items()
                  if walk[:2] != walks[key][:2]]
-        order, firsts = self.order, self.firsts
+        order = self.order
         count = len(order)
         for key in (*moved, drop):
-            i = bisect_left(firsts, walks[key][:2])
-            del firsts[i], order[i]
+            del order[bisect_left(order, walks[key], key=walks.__getitem__)]
         del walks[drop]
         walks.update(new)
         for key in moved:
-            first = walks[key][:2]
-            i = bisect_left(firsts, first)
-            firsts.insert(i, first)
-            order.insert(i, key)
+            insort(order, key, key=walks.__getitem__)
         if len(order) != count - 1:
             raise AssertionError("split did not merge exactly two faces")
-
-
-def _split_recorded(st: _SplitState, v: Vertex, gap_a: int,
-                    gap_b: int) -> SplitOp:
-    """Split v at two gaps of st and record the op with the ids of the
-    faces at those gaps."""
-    rot = st.rotation[v]
-    face_a = st.face_id(st.slot_face[(rot[gap_a], v)])
-    face_b = st.face_id(st.slot_face[(rot[gap_b], v)])
-    return SplitOp(v, face_a, face_b, *st.split(v, gap_a, gap_b))
 
 
 def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
@@ -357,7 +356,7 @@ def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
     """Split v at two rotation gaps owned by two distinct faces, as a
     sequence of one split; returns (graph, op)."""
     st = _SplitState(g)
-    op = _split_recorded(st, v, gap_a, gap_b)
+    op = st.split(v, gap_a, gap_b)
     return st.graph(), op
 
 
@@ -372,9 +371,8 @@ def _split_by_ids(st: _SplitState, v: Vertex, face_a: FaceId,
     if len(st.rotation[v]) < 2:
         raise DanglingVertex(
             f"vertex {v!r} has degree {len(st.rotation[v])}, cannot split")
-    gap_a = st.corner_gap(v, st.key(face_a))
-    gap_b = st.corner_gap(v, st.key(face_b))
-    return SplitOp(v, face_a, face_b, *st.split(v, gap_a, gap_b))
+    return st.split(v, st.corner_gap(v, st.key(face_a)),
+                    st.corner_gap(v, st.key(face_b)))
 
 
 def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
@@ -387,17 +385,6 @@ def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
     st = _SplitState(g)
     op = _split_by_ids(st, v, face_a, face_b)
     return st.graph(), op
-
-
-def _origin(ops: Iterable[SplitOp]) -> dict[Vertex, Vertex]:
-    """Map every copy the ops create to the original vertex it descends
-    from; ops must be in sequence order."""
-    origin: dict[Vertex, Vertex] = {}
-    for op in ops:
-        base = origin.get(op.vertex, op.vertex)
-        origin[op.copy_1] = base
-        origin[op.copy_2] = base
-    return origin
 
 
 # -- merging several faces at one vertex --------------------------------------
@@ -415,8 +402,8 @@ def _merge(st: _SplitState, v: Vertex, keys: set[int]) -> list[SplitOp]:
         if key in keys:
             corner.setdefault(key, y)
     # Faces in clockwise order of their first corner around v, rotated
-    # so the smallest id, which has the smallest first slot, leads.
-    lead = list(corner).index(min(corner, key=lambda k: st.walks[k][:2]))
+    # so the smallest id, which has the smallest walk, leads.
+    lead = list(corner).index(min(corner, key=st.walks.__getitem__))
     held = list(corner.values())
     held = held[lead:] + held[:lead]
 
@@ -434,8 +421,7 @@ def _merge(st: _SplitState, v: Vertex, keys: set[int]) -> list[SplitOp]:
         # an earlier vertex may have corners at several of them; split a
         # copy the next face touches.
         c = next(c for c in reversed(copies) if c in st.walks[target])
-        op = _split_recorded(st, c, st.corner_gap(c, merged),
-                             st.corner_gap(c, target))
+        op = st.split(c, st.corner_gap(c, merged), st.corner_gap(c, target))
         ops.append(op)
         copies.remove(c)
         copies += [op.copy_2, op.copy_1]
@@ -547,17 +533,16 @@ def _realize(g: PlaneGraph, cover: FaceCover) -> SplitSequence:
     slot_face = g.slot_face
     st = _SplitState(g)
     ops: list[SplitOp] = []
-    origin: dict[Vertex, Vertex] = {}
     for v, group in tree_faces.items():
         if len(group) < 2:
             continue
-        # v is still unsplit at its turn, so each original face cornered
-        # at v is followed to its current key through a slot into v.
-        now = {slot_face[(origin.get(y, y), v)]: st.slot_face[(y, v)]
-               for y in st.rotation[v]}
-        new_ops = _merge(st, v, {now[f] for f in group})
-        ops += new_ops
-        origin.update(_origin(new_ops))  # every new copy descends from v
+        # v is still unsplit at its turn, and splits elsewhere only rename
+        # entries of its rotation in place, so the slot into v at each
+        # rotation position holds the current key of the original face
+        # at the same position.
+        now = {slot_face[(x, v)]: st.slot_face[(y, v)]
+               for x, y in zip(g.rotation[v], st.rotation[v])}
+        ops += _merge(st, v, {now[f] for f in group})
 
     if len(ops) != len(cover.faces) - 1:
         raise AssertionError(

@@ -1,6 +1,6 @@
 import pytest
 
-from outersplit import k4, parse_rot, serialize_rot
+from outersplit import cli, k4, parse_rot, serialize_rot
 from outersplit.cli import main
 
 BOWTIE = "5 6\na: b x\nb: x a\nc: d x\nd: x c\nx: b a d c\n"
@@ -304,6 +304,27 @@ def test_bounds_depth_must_fit_the_graph(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: InfeasibleParameters"), depth
         assert "Traceback" not in err
+
+
+def test_bounds_checks_depth_before_it_solves(tmp_path, capsys,
+                                             monkeypatch):
+    def no_solve(g):
+        raise AssertionError("solved before --depth was checked")
+
+    monkeypatch.setattr(cli, "solve_osn", no_solve)
+    code, out, err = run(capsys, "bounds", write_k4(tmp_path), "--solve",
+                         "--depth", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InfeasibleParameters")
+
+
+def test_bounds_solve_with_a_fitting_depth(tmp_path, capsys):
+    code, out, _ = run(capsys, "bounds", write_k4(tmp_path), "--solve",
+                       "--depth", "0", "--porcelain")
+    assert code == 0
+    assert "osn=1" in out.splitlines()
+    assert "lower_family=0" in out.splitlines()
 
 
 def test_gen_above_the_size_cap_is_a_domain_error(tmp_path, capsys):

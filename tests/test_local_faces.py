@@ -51,24 +51,30 @@ def assert_traced(g):
 @pytest.fixture
 def checked(monkeypatch):
     """Records splits and checks the face data after every split of a
-    sequence, and that an outer designation stays on the face holding
-    the old outer face's first slot."""
+    sequence, that the id order ranks every key at its face id with the
+    walks sorted, and that an outer designation stays on the face
+    holding the old outer face's first slot."""
     made = []
     real = split_engine._SplitState.split
 
     def checking(st, v, gap_a, gap_b):
-        first = None if st.outer is None else st.walks[st.outer][:2]
-        copies = real(st, v, gap_a, gap_b)
+        first = (None if st.outer is None
+                 else st.walks[st.slot_face[st.outer]][:2])
+        op = real(st, v, gap_a, gap_b)
+        assert ([st.face_id(k) for k in st.order]
+                == list(range(len(st.order))))
+        walks = [st.walks[k] for k in st.order]
+        assert walks == sorted(walks)
         result = st.graph()
         assert_traced(result)
         assert (result.outer_face is None) == (first is None)
         if first is not None:
-            back = dict.fromkeys(copies, v)
+            back = dict.fromkeys((op.copy_1, op.copy_2), v)
             outer = result.faces[result.outer_face].boundary
             assert first in {
                 (back.get(x, x), back.get(y, y)) for x, y in outer}
-        made.append((v, *copies))
-        return copies
+        made.append((v, op.copy_1, op.copy_2))
+        return op
 
     monkeypatch.setattr(split_engine._SplitState, "split", checking)
     return made
@@ -100,6 +106,38 @@ def test_every_connected_cover(checked, every_connected_cover):
         for faces in covers:
             realize_cover(g, face_cover(g, faces))
     assert checked
+
+
+def test_realize_follows_faces_by_rotation_position(
+        monkeypatch, every_connected_cover):
+    # At each merge, the rotation of the unsplit vertex, mapped back
+    # through the origins of the copies made so far, is the rotation of
+    # the input graph position by position.
+    real = split_engine._merge
+    made = []
+    merges = 0
+
+    def merging(st, v, keys):
+        nonlocal merges
+        origin = split_engine.SplitSequence(tuple(made)).origin
+        assert [origin.get(y, y) for y in st.rotation[v]] == list(
+            g.rotation[v])
+        ops = real(st, v, keys)
+        made.extend(ops)
+        merges += 1
+        return ops
+
+    cases = [(g, faces) for g, covers in every_connected_cover
+             for faces in covers]
+    cases += [(g, solve_osn(g).cover.faces)
+              for g in (random_triangulation(n, seed)
+                        for n in range(4, 31) for seed in range(3))]
+    monkeypatch.setattr(split_engine, "_merge", merging)
+    for g, faces in cases:
+        made.clear()
+        seq = realize_cover(g, face_cover(g, faces))
+        assert seq.ops == tuple(made)
+    assert merges
 
 
 def snapshot(g):

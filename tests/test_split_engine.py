@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +101,16 @@ def test_split_arcs_are_contiguous_everywhere():
                                    g2.rotation[op.copy_1],
                                    g2.rotation[op.copy_2])
                 assert g2.n - g2.m + len(g2.faces) == 2
+
+
+def test_split_records_the_faces_it_was_given():
+    # the op reads the ids of the faces at both gaps before the split
+    for g in (octahedron(), random_biconnected(9, 12, 0)):
+        for v in g.rotation:
+            fids = {g.face_of_slot((u, v)) for u in g.rotation[v]}
+            for a, b in permutations(sorted(fids), 2):
+                op = split_vertex(g, v, a, b)[1]
+                assert (op.vertex, op.face_a, op.face_b) == (v, a, b)
 
 
 def test_copies_skip_taken_names():
