@@ -4,6 +4,10 @@ All generators return validated PlaneGraphs with a designated outer face
 and deterministic labels, so serialized output is byte-identical for the
 same parameters.  Randomized families draw only from random.Random(seed),
 and random_biconnected's retries from streams seeded by (seed, attempt).
+The draws go through _below and _shuffle in place of the stdlib's
+randrange and shuffle.  They ask getrandbits for exactly the bits the
+stdlib would, so they return the same values and leave the same state,
+with one Python call fewer per draw.
 
 The stacked and random families edit plain rotation lists in place and
 keep only the indexes their random choices need (the sorted inner-face
@@ -71,9 +75,14 @@ def _subdivide_face(rot: Rotation, walk: Walk, label: Vertex) -> list[Walk]:
     rot[label] = [u for u, _ in reversed(walk)]
     out = []
     for u, v in walk:
-        tri = ((u, v), (v, label), (label, u))
-        i = tri.index(min(tri))
-        out.append(tri[i:] + tri[:i])
+        # the tails u, v and label differ, so the least slot is the one
+        # with the least tail
+        if u < v and u < label:
+            out.append(((u, v), (v, label), (label, u)))
+        elif v < label:
+            out.append(((v, label), (label, u), (u, v)))
+        else:
+            out.append(((label, u), (u, v), (v, label)))
     return out
 
 
@@ -124,12 +133,36 @@ def _check_size(n: int) -> None:
         raise CapExceeded(f"n={n} exceeds the cap of {_SIZE_CAP}")
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """The value Random.randrange would draw below n > 0, from the same
+    bits: k-bit draws until one is below n, as
+    Random._randbelow_with_getrandbits makes them."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle x in place as Random.shuffle does, drawing each index as
+    _below draws it."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def _triangulation(n: int, rng: random.Random) -> Rotation:
     # faces holds the inner faces' walks sorted by least slot, which is
     # the order of their ids in a built graph
     rot, faces = _base_k4()
     while len(rot) < n:
-        walk = faces.pop(rng.randrange(len(faces)))
+        walk = faces.pop(_below(rng, len(faces)))
         for new in _subdivide_face(rot, walk, str(len(rot))):
             insort(faces, new)
     edges = _sorted_edges(rot)
@@ -143,7 +176,7 @@ def _sorted_edges(rot: Rotation) -> list[Slot]:
 
 
 def _try_flip(rot: Rotation, edges: list[Slot], rng: random.Random) -> None:
-    u, v = edges[rng.randrange(len(edges))]
+    u, v = edges[_below(rng, len(edges))]
     # the outer triangle's edges are the only ones on the outer face
     if u in _OUTER_VERTICES and v in _OUTER_VERTICES:
         return
@@ -199,7 +232,7 @@ def _thin(rot: Rotation, m: int, rng: random.Random) -> Slot | None:
     edges = _sorted_edges(rot)
     while len(edges) > m:
         candidates = list(edges)
-        rng.shuffle(candidates)
+        _shuffle(rng, candidates)
         for u, v in candidates:
             if outer in ((u, v), (v, u)):
                 # keep a slot that survives the drop: the next one on the

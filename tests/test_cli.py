@@ -184,6 +184,23 @@ def test_oracle_reports_cfc_skipped_above_the_cap(tmp_path, capsys):
     assert "agree_fvs=skipped" in lines
 
 
+def test_oracle_reports_fvs_skipped_on_a_bridge(tmp_path, capsys):
+    # a bridge is a self-loop of the dual: min_fvs raises
+    # SelfLoopPresent, and the oracle used to stop after its cfc row
+    rot = tmp_path / "path.rot"
+    rot.write_text("3 2\na: b\nb: a c\nc: b\n")
+    code, out, err = run(capsys, "oracle", str(rot))
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "cfc 1", "fvs skipped", "osn 0", "agree fvs==cfc skipped",
+        "agree osn==cfc-1 yes", "agree extract==cover skipped"]
+    code, out, err = run(capsys, "oracle", str(rot), "--porcelain")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "fvs=skipped" in lines
+    assert "agree_fvs=skipped" in lines
+
+
 def prism(k):
     """Rotation-system text of the cubic prism on an outer k-cycle o0..
     and an inner k-cycle i0.., with o_j joined to i_j."""

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from outersplit import (
@@ -16,6 +18,12 @@ from outersplit import (
     serialize_rot,
 )
 from outersplit.errors import CapExceeded, InfeasibleParameters, UnknownFamily
+from outersplit.generators import _below, _shuffle
+
+# lengths 0..300 hold 2^k - 1, 2^k and 2^k + 1 up to k = 8, where the
+# bit count of a draw changes; the ones above take it to k = 12
+DRAW_SIZES = [*range(301)] + [(1 << k) + d for k in range(9, 13)
+                               for d in (-1, 0, 1)]
 
 
 def test_3tree_counts():
@@ -75,6 +83,24 @@ def test_random_triangulation_smallest_case():
     assert g.n == 4 and g.m == 6
     with pytest.raises(InfeasibleParameters):
         random_triangulation(3)
+
+
+def test_inlined_draws_match_the_stdlib():
+    # _shuffle and _below stand in for Random.shuffle and randrange, so
+    # they must return the same values and leave the same state: the
+    # generators' output and every later draw depend on both
+    for seed in range(51):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for size in DRAW_SIZES:
+            x, y = list(range(size)), list(range(size))
+            _shuffle(ours, x)
+            stdlib.shuffle(y)
+            assert x == y, (seed, size)
+            assert ours.getstate() == stdlib.getstate(), (seed, size)
+            if size:
+                assert _below(ours, size) == stdlib.randrange(size), \
+                    (seed, size)
+                assert ours.getstate() == stdlib.getstate(), (seed, size)
 
 
 def test_random_biconnected_hits_requested_size():
