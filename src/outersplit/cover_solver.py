@@ -11,9 +11,11 @@ min_fvs has two solvers and picks one by the largest dual degree alone.
 Duals of maximum degree 3, which are exactly the duals of triangulations,
 go to a polynomial one: there fvs = beta - nu, the cycle rank minus a
 matroid parity value, and nu is read off the rank of a random matrix over
-GF(p).  Every other dual goes to an exact branch and bound, since there
-the problem is NP-hard; it branches on the nodes of one short cycle, as
-every feedback set holds one of them.
+GF(p).  That rank is the only numpy user here, and numpy is imported the
+first time a _ParityRank is built, so importing this module does not load
+it.  Every other dual goes to an exact branch and bound, since there the
+problem is NP-hard; it branches on the nodes of one short cycle, as every
+feedback set holds one of them.
 
 Two independent brute-force oracles cross-check the theory on small
 instances: brute_min_cfc enumerates face subsets by size, and
@@ -26,8 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     CapExceeded,
@@ -52,6 +53,9 @@ from .split_engine import (
     _split_at_gaps,
     face_cover,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -323,6 +327,8 @@ def _cycle_vectors(nodes, edges):
     edge, and the edge indices at each node.  Column e of the rows
     represents edge e in the cographic matroid: a set of edges is
     independent exactly when deleting it leaves as many components."""
+    import numpy as np
+
     index = {u: i for i, u in enumerate(nodes)}
     ends = [(index[a], index[b]) for a, b in edges]
     inc: list[list[int]] = [[] for _ in nodes]
@@ -359,6 +365,8 @@ def _cycle_vectors(nodes, edges):
 
 def _draw(rng: random.Random, n: int) -> np.ndarray:
     """n values in [1, p) from one call of rng."""
+    import numpy as np
+
     raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
     return np.frombuffer(raw, np.uint32).astype(np.int64) % (_P - 1) + 1
 
@@ -395,6 +403,8 @@ class _ParityRank:
     vanishes, and f is beta minus the number of pivots."""
 
     def __init__(self, nodes, edges, rng: random.Random):
+        import numpy as np
+
         z, self.inc = _cycle_vectors(nodes, edges)
         pairs = [(es[i], es[j]) for es in self.inc
                  for i in range(len(es)) for j in range(i + 1, len(es))]
@@ -452,6 +462,8 @@ class _ParityRank:
 
     def _absorb(self, new: list[int]) -> None:
         """Pivot out of the free set plus new until S vanishes on it."""
+        import numpy as np
+
         pool = self.free + new
         rows = self._read(pool, None)
         while True:

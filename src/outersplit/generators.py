@@ -341,22 +341,28 @@ def _need(spec: FamilySpec, field: str) -> int:
     return value
 
 
+# each family's builder and the FamilySpec fields it takes, in call order
+_FAMILIES = {
+    "k4": (k4, ()),
+    "octahedron": (octahedron, ()),
+    "icosahedron": (icosahedron, ()),
+    "cycle": (cycle, ("n",)),
+    "fan": (fan, ("n",)),
+    "complete_3tree": (complete_3tree, ("d",)),
+    "random_triangulation": (random_triangulation, ("n", "seed")),
+    "random_biconnected": (random_biconnected, ("n", "m", "seed")),
+}
+
+
 def generate(spec: FamilySpec) -> PlaneGraph:
-    """Build any family from its spec."""
-    if spec.family == "k4":
-        return k4()
-    if spec.family == "octahedron":
-        return octahedron()
-    if spec.family == "icosahedron":
-        return icosahedron()
-    if spec.family == "cycle":
-        return cycle(_need(spec, "n"))
-    if spec.family == "fan":
-        return fan(_need(spec, "n"))
-    if spec.family == "complete_3tree":
-        return complete_3tree(_need(spec, "d"))
-    if spec.family == "random_triangulation":
-        return random_triangulation(_need(spec, "n"), spec.seed)
-    if spec.family == "random_biconnected":
-        return random_biconnected(_need(spec, "n"), _need(spec, "m"), spec.seed)
-    raise UnknownFamily(f"no family named {spec.family!r}")
+    """Build any family from its spec.  A size parameter (d, n or m) the
+    family does not take raises InfeasibleParameters, as does one it
+    needs and lacks; seed is read by the random families only."""
+    if spec.family not in _FAMILIES:
+        raise UnknownFamily(f"no family named {spec.family!r}")
+    builder, fields = _FAMILIES[spec.family]
+    for field in ("d", "n", "m"):
+        if field not in fields and getattr(spec, field) is not None:
+            raise InfeasibleParameters(
+                f"family {spec.family!r} takes no parameter {field!r}")
+    return builder(*(_need(spec, field) for field in fields))

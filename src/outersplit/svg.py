@@ -3,15 +3,14 @@
 The outer face's vertices are pinned to a regular polygon and every other
 vertex solves to the weighted average of its neighbors.  The solve is
 retried with perturbed random weights when positions degenerate; a drawing
-that stays degenerate raises LayoutFailure.
+that stays degenerate raises LayoutFailure.  numpy does the solve, and it
+is imported the first time layout solves positions, not with this module.
 """
 
 from __future__ import annotations
 
 import math
 import random
-
-import numpy as np
 
 from .errors import LayoutFailure, WriteFailure
 from .plane_graph import PlaneGraph, Vertex
@@ -58,6 +57,8 @@ def layout(g: PlaneGraph) -> dict[Vertex, tuple[float, float]]:
 
 
 def _solve(g, order, index, outer, rng):
+    import numpy as np
+
     n = len(order)
     a = np.zeros((n, n))
     bx = np.zeros(n)
@@ -90,6 +91,8 @@ def _solve(g, order, index, outer, rng):
 
 
 def _degenerate(pos, order) -> bool:
+    import numpy as np
+
     if not np.all(np.isfinite(pos)):
         return True
     n = len(order)

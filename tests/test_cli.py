@@ -369,6 +369,19 @@ def test_gen_negative_seed_is_a_domain_error(tmp_path, capsys):
         assert not out_path.exists()
 
 
+def test_gen_with_a_parameter_the_family_does_not_take(tmp_path, capsys):
+    out_path = tmp_path / "t.rot"
+    for argv, name in ((("k4", "-n", "3"), "n"),
+                       (("random_triangulation", "-n", "10", "-m", "5"), "m"),
+                       (("cycle", "-n", "6", "-d", "2"), "d")):
+        code, out, err = run(capsys, "gen", *argv, "-o", str(out_path))
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: InfeasibleParameters"), argv
+        assert f"takes no parameter '{name}'" in err
+        assert not out_path.exists()
+
+
 def test_unwritable_outputs_are_usage_errors(tmp_path, capsys):
     rot = write_k4(tmp_path)
     seq = tmp_path / "k4.seq"

@@ -198,6 +198,14 @@ def test_named_dispatch():
         generate(FamilySpec(family="petersen"))
     with pytest.raises(InfeasibleParameters):
         generate(FamilySpec(family="cycle"))  # n missing
+    for family in ("k4", "octahedron", "icosahedron"):
+        for extra in ({"d": 1}, {"n": 3}, {"m": 6}):
+            with pytest.raises(InfeasibleParameters, match="takes no"):
+                generate(FamilySpec(family=family, **extra))
+    for family in ("cycle", "fan"):
+        for extra in ({"d": 1}, {"m": 6}):
+            with pytest.raises(InfeasibleParameters, match="takes no"):
+                generate(FamilySpec(family=family, n=5, **extra))
 
 
 def test_generate_dispatch():
@@ -207,3 +215,12 @@ def test_generate_dispatch():
     assert generate(FamilySpec(family="k4")).n == 4
     with pytest.raises(InfeasibleParameters):
         generate(FamilySpec(family="random_biconnected", n=6))  # m missing
+    for spec in (FamilySpec(family="complete_3tree", d=1, n=7),
+                 FamilySpec(family="complete_3tree", d=1, m=18),
+                 FamilySpec(family="random_triangulation", n=10, m=5),
+                 FamilySpec(family="random_triangulation", n=10, d=2),
+                 FamilySpec(family="random_biconnected", n=6, m=8, d=1)):
+        with pytest.raises(InfeasibleParameters, match="takes no"):
+            generate(spec)
+    # seed is not checked: its default 0 cannot be told from an explicit 0
+    assert generate(FamilySpec(family="k4", seed=5)).n == 4
