@@ -1,9 +1,13 @@
-"""Frozen split-sequence outputs of solve_osn.
+"""Frozen split-sequence outputs of solve_osn, and the graphs their
+replay makes.
 
-The digest was recorded before the split engine was refactored, so a
-change to any cover or any split in this corpus shows up here.  Update
-it only for a deliberate change of the realized sequences, and say so
-in CHANGES.md.
+The split digest was recorded before the split engine was refactored,
+so a change to any cover or any split in this corpus shows up here.  The
+replay digest covers the same corpus plus the five sparse_exact
+instances of the benchmark, the latter also with a designated outer
+face, and pins every face id, walk start and outer designation of the
+replayed graphs.  Update either only for a
+deliberate change of the outputs, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -17,11 +21,16 @@ from outersplit import (
     octahedron,
     random_biconnected,
     random_triangulation,
+    replay,
+    serialize_rot,
     serialize_splits,
     solve_osn,
+    with_outer_face,
 )
 
 GOLDEN = "ea26bd06a972e721847a20eb836d666d4a92cc56d0cab57ecf6fda9b4618f374"
+GOLDEN_REPLAY = (
+    "6ccc2eb7cde2d4ffed9cd0efb8a86a3564b5615ff652992c76221e7bad9e200d")
 
 
 def corpus():
@@ -56,3 +65,16 @@ def test_solve_osn_outputs_are_frozen():
     count, value = digest()
     assert count == 91
     assert value == GOLDEN
+
+
+def test_replayed_graphs_are_frozen():
+    h = hashlib.sha256()
+    count = 0
+    sparse_exact = [random_biconnected(n, n + 30, 0)
+                    for n in range(80, 121, 10)]
+    outer = [with_outer_face(g, len(g.walks) // 2) for g in sparse_exact]
+    for g in (*corpus(), *sparse_exact, *outer):
+        h.update(serialize_rot(replay(g, solve_osn(g).splits)).encode())
+        count += 1
+    assert count == 101
+    assert h.hexdigest() == GOLDEN_REPLAY
