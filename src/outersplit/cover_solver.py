@@ -37,6 +37,7 @@ from .errors import (
     InvalidCover,
     NotBiconnected,
     SelfLoopPresent,
+    UnknownNode,
 )
 from .plane_graph import (
     DualGraph,
@@ -99,8 +100,12 @@ class _Multi:
     @classmethod
     def from_dual(cls, d: DualGraph) -> "_Multi":
         mg = cls({u: {} for u in d.nodes}, dict.fromkeys(d.nodes, 0))
-        for a, b in d.edges:
-            mg.add_edge(a, b)
+        try:
+            for a, b in d.edges:
+                mg.add_edge(a, b)
+        except KeyError as exc:
+            raise UnknownNode(
+                f"dual edge end {exc.args[0]!r} is not a node") from None
         return mg
 
     def copy(self) -> "_Multi":
@@ -555,7 +560,8 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     the lexicographically least optimal node set.
 
     Parallel edges are honored as 2-cycles; a self-loop makes the problem
-    ill-posed for that node and raises SelfLoopPresent.
+    ill-posed for that node and raises SelfLoopPresent, and an edge with
+    an end that is not a node raises UnknownNode.
 
     When every node has degree at most 3, the size k comes from a matroid
     parity rank and the nodes are taken in order, each kept when the rank

@@ -71,6 +71,11 @@ class SelfLoopPresent(OutersplitError):
     that leaves it loop-free at that node."""
 
 
+class UnknownNode(OutersplitError):
+    """A dual graph has an edge with an end that is not one of its
+    nodes."""
+
+
 class CertificateFailure(OutersplitError):
     """A feedback vertex set failed to induce a connected face cover;
     this signals an implementation bug, not bad input."""
@@ -127,6 +132,11 @@ class ParseError(OutersplitError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class UnwritableName(OutersplitError):
+    """A vertex name that the text formats cannot carry: empty, holding
+    whitespace, or holding '#', which starts a comment."""
 
 
 class LayoutFailure(OutersplitError):

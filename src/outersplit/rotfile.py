@@ -24,7 +24,7 @@ A split-sequence file has one op per line:
 
 from __future__ import annotations
 
-from .errors import OuterFaceUnset, ParseError
+from .errors import OuterFaceUnset, ParseError, UnwritableName
 from .plane_graph import PlaneGraph, build, with_outer_face
 from .split_engine import SplitOp, SplitSequence
 
@@ -113,10 +113,32 @@ def parse_rot(text: str) -> PlaneGraph:
         raise ParseError(str(exc), line=outer_line) from exc
 
 
+def _check_names(names: list[str]) -> None:
+    """Raise UnwritableName unless every name reads back as one token:
+    non-empty, without whitespace and without '#', which starts a
+    comment.  The names are checked together, each between two '#': the
+    text then holds len(names) + 1 of them exactly when no name holds
+    one, '##' exactly when a name is empty, and whitespace exactly when
+    a name does."""
+    if not names:
+        return
+    text = f"#{'#'.join(names)}#"
+    if (text.count("#") != len(names) + 1 or "##" in text
+            or text.split(None, 1) != [text]):
+        bad = next(v for v in names if "#" in v or v.split() != [v])
+        raise UnwritableName(
+            f"vertex name {bad!r} cannot be written: a name must be "
+            "non-empty, without whitespace and without '#'")
+
+
 def serialize_rot(g: PlaneGraph) -> str:
-    """Render a PlaneGraph in the .rot format; parse_rot inverts this."""
+    """Render a PlaneGraph in the .rot format; parse_rot inverts this.
+
+    Raises UnwritableName for a vertex name the format cannot carry."""
+    names = sorted(g.rotation)
+    _check_names(names)
     out = [f"{g.n} {g.m}"]
-    for v in sorted(g.rotation):
+    for v in names:
         out.append(f"{v}: " + " ".join(g.rotation[v]) if g.rotation[v]
                    else f"{v}:")
     out.append("faces")
@@ -144,7 +166,11 @@ def parse_splits(text: str) -> SplitSequence:
 
 
 def serialize_splits(seq: SplitSequence) -> str:
-    """Render a split sequence; parse_splits inverts this."""
+    """Render a split sequence; parse_splits inverts this.
+
+    Raises UnwritableName for a vertex name the format cannot carry."""
+    _check_names([name for op in seq.ops
+                  for name in (op.vertex, op.copy_1, op.copy_2)])
     out = [
         f"SPLIT {op.vertex} {op.face_a} {op.face_b} -> "
         f"{op.copy_1} {op.copy_2}"

@@ -19,8 +19,12 @@ current face are the faces of its slots mapped back this way.
 
 A split's faces are derived from the faces before it, not traced: faces
 with no corner at v are untouched, faces with a corner at v get v renamed
-there, and the two cut faces are spliced into one walk and re-ranked by
-smallest slot.  Only graphs made by build are ever traced, once each.
+there, and the two cut faces are spliced into one walk.  A renamed slot
+sorts after the slot it replaces, so a face's smallest slot, start and
+rank change only when v begins or ends that slot; only such a face is
+searched for its new smallest slot and ranked again, and the merged face
+starts at the smaller of its two parts' smallest slots.  Only graphs made
+by build are ever traced, once each.
 
 A sequence of splits edits one working state in place: the rotation, the
 slot map, the walks by key, the id order and one slot of the outer face,
@@ -68,7 +72,6 @@ from .errors import (
 from .plane_graph import (
     FaceId,
     PlaneGraph,
-    Slot,
     Vertex,
     _touches_all,
     outerplane_face,
@@ -130,35 +133,41 @@ def _cyclic_slice(items: tuple, start: int, end: int) -> tuple:
     return items[start:] + items[:end + 1]
 
 
-def _rename(walk: tuple[Vertex, ...], v: Vertex, visits: int,
-            owner: Mapping[Vertex, Vertex]) -> tuple[list[Vertex], list[int]]:
-    """The walk with each of its visits of v renamed to the copy owning
-    the edges on both sides of it, and the positions of those visits."""
+def _visits(walk: tuple[Vertex, ...], v: Vertex, count: int) -> list[int]:
+    """The positions of the count visits of v in walk."""
     at = [walk.index(v)]
-    for _ in range(visits - 1):
+    for _ in range(count - 1):
         at.append(walk.index(v, at[-1] + 1))
+    return at
+
+
+def _rename(walk: tuple[Vertex, ...], at: list[int],
+            owner: Mapping[Vertex, Vertex]) -> list[Vertex]:
+    """The walk with its visits of v, at the positions at, renamed each
+    to the copy owning the edge into it."""
     out = list(walk)
     for i in at:
         out[i] = owner[walk[i - 1]]
-    return out, at
+    return out
 
 
-def _from_smallest(walk: list[Vertex], starts: Iterable[int]
-                   ) -> tuple[Vertex, ...]:
-    """The cyclic walk rotated to begin at its smallest slot, which is
-    known to begin at one of the positions starts."""
+def _smallest(walk: tuple[Vertex, ...], lo: int, hi: int) -> int:
+    """The position p in range(lo, hi) that begins the smallest slot
+    (walk[p], walk[p + 1]) of the cyclic walk among those positions.
+
+    The slot's tail is the smallest vertex there; a walk passes each
+    slot once, so the slots from several visits of that vertex differ
+    in their heads."""
+    first = min(walk[lo:hi])
+    p = q = walk.index(first, lo, hi)
     d = len(walk)
-    i = min(starts, key=lambda p: (walk[p], walk[p + 1 - d]))
-    return tuple(walk[i:] + walk[:i]) if i else tuple(walk)
-
-
-def _starts(d: int, at: list[int]) -> Iterable[int]:
-    """Positions where the smallest slot of a walk of length d can begin
-    once its visits of v at the positions at are renamed.  A copy's name
-    extends v's, so a renamed slot sorts after the slot it replaces and
-    the old smallest slot, at 0, stays smallest unless it is renamed
-    itself; then any position can hold the new one."""
-    return range(d) if at[0] <= 1 else (0,)
+    while True:
+        try:
+            q = walk.index(first, q + 1, hi)
+        except ValueError:
+            return p
+        if walk[(q + 1) % d] < walk[(p + 1) % d]:
+            p = q
 
 
 class _SplitState:
@@ -212,28 +221,35 @@ class _SplitState:
             raise NotIncident(f"face {fid} does not exist")
         return self.order[fid]
 
-    def corner_gap(self, v: Vertex, key: int) -> int:
-        """Rotation gap index of the first corner of face key at v.
+    def corner_gaps(self, v: Vertex, *keys: int) -> list[int]:
+        """Rotation gap index of the first corner at v of each face key.
 
         Gap i sits between rotation[v][i] and rotation[v][i+1]; a corner
-        of a face at v occupies exactly one gap.  Walk order makes the
-        choice deterministic when the face touches v more than once."""
+        of a face at v occupies exactly one gap.  One pass over v's
+        rotation finds the faces with a single corner there; walk order
+        makes the choice deterministic when a face touches v more than
+        once."""
         rot = self.rotation[v]
-        slot_face = self.slot_face
-        gaps = [i for i, x in enumerate(rot) if slot_face[(x, v)] == key]
-        if not gaps:
-            raise NotIncident(f"vertex {v!r} is not on the boundary of "
-                              f"face {self.face_id(key)}")
-        if len(gaps) == 1:
-            return gaps[0]
-        # The first slot into v is the one before the first v after the
-        # walk's start; when v only starts the walk, it is the last slot.
-        walk = self.walks[key]
-        try:
-            p = walk.index(v, 1)
-        except ValueError:
-            p = 0
-        return rot.index(walk[p - 1])
+        at_v = [self.slot_face[(x, v)] for x in rot]
+        gaps = []
+        for key in keys:
+            corners = at_v.count(key)
+            if corners == 1:
+                gaps.append(at_v.index(key))
+                continue
+            if not corners:
+                raise NotIncident(f"vertex {v!r} is not on the boundary of "
+                                  f"face {self.face_id(key)}")
+            # The first slot into v is the one before the first v after
+            # the walk's start; when v only starts the walk, it is the
+            # last slot.
+            walk = self.walks[key]
+            try:
+                p = walk.index(v, 1)
+            except ValueError:
+                p = 0
+            gaps.append(rot.index(walk[p - 1]))
+        return gaps
 
     def split(self, v: Vertex, gap_a: int, gap_b: int) -> SplitOp:
         """Split v at two rotation gaps owned by two distinct faces and
@@ -251,9 +267,10 @@ class _SplitState:
         face_b = self.face_id(slot_face[(rot[gap_b], v)])
         # the first pair v.1 v.2, v.3 v.4, ... whose names are both free
         i = 1
-        while f"{v}.{i}" in rotation or f"{v}.{i + 1}" in rotation:
+        copy_1, copy_2 = f"{v}.1", f"{v}.2"
+        while copy_1 in rotation or copy_2 in rotation:
             i += 2
-        copy_1, copy_2 = f"{v}.{i}", f"{v}.{i + 1}"
+            copy_1, copy_2 = f"{v}.{i}", f"{v}.{i + 1}"
 
         # Arc conventions follow the corner picture: with face_a's corner
         # in gap_a and face_b's in gap_b, copy_2 takes the clockwise arc
@@ -263,7 +280,7 @@ class _SplitState:
         owner = dict.fromkeys(arc_2, copy_2)
         owner.update(dict.fromkeys(arc_1, copy_1))
 
-        self._split_faces(v, (rot[gap_a], v), (rot[gap_b], v), owner)
+        self._split_faces(v, rot[gap_a], rot[gap_b], owner)
         if self.outer is not None:
             x, y = self.outer
             if x == v:
@@ -274,79 +291,128 @@ class _SplitState:
         del rotation[v]
         rotation[copy_1] = arc_1
         rotation[copy_2] = arc_2
-        for w in rot:
-            rotation[w] = tuple(owner[w] if x == v else x
-                                for x in rotation[w])
+        for w, c in owner.items():
+            nbrs = list(rotation[w])
+            nbrs[nbrs.index(v)] = c
+            rotation[w] = tuple(nbrs)
         return SplitOp(v, face_a, face_b, copy_1, copy_2)
 
-    def _split_faces(self, v: Vertex, in_a: Slot, in_b: Slot,
+    def _split_faces(self, v: Vertex, x_a: Vertex, x_b: Vertex,
                      owner: Mapping[Vertex, Vertex]) -> None:
         """Update the faces for splitting v, touching only the faces with
         a corner at v.
 
         owner maps each neighbor of v to the copy that takes its edge;
-        in_a and in_b are the slots into v at the corners where the split
-        cuts, on the two faces that merge.  A face with corners at v has
-        v renamed there.  The two cut faces are spliced into one walk:
-        the tail of face_a after its corner joins the head of face_b, and
-        the tail of face_b joins the head of face_a.  The merged face
-        keeps the key of the longer face, so only the shorter one's
-        slots are entered again."""
-        slot_face, walks = self.slot_face, self.walks
-        key_a = slot_face[in_a]
-        key_b = slot_face[in_b]
+        (x_a, v) and (x_b, v) are the slots into v at the corners where
+        the split cuts, on the two faces that merge.  A face with corners
+        at v has v renamed there.  The two cut faces are spliced into one
+        walk: the tail of face_a after its corner joins the head of
+        face_b, and the tail of face_b joins the head of face_a.  The
+        merged face keeps the key of the longer face, so only the shorter
+        one's slots are entered again.
+
+        A copy's name extends v's, so a renamed slot sorts after the slot
+        it replaces, and a face keeps its smallest slot, its start and
+        its rank unless v begins or ends that slot: unless v is at walk
+        position 0 or 1.  Only such a face is rotated to its new smallest
+        slot and ranked again."""
+        slot_face, walks, order = self.slot_face, self.walks, self.order
+        key_a = slot_face[(x_a, v)]
+        key_b = slot_face[(x_b, v)]
         if key_a == key_b:
             raise AssertionError("split did not merge exactly two faces")
-        visits: dict[int, int] = {}  # key of a face at v -> its visits of v
+        # the faces at v, each with the copy at one of its corners, and
+        # the visits of v of each face with several corners there, as a
+        # face has at a cut vertex
+        at_v: dict[int, Vertex] = {}
+        several: dict[int, int] = {}
         for x, c in owner.items():
             slot_face[(x, c)] = slot_face.pop((x, v))
             key = slot_face[(c, x)] = slot_face.pop((v, x))
-            visits[key] = visits.get(key, 0) + 1
+            if key in at_v:
+                several[key] = several.get(key, 1) + 1
+            else:
+                at_v[key] = c
+        count = len(order)
 
-        # walks holds the walks before the split until the end
-        new: dict[int, tuple[Vertex, ...]] = {}
-        for key in visits.keys() - {key_a, key_b}:
-            walk, at = _rename(walks[key], v, visits[key], owner)
-            new[key] = _from_smallest(walk, _starts(len(walk), at))
+        def rank(key: int, walk: tuple[Vertex, ...]) -> None:
+            # take key out of the id order by its old walk and put it
+            # back by its new one
+            del order[bisect_left(order, walks[key], key=walks.__getitem__)]
+            walks[key] = walk
+            insort(order, key, key=walks.__getitem__)
+
+        del at_v[key_a], at_v[key_b]
+        for key, c in at_v.items():
+            walk = walks[key]
+            if key in several:
+                at = _visits(walk, v, several[key])
+                i = at[0]
+                walk = tuple(_rename(walk, at, owner))
+            else:
+                i = walk.index(v)
+                renamed = list(walk)
+                renamed[i] = c
+                walk = tuple(renamed)
+            if i > 1:
+                walks[key] = walk
+            else:
+                p = _smallest(walk, 0, len(walk))
+                rank(key, walk[p:] + walk[:p])
 
         # Splice at the cut visits of v: the shorter walk, from just after
         # its cut round to its cut, goes into the longer one just after
-        # its cut.  The merged face keeps the longer one's key.
-        cut_faces = []
-        for key, (x, _) in ((key_a, in_a), (key_b, in_b)):
-            walk, at = _rename(walks[key], v, visits[key], owner)
-            cut = next(i for i in at if walks[key][i - 1] == x)
-            cut_faces.append((key, walk, at, cut))
-        (keep, walk, at, cut), (drop, short, at_s, cut_s) = sorted(
-            cut_faces, key=lambda f: -len(f[1]))
-        d, k = len(walk), len(short)
+        # its cut.  Each part is its walk, the positions of its visits of
+        # v and the position of its cut.
+        parts = []
+        for key, x in ((key_a, x_a), (key_b, x_b)):
+            walk = walks[key]
+            if key in several:
+                at = _visits(walk, v, several[key])
+                cut = next(i for i in at if walk[i - 1] == x)
+            else:
+                at = [walk.index(v)]
+                cut = at[0]
+            parts.append((key, walk, at, cut))
+        if len(parts[0][1]) < len(parts[1][1]):
+            parts.reverse()
+        (keep, long, at, cut), (drop, short, at_s, cut_s) = parts
+        first, first_s = at[0], at_s[0]
+        k = len(short)
+        size = len(long) + k
+        walk = _rename(long, at, owner)
+        short = _rename(short, at_s, owner)
         walk[cut + 1:cut + 1] = short[cut_s + 1:] + short[:cut_s + 1]
+        walk = tuple(walk)
         # walk now runs ..., copy, (short's walk), other copy, ...; each
         # copy must own the edges on both sides of it
         if (walk[cut] == walk[cut + k] or owner[walk[cut + 1]] != walk[cut]
-                or owner[walk[(cut + k + 1) % (d + k)]] != walk[cut + k]):
+                or owner[walk[(cut + k + 1) % size]] != walk[cut + k]):
             raise AssertionError("spliced walk does not close")
-        # a position p of the longer walk stays or moves by k, one q of the
-        # shorter moves to cut + 1 + (q - cut_s - 1) % k
-        starts = [p if p <= cut else p + k for p in _starts(d, at)]
-        starts += [cut + 1 + (q - cut_s - 1) % k for q in _starts(k, at_s)]
-        new[keep] = _from_smallest(walk, starts)
         slot_face.update(dict.fromkeys(
             zip(walk[cut:cut + k], walk[cut + 1:cut + k + 1]), keep))
 
-        # Re-rank: take the dropped face and every face whose smallest slot
-        # changed out of the id order, then put the latter back by their
-        # new walks.
-        moved = [key for key, walk in new.items()
-                 if walk[:2] != walks[key][:2]]
-        order = self.order
-        count = len(order)
-        for key in (*moved, drop):
-            del order[bisect_left(order, walks[key], key=walks.__getitem__)]
+        # The merged face's smallest slot is the smaller of the parts'.
+        # The longer part holds the slots at positions 0..cut - 1 and
+        # cut + k.., the shorter the k from cut on; a part whose smallest
+        # slot was not renamed still has it at its old start, which for
+        # the shorter part has moved to cut + k - cut_s.
+        if first > 1:
+            starts = [0]
+        else:
+            starts = [_smallest(walk, cut + k, size)]
+            if cut:
+                starts.append(_smallest(walk, 0, cut))
+        starts.append(cut + k - cut_s if first_s > 1
+                      else _smallest(walk, cut, cut + k))
+        p = min(starts, key=lambda p: (walk[p], walk[(p + 1) % size]))
+
+        del order[bisect_left(order, walks[drop], key=walks.__getitem__)]
         del walks[drop]
-        walks.update(new)
-        for key in moved:
-            insort(order, key, key=walks.__getitem__)
+        if p == 0 and first > 1:
+            walks[keep] = walk
+        else:
+            rank(keep, walk[p:] + walk[:p])
         if len(order) != count - 1:
             raise AssertionError("split did not merge exactly two faces")
 
@@ -371,8 +437,7 @@ def _split_by_ids(st: _SplitState, v: Vertex, face_a: FaceId,
     if len(st.rotation[v]) < 2:
         raise DanglingVertex(
             f"vertex {v!r} has degree {len(st.rotation[v])}, cannot split")
-    return st.split(v, st.corner_gap(v, st.key(face_a)),
-                    st.corner_gap(v, st.key(face_b)))
+    return st.split(v, *st.corner_gaps(v, st.key(face_a), st.key(face_b)))
 
 
 def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
@@ -393,36 +458,27 @@ def _merge(st: _SplitState, v: Vertex, keys: set[int]) -> list[SplitOp]:
     """Merge the faces of st with the given keys, all incident to v, into
     one face with len(keys) - 1 splits, iterating clockwise around v.
 
-    Each face is held by the neighbor y of its first clockwise corner
-    (y, v): a split only renames v, so the slot from y to its copy of v
-    stays on that face."""
-    corner: dict[int, Vertex] = {}
-    for y in st.rotation[v]:
-        key = st.slot_face[(y, v)]
-        if key in keys:
-            corner.setdefault(key, y)
+    A split keeps the key of every face it does not merge, so each face
+    keeps its key until its turn, and the merged face has the key of the
+    longer of the two faces each split joins."""
     # Faces in clockwise order of their first corner around v, rotated
     # so the smallest id, which has the smallest walk, leads.
-    lead = list(corner).index(min(corner, key=st.walks.__getitem__))
-    held = list(corner.values())
-    held = held[lead:] + held[:lead]
+    around = [key for key in dict.fromkeys(
+        [st.slot_face[(y, v)] for y in st.rotation[v]]) if key in keys]
+    lead = around.index(min(around, key=st.walks.__getitem__))
+    merged, *targets = around[lead:] + around[:lead]
 
     copies = [v]  # current copies of v, the newest copy_1 last
-
-    def now(y: Vertex) -> int:
-        return st.slot_face[
-            (y, next(x for x in st.rotation[y] if x in copies))]
-
     ops: list[SplitOp] = []
-    for y in held[1:]:
-        merged = now(held[0])
-        target = now(y)
+    for target in targets:
         # The merged face touches every copy of v, but a face merged at
         # an earlier vertex may have corners at several of them; split a
         # copy the next face touches.
         c = next(c for c in reversed(copies) if c in st.walks[target])
-        op = st.split(c, st.corner_gap(c, merged), st.corner_gap(c, target))
+        op = st.split(c, *st.corner_gaps(c, merged, target))
         ops.append(op)
+        if merged not in st.walks:
+            merged = target
         copies.remove(c)
         copies += [op.copy_2, op.copy_1]
     return ops

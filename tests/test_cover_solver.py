@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from outersplit import (
+    DualGraph,
     brute_min_cfc,
     brute_osn_by_splits,
     build,
@@ -27,6 +28,7 @@ from outersplit.errors import (
     InfeasibleParameters,
     NotBiconnected,
     SelfLoopPresent,
+    UnknownNode,
 )
 
 
@@ -121,6 +123,17 @@ def test_min_fvs_rejects_self_loops():
     assert d.has_self_loop()
     with pytest.raises(SelfLoopPresent):
         min_fvs(d)
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    ((0,), ((0, 1),)),
+    ((1,), ((0, 1),)),
+    # degree 4 at node 0 sends the dual past the rank path
+    ((0, 1, 2), ((0, 1), (0, 1), (0, 2), (0, 2), (1, 5))),
+])
+def test_min_fvs_rejects_edges_to_missing_nodes(nodes, edges):
+    with pytest.raises(UnknownNode, match="is not a node"):
+        min_fvs(DualGraph(nodes=nodes, edges=edges))
 
 
 def test_solve_osn_known_values():

@@ -5,11 +5,14 @@ new rotation system.  The tests here wrap the split primitive, or call a
 one-split sequence, so that the face data of the graph after every split,
 renumbered by id when the graph is built, is compared as a whole with
 _trace_faces run on its rotation system.  One more checks that a split
-sequence leaves its input graph unchanged.
+sequence leaves its input graph unchanged, and one counts the cases of
+the smallest-slot rule that single splits take, so that none goes
+untested.
 """
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +48,7 @@ def assert_traced(g):
         for x, y in f.boundary:
             first.setdefault(y, x)
         for v, x in first.items():
-            assert st.corner_gap(v, f.id) == g.rotation[v].index(x)
+            assert st.corner_gaps(v, f.id) == [g.rotation[v].index(x)]
 
 
 @pytest.fixture
@@ -261,3 +264,61 @@ def test_every_single_split_at_repeated_corners():
                 assert_traced(split_engine._split_at_gaps(g, v, i, j)[0])
                 assert_traced(split_engine._split_at_gaps(g, v, j, i)[0])
     assert repeated >= 10
+
+
+def rule_cases(g, v, i, j):
+    """The cases of the smallest-slot rule that splitting v of g at gaps i
+    and j takes.  A face keeps its start unless v is at its walk position
+    0 or 1; the merged face's smallest slot is the smaller of its two
+    parts', each searched again only when it was renamed."""
+    rot = g.rotation[v]
+    # (face, slot into v at its cut), the longer face first: it keeps
+    # its key, face_a on a tie
+    cut = [(g.face_of_slot((x, v)), x) for x in (rot[i], rot[j])]
+    if len(g.walks[cut[0][0]]) < len(g.walks[cut[1][0]]):
+        cut.reverse()
+    (long, x_long), (short, _) = cut
+    cases = set()
+    for fid in {g.face_of_slot((x, v)) for x in rot}:
+        walk = g.walks[fid]
+        role = "cut" if fid in (long, short) else "other"
+        if walk.count(v) > 1:
+            cases.add(f"{role} face visits v twice")
+        if role == "other":
+            at = walk.index(v)
+            cases.add(f"other face, v at {at}" if at <= 1
+                      else "other face, v past 1")
+    cases.add(("merged face, renamed longer, shorter",
+               g.walks[long].index(v) <= 1, g.walks[short].index(v) <= 1))
+    if g.walks[long][0] == v and g.walks[long][-1] == x_long:
+        cases.add("longer face cut at its start")
+    return cases
+
+
+def test_every_case_of_the_smallest_slot_rule():
+    graphs = [random_triangulation(n, seed) for n in range(5, 10)
+              for seed in range(2)]
+    graphs += [random_biconnected(9, 12, seed) for seed in range(3)]
+    graphs += [crowded(random_triangulation(12, 0), 0)]
+    graphs += [build(rot) for rot in (BOWTIE, LOLLIPOP, NAMED_BOWTIE)]
+    # graphs with longer faces and copies of split vertices
+    for g in list(graphs[:4]):
+        v = min(g.rotation)
+        fids = sorted({g.face_of_slot((x, v)) for x in g.rotation[v]})
+        graphs.append(split_engine.split_vertex(g, v, fids[0], fids[-1])[0])
+    seen = Counter()
+    for g in graphs:
+        for v, rot in g.rotation.items():
+            fids = [g.face_of_slot((x, v)) for x in rot]
+            for i, j in permutations(range(len(rot)), 2):
+                if fids[i] != fids[j]:
+                    seen.update(rule_cases(g, v, i, j))
+                    assert_traced(split_engine._split_at_gaps(g, v, i, j)[0])
+    expected = {"other face, v at 0", "other face, v at 1",
+                "other face, v past 1"}
+    expected |= {("merged face, renamed longer, shorter", a, b)
+                 for a in (False, True) for b in (False, True)}
+    expected |= {"cut face visits v twice", "other face visits v twice",
+                 "longer face cut at its start"}
+    assert set(seen) == expected
+    assert min(seen.values()) >= 5, seen

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from outersplit import (
+    build,
     complete_3tree,
     cycle,
     face_cover,
@@ -16,9 +19,10 @@ from outersplit import (
     replay,
     serialize_rot,
     serialize_splits,
+    SplitOp,
     SplitSequence,
 )
-from outersplit.errors import AsymmetricRotation, ParseError
+from outersplit.errors import AsymmetricRotation, ParseError, UnwritableName
 
 K4_TEXT = """\
 # the complete graph on four vertices
@@ -128,3 +132,44 @@ def test_bad_split_lines():
         with pytest.raises(ParseError) as info:
             parse_splits(text)
         assert info.value.line == 1
+
+
+def triangle(name):
+    return build({name: ("b", "c"), "b": ("c", name), "c": (name, "b")})
+
+
+def one_split(name):
+    return SplitSequence((SplitOp(name, 0, 1, f"{name}.1", f"{name}.2"),))
+
+
+@pytest.mark.parametrize("name", ["", " ", "a b", "a\tb", "a\nb", "a#1",
+                                  "#", "a\u2028b"])
+def test_serializers_reject_unwritable_names(name):
+    with pytest.raises(UnwritableName):
+        serialize_rot(triangle(name))
+    with pytest.raises(UnwritableName):
+        serialize_splits(one_split(name))
+
+
+@given(st.text(max_size=4))
+def test_every_written_name_reads_back(name):
+    # A name is written exactly when it is one token: non-empty, without
+    # whitespace, without '#'.  Whatever is written parses back.
+    assume(name not in ("b", "c"))
+    writable = bool(name) and "#" not in name and not any(
+        ch.isspace() for ch in name)
+    g = triangle(name)
+    seq = one_split(name)
+    try:
+        text = serialize_rot(g)
+    except UnwritableName:
+        assert not writable
+    else:
+        assert writable
+        assert parse_rot(text).rotation == g.rotation
+    try:
+        text = serialize_splits(seq)
+    except UnwritableName:
+        assert not writable
+    else:
+        assert parse_splits(text) == seq
