@@ -7,15 +7,18 @@ dual problem exactly; fvs_to_cover certifies the resulting face set as a
 connected cover; solve_osn chains both and realizes that cover as
 realize_cover does, without certifying it a second time.
 
-min_fvs has two solvers and picks one by the largest dual degree alone.
-Duals of maximum degree 3, which are exactly the duals of triangulations,
-go to a polynomial one: there fvs = beta - nu, the cycle rank minus a
-matroid parity value, and nu is read off the rank of a random matrix over
-GF(p).  That rank is the only numpy user here, and numpy is imported the
-first time a _ParityRank is built, so importing this module does not load
-it.  Every other dual goes to an exact branch and bound, since there the
-problem is NP-hard; it branches on the nodes of one short cycle, as every
-feedback set holds one of them.
+min_fvs has two solvers and picks one by the dual's size and largest
+degree.  Duals of more than 24 nodes and maximum degree 3 (the duals of
+triangulations on more than 14 vertices, among others) go to a
+polynomial one: there fvs = beta - nu, the cycle rank minus a matroid
+parity value, and nu is read off the rank of a random matrix over GF(p).
+That rank is the only numpy user here, and numpy is imported the first
+time a _ParityRank is built, so importing this module does not load it.
+Every other dual goes to an exact branch and bound: one of maximum degree
+above 3, where the problem is NP-hard, and a cubic one of at most 24
+nodes, which the search solves faster than the rank and with no random
+draw.  It branches on the nodes of one short cycle, as every feedback
+set holds one of them.
 
 Two independent brute-force oracles cross-check the theory on small
 instances: brute_min_cfc enumerates face subsets by size, and
@@ -37,7 +40,6 @@ from .errors import (
     InvalidCover,
     NotBiconnected,
     SelfLoopPresent,
-    UnknownNode,
 )
 from .plane_graph import (
     DualGraph,
@@ -100,12 +102,8 @@ class _Multi:
     @classmethod
     def from_dual(cls, d: DualGraph) -> "_Multi":
         mg = cls({u: {} for u in d.nodes}, dict.fromkeys(d.nodes, 0))
-        try:
-            for a, b in d.edges:
-                mg.add_edge(a, b)
-        except KeyError as exc:
-            raise UnknownNode(
-                f"dual edge end {exc.args[0]!r} is not a node") from None
+        for a, b in d.edges:
+            mg.add_edge(a, b)
         return mg
 
     def copy(self) -> "_Multi":
@@ -496,6 +494,17 @@ class _ParityRank:
         self.free = [i for i, row in zip(pool, rows) if row.any()]
 
 
+# The most nodes a dual of maximum degree 3 may have and still go to the
+# branch and bound.  With numpy loaded, on a 2-vCPU 2.0 GHz Xeon VM: on
+# triangulation duals of up to 24 nodes (n <= 14) the search's median
+# was 0.08-1.29 ms against 0.64-2.57 ms for the rank, and its p99 over
+# 200 seeds at n=14 was 2.7 ms against 14.3 ms; on the cubic cages
+# Petersen (10 nodes), Heawood (14), McGee (24) and Tutte-Coxeter (30)
+# the search took 0.3-1.5 ms and the rank 1.2-3.3 ms.  The search's tail
+# begins at 32 nodes (n=18), where its maximum was 18 ms against 7 ms.
+_SEARCH_MAX_CUBIC = 24
+
+
 def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
     """Optimum size and lexicographically least optimal node set of a
     dual of maximum degree 3, by matroid parity ranks."""
@@ -546,6 +555,8 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
             if second.value_without([renumber[e] for e in new]) != budget:
                 continue
         chosen.append(x)
+        if len(chosen) == k:
+            break  # nothing reads the state left after the last node
         rest.remove(x)
         done.update(new)
         cycles -= len(new) - 1
@@ -563,20 +574,25 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     ill-posed for that node and raises SelfLoopPresent, and an edge with
     an end that is not a node raises UnknownNode.
 
-    When every node has degree at most 3, the size k comes from a matroid
-    parity rank and the nodes are taken in order, each kept when the rank
-    says one node fewer remains to find.  A random evaluation can only
-    lose rank, so these steps are certified: k, once it meets the degree
-    lower bound, else the peel bound (short cycles deleted one by one,
-    each counting one node), or else _decide refutes k - 1; every node
-    taken; and every node passed over because a lower bound on what
-    would remain, the degree bound or else the peel bound, exceeds the
-    budget.  A node passed over on the rank alone, confirmed by a second
-    independent draw, is right with high probability: each draw errs
-    with probability below (number of nodes) / p, p = 2147483629.
-    A slip there could only return an optimum that is not the least one,
-    or raise AssertionError; the size stays exact.  Other duals are
-    solved by branch and bound: k is the least budget _decide meets,
+    A dual of more than 24 nodes, every one of degree at most 3, goes to
+    a matroid parity rank: the size k comes from the rank and the nodes
+    are taken in order, each kept when the rank says one node fewer
+    remains to find.  A random evaluation can only lose rank, so these
+    steps are certified: k, once it meets the degree lower bound, else
+    the peel bound (short cycles deleted one by one, each counting one
+    node), or else _decide refutes k - 1; every node taken; and every
+    node passed over because a lower bound on what would remain, the
+    degree bound or else the peel bound, exceeds the budget.  A node
+    passed over on the rank alone, confirmed by a second independent
+    draw, is right with high probability: each draw errs with
+    probability below (number of nodes) / p, p = 2147483629.  A slip
+    there could only return an optimum that is not the least one, or
+    raise AssertionError; the size stays exact.
+
+    Every other dual, a cubic one of at most 24 nodes included, goes to
+    branch and bound, which draws nothing at random and so carries no
+    such caveat; on those small cubic duals it is also faster than the
+    rank and needs no numpy.  k is the least budget _decide meets,
     counting up from the peel bound, and a node is kept when the witness
     holds it, or else when _decide meets the rest of the budget with it
     and the nodes kept before it.  The witness is the last feedback set
@@ -585,8 +601,9 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     set in either case."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
+    degrees = d.degrees()
     base = _Multi.from_dual(d)
-    if max(d.degrees().values(), default=0) <= 3:
+    if len(d.nodes) > _SEARCH_MAX_CUBIC and max(degrees.values()) <= 3:
         k, chosen = _rank_fvs(d, base)
     else:
         k, chosen = _search_fvs(base)

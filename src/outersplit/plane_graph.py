@@ -40,6 +40,7 @@ from .errors import (
     OuterFaceUnset,
     ParallelEdge,
     SelfLoop,
+    UnknownNode,
 )
 
 Vertex = str
@@ -243,10 +244,16 @@ class DualGraph:
         return len(self.edges)
 
     def degrees(self) -> dict[FaceId, int]:
+        """Each node's degree, parallel edges counted; an edge with an end
+        that is not a node raises UnknownNode."""
         deg = {f: 0 for f in self.nodes}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
+        try:
+            for a, b in self.edges:
+                deg[a] += 1
+                deg[b] += 1
+        except KeyError as exc:
+            raise UnknownNode(
+                f"dual edge end {exc.args[0]!r} is not a node") from None
         return deg
 
     def has_self_loop(self) -> bool:

@@ -128,7 +128,7 @@ def test_min_fvs_rejects_self_loops():
 @pytest.mark.parametrize("nodes, edges", [
     ((0,), ((0, 1),)),
     ((1,), ((0, 1),)),
-    # degree 4 at node 0 sends the dual past the rank path
+    # parallel edges, and degree 4 at node 0
     ((0, 1, 2), ((0, 1), (0, 1), (0, 2), (0, 2), (1, 5))),
 ])
 def test_min_fvs_rejects_edges_to_missing_nodes(nodes, edges):

@@ -1,11 +1,12 @@
-"""The matroid parity rank that min_fvs uses on duals of maximum degree 3,
-pinned against the branch and bound.
+"""The matroid parity rank that min_fvs uses on duals of more than 24
+nodes and maximum degree 3, pinned against the branch and bound.
 
 For a multigraph H of maximum degree 3 the minimum feedback vertex set
 has size beta(H) - nu(H), and the rank of a random Lovasz matrix gives
 nu(H) with high probability.  The reference here is the exact search:
 the least budget _decide can meet, and the node set of its
-lexicographic completion.
+lexicographic completion.  Smaller cubic duals go to that search
+instead, so the rank path is also called directly here.
 """
 
 import os
@@ -34,8 +35,10 @@ from outersplit.cover_solver import (
     _Multi,
     _ParityRank,
     _peel_bound,
+    _rank_fvs,
     _search_fvs,
 )
+from outersplit.plane_graph import DualGraph
 
 
 def rank_value(mg, rng):
@@ -139,9 +142,113 @@ def test_node_sets_match_the_search_completion():
     for n, seed in cases:
         d = dual(random_triangulation(n, seed=seed))
         k, chosen = _search_fvs(_Multi.from_dual(d))
-        sol = min_fvs(d)
         assert len(chosen) == k
-        assert sol.nodes == frozenset(chosen), (n, seed)
+        assert _rank_fvs(d, _Multi.from_dual(d)) == (k, chosen), (n, seed)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every _ParityRank built while the test runs, in order."""
+    made = []
+
+    class Counted(_ParityRank):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cover_solver, "_ParityRank", Counted)
+    return made
+
+
+def numbered(n, edges):
+    """The graph on nodes 0..n-1 with the given edges, each once."""
+    return DualGraph(nodes=tuple(range(n)),
+                     edges=tuple(sorted({tuple(sorted(e)) for e in edges})))
+
+
+def lcf(jumps, repeats):
+    """The cubic graph of LCF notation [jumps]^repeats: a Hamiltonian
+    cycle 0, 1, ..., n - 1 plus a chord from i to i + jumps[i]."""
+    n = len(jumps) * repeats
+    return numbered(n, [(i, (i + 1) % n) for i in range(n)]
+                    + [(i, (i + jumps[i % len(jumps)]) % n)
+                       for i in range(n)])
+
+
+def petersen():
+    # the Petersen graph has no Hamiltonian cycle and so no LCF notation:
+    # an outer 5-cycle, spokes, and an inner pentagram
+    return numbered(10, [(i, (i + 1) % 5) for i in range(5)]
+                    + [(i, i + 5) for i in range(5)]
+                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+CAGES = {
+    # name: (graph, nodes, optimum)
+    "Petersen": (petersen(), 10, 3),
+    "Heawood": (lcf([5, -5], 7), 14, 4),
+    "McGee": (lcf([12, 7, -7], 8), 24, 7),
+    "Tutte-Coxeter": (lcf([-13, -9, 7, -7, 9, 13], 5), 30, 8),
+}
+
+
+def test_min_fvs_sends_cubic_duals_of_at_most_24_nodes_to_the_search(
+        built):
+    """Every triangulation dual with n <= 14 (at most 24 nodes) and the
+    cages of at most 24 nodes solve with no rank oracle built, to the
+    node set the rank path finds; from 25 nodes on, min_fvs builds the
+    same oracles, one per draw, as the rank path does."""
+    cases = {(n, seed): dual(random_triangulation(n, seed=seed))
+             for n in range(4, 16) for seed in range(5)}
+    for name, (d, nodes, optimum) in CAGES.items():
+        assert len(d.nodes) == nodes
+        assert set(d.degrees().values()) == {3}, name
+        assert len(min_fvs(d).nodes) == optimum, name
+        cases[name] = d
+    routed = {"search": 0, "rank": 0}
+    for key, d in cases.items():
+        del built[:]
+        k, chosen = _rank_fvs(d, _Multi.from_dual(d))
+        draws = len(built)
+        assert draws in (1, 2)
+        del built[:]
+        assert min_fvs(d).nodes == frozenset(chosen), key
+        if len(d.nodes) <= 24:
+            assert built == [], key
+            routed["search"] += 1
+        else:
+            assert len(built) == draws, key
+            routed["rank"] += 1
+    # n = 4..14 with 5 seeds and three cages; n = 15 (26 nodes) and
+    # Tutte-Coxeter
+    assert routed == {"search": 58, "rank": 6}
+
+
+def test_rank_path_makes_no_delete_after_the_last_node(built,
+                                                       monkeypatch):
+    """A delete after the k-th node is chosen would feed no later query,
+    so none is made: every delete leaves an oracle with a positive
+    value, since at least one node is still to find, and the first
+    oracle is deleted from once per chosen node but the last."""
+    deleted = []
+    delete = _ParityRank.delete
+
+    def counted(self, edges):
+        delete(self, edges)
+        deleted.append(self)
+        assert self.value > 0
+
+    monkeypatch.setattr(_ParityRank, "delete", counted)
+    total = 0
+    for n, seed in [(24, 0), (25, 1), (27, 0), (30, 1)]:
+        del built[:], deleted[:]
+        d = dual(random_triangulation(n, seed=seed))
+        k = len(min_fvs(d).nodes)
+        assert deleted.count(built[0]) == k - 1, (n, seed)
+        total += len(deleted)
+    # 5 oracles, one each for the first three and two for (30, 1): a
+    # delete after the last node on each would make 62
+    assert total == 57
 
 
 def test_peel_bound_saves_second_draws(monkeypatch):

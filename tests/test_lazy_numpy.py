@@ -1,5 +1,8 @@
 """numpy is loaded only where a computation needs it: the matroid parity
-rank that min_fvs uses on duals of maximum degree 3, and the SVG layout.
+rank that min_fvs uses on duals of more than 24 nodes and maximum degree
+3, and the SVG layout.  Cubic duals of at most 24 nodes, those of K4,
+the octahedron, the icosahedron and every triangulation on at most 14
+vertices, go to the branch and bound and solve without it.
 
 Each check runs in a fresh interpreter, because this one has numpy loaded
 already.  Setting sys.modules["numpy"] to None makes any import of numpy
@@ -15,8 +18,11 @@ from pathlib import Path
 
 import outersplit
 from outersplit import (
+    icosahedron,
     k4,
+    octahedron,
     random_biconnected,
+    random_triangulation,
     render,
     serialize_splits,
     solve_osn,
@@ -58,13 +64,29 @@ inst = o.build_cfc_instance(o.k4())
 vc = o.brute_min_vc(o.k4())
 out["round_trip"] = o.cfc_to_vc(inst, o.vc_to_cfc(inst, vc)) == vc
 
+# cubic duals of at most 24 nodes go to the branch and bound
+out["small_cubic"] = {}
+for name in ("k4", "octahedron", "icosahedron"):
+    res = o.solve_osn(getattr(o, name)())
+    out["small_cubic"][name] = [res.osn, sorted(res.cover.faces),
+                                o.serialize_splits(res.splits)]
+out["n_le_14"] = [o.serialize_splits(o.solve_osn(
+    o.random_triangulation(n, seed)).splits)
+    for n in range(4, 15) for seed in range(5)]
+
+# the dual of a triangulation on 20 vertices has 36 nodes
 try:
-    o.solve_osn(o.k4())
-    out["k4"] = "solved"
+    o.solve_osn(o.random_triangulation(20, 0))
+    out["n_20"] = "solved"
 except ImportError:
-    out["k4"] = "ImportError"
+    out["n_20"] = "ImportError"
 print(json.dumps(out))
 """
+
+
+def solved(g):
+    res = solve_osn(g)
+    return [res.osn, sorted(res.cover.faces), serialize_splits(res.splits)]
 
 
 def test_everything_but_the_rank_path_and_layout_runs_without_numpy():
@@ -77,8 +99,15 @@ def test_everything_but_the_rank_path_and_layout_runs_without_numpy():
     assert out["outerplane"] is True
     assert out["violations"] == []
     assert out["round_trip"] is True
-    # K4's dual is cubic, so its solve needs the rank and with it numpy
-    assert out["k4"] == "ImportError"
+    assert out["small_cubic"] == {
+        "k4": solved(k4()), "octahedron": solved(octahedron()),
+        "icosahedron": solved(icosahedron())}
+    assert [osn for osn, _, _ in out["small_cubic"].values()] == [1, 2, 5]
+    assert out["n_le_14"] == [
+        serialize_splits(solve_osn(random_triangulation(n, seed)).splits)
+        for n in range(4, 15) for seed in range(5)]
+    # a cubic dual of more than 24 nodes needs the rank and with it numpy
+    assert out["n_20"] == "ImportError"
 
 
 FIRST_USE = """
@@ -88,7 +117,7 @@ import outersplit.cli
 
 out = {"after_import": "numpy" in sys.modules}
 if sys.argv[1] == "solve":
-    res = o.solve_osn(o.k4())
+    res = o.solve_osn(o.random_triangulation(20, 0))
     out["result"] = [res.osn, sorted(res.cover.faces),
                      o.serialize_splits(res.splits)]
 else:
@@ -99,10 +128,8 @@ print(json.dumps(out))
 
 
 def test_numpy_loads_on_first_use_with_unchanged_results():
-    res = solve_osn(k4())
     expected = {
-        "solve": [res.osn, sorted(res.cover.faces),
-                  serialize_splits(res.splits)],
+        "solve": solved(random_triangulation(20, 0)),
         "render": render(k4()),
     }
     for use, result in expected.items():

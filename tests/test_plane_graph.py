@@ -16,7 +16,9 @@ from outersplit.errors import (
     OuterFaceUnset,
     ParallelEdge,
     SelfLoop,
+    UnknownNode,
 )
+from outersplit.plane_graph import DualGraph
 
 
 def triangle():
@@ -163,6 +165,17 @@ def test_dual_degree_equals_boundary_length():
     degs = dual(g).degrees()
     for f in g.faces:
         assert degs[f.id] == len(f)
+
+
+@pytest.mark.parametrize("nodes, edges, missing", [
+    ((0,), ((0, 1),), 1),
+    ((1,), ((0, 1),), 0),
+    ((0, 1), ((0, 1), (1, 7), (0, 1)), 7),
+])
+def test_dual_degrees_reject_edges_to_missing_nodes(nodes, edges, missing):
+    d = DualGraph(nodes=nodes, edges=edges)
+    with pytest.raises(UnknownNode, match=f"end {missing} is not a node"):
+        d.degrees()
 
 
 def test_is_biconnected():
