@@ -31,10 +31,20 @@ from .svg import emit_svg
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", line=0) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; it ends on the byte's line,
+        # counted as the parsers count lines
+        before = data[:exc.start].decode("utf-8")
+        raise ParseError(
+            f"{path} is not UTF-8: cannot decode byte "
+            f"{data[exc.start]:#04x}",
+            line=len(f"{before}?".splitlines())) from None
 
 
 def _load(path: str) -> PlaneGraph:

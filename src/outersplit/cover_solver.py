@@ -731,7 +731,7 @@ def _split_search(g: PlaneGraph, depth: int, visited: dict) -> bool:
             for j in range(i + 1, d):
                 if g.face_of_slot((rot[j], v)) == fi:
                     continue
-                child, _ = _split_at_gaps(g, v, i, j)
+                child = _split_at_gaps(g, v, i, j)
                 if _split_search(child, depth - 1, visited):
                     return True
     return False

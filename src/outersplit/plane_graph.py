@@ -13,13 +13,18 @@ clockwise rotation at v.  Face ids are assigned deterministically by sorting
 the walks by their lexicographically smallest slot.
 
 Every PlaneGraph holds its faces as two fields, walks and slot_face.
-build traces the rotation system once.  A split changes only the faces
-through the split vertex, so split_engine derives the faces after a
-split from those before instead of tracing again; the derived faces
-equal what a trace of the new rotation system gives.  It edits one
-working copy of the maps through a whole split sequence and builds a
-PlaneGraph once, at the end, so a graph is built only where the API
-returns one.  Designating an outer face shares the fields unchanged.
+build traces the rotation system once, and the trace is also where the
+rotation system is checked: each vertex's neighbors are tested for
+itself and for repeats before the walks start, and a slot (u, v) whose
+head does not list u back has no successor, which the walk through it
+finds.  Connectivity and Euler's formula are checked on what the trace
+returns.  A split changes only the faces through the split vertex, so
+split_engine derives the faces after a split from those before instead
+of tracing again; the derived faces equal what a trace of the new
+rotation system gives.  It edits one working copy of the maps through a
+whole split sequence and builds a PlaneGraph once, at the end, so a
+graph is built only where the API returns one.  Designating an outer
+face shares the fields unchanged.
 
 The package reads faces from those fields: face i's vertices are
 walks[i], and the face on each side of an edge comes from slot_face.
@@ -119,68 +124,89 @@ class PlaneGraph:
 def _trace_faces(
         rotation: Mapping[Vertex, tuple[Vertex, ...]]
 ) -> tuple[tuple[tuple[Vertex, ...], ...], dict[Slot, FaceId]]:
-    """walks and slot_face of a symmetric rotation system, as PlaneGraph
-    holds them."""
-    succ: dict[Slot, Vertex] = {}
+    """walks and slot_face of a rotation system, as PlaneGraph holds them.
+
+    Raises SelfLoop or ParallelEdge for the first vertex, in the map's
+    order, whose list holds itself or a neighbor twice, and otherwise
+    AsymmetricRotation for the first slot (u, v) the trace reaches
+    whose head v does not list u back or is not a vertex."""
+    # after[v][u] follows u in the clockwise rotation at v: the slot
+    # (u, v) is followed by (v, after[v][u])
+    after: dict[Vertex, dict[Vertex, Vertex]] = {}
     for v, nbrs in rotation.items():
-        d = len(nbrs)
-        for i, u in enumerate(nbrs):
-            succ[(u, v)] = nbrs[(i + 1) % d]
+        nxt = dict(zip(nbrs, nbrs[1:] + nbrs[:1]))
+        if v in nxt or len(nxt) != len(nbrs):
+            _raise_not_simple(v, nbrs)
+        after[v] = nxt
 
     walks: list[tuple[Vertex, ...]] = []
     slot_face: dict[Slot, FaceId] = {}
     # Slots are consumed in sorted order, so every walk starts at its own
-    # lexicographically smallest slot and face ids come out sorted.  build
-    # has checked that the rotation is symmetric, so the slots are exactly
-    # the (t, h) with h in rotation[t]: sorting the tails, then each
-    # tail's heads, gives the sorted slots without sorting all 2m.
+    # lexicographically smallest slot and face ids come out sorted.  The
+    # slots are the (t, h) with h in rotation[t], so sorting the tails,
+    # then each tail's heads, gives the sorted slots without sorting all
+    # 2m.
+    #
+    # With no vertex listing a neighbor twice, a slot is the successor
+    # of at most one slot, so a walk either comes back to its start
+    # slot or stops at a slot that has no successor, and it never
+    # enters a face already traced.  Every slot is walked through, so
+    # every slot whose head does not list its tail back is found.
     for t in sorted(rotation):
         for h in sorted(rotation[t]):
-            start = (t, h)
-            if start in slot_face:
+            if (t, h) in slot_face:
                 continue
             fid = len(walks)
             walk: list[Vertex] = []
-            cur = start
-            while cur not in slot_face:
-                slot_face[cur] = fid
-                u, v = cur
-                walk.append(u)
-                cur = (v, succ[cur])
-            if cur != start:
-                raise NotPlanar("face walk did not close on its start slot")
+            u, v = t, h
+            try:
+                while True:
+                    slot_face[u, v] = fid
+                    walk.append(u)
+                    u, v = v, after[v][u]
+                    if u == t and v == h:
+                        break
+            except KeyError:
+                if v not in rotation:
+                    raise AsymmetricRotation(
+                        f"{u!r} lists unknown vertex {v!r}") from None
+                raise AsymmetricRotation(
+                    f"{u!r} lists {v!r} but {v!r} does not list {u!r}"
+                ) from None
             walks.append(tuple(walk))
     return tuple(walks), slot_face
+
+
+def _raise_not_simple(v: Vertex, nbrs: tuple[Vertex, ...]) -> None:
+    """Raise SelfLoop or ParallelEdge for the first neighbor of v that
+    is v or repeats an earlier one."""
+    seen = set()
+    for u in nbrs:
+        if u == v:
+            raise SelfLoop(f"vertex {v!r} lists itself")
+        if u in seen:
+            raise ParallelEdge(f"vertex {v!r} lists {u!r} twice")
+        seen.add(u)
 
 
 def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
     """Validate a rotation system and wrap it in a PlaneGraph.
 
     The neighbor order of each vertex is kept exactly as given (clockwise).
-    Raises AsymmetricRotation, SelfLoop, ParallelEdge, Disconnected or
+    Raises SelfLoop, ParallelEdge, AsymmetricRotation, Disconnected or
     NotPlanar when the map does not describe a connected sphere embedding
-    with at least one edge.
+    with at least one edge.  When several apply, the first in that list
+    wins: the face trace finds self-loops and repeated neighbors before
+    it starts and asymmetry as it walks, and the graph-wide checks run
+    on the symmetric system it leaves.  The trace names the first
+    faulty vertex in the map's order, or the first asymmetric slot it
+    reaches.
     """
     rotation: dict[Vertex, tuple[Vertex, ...]] = {}
     for v, nbrs in adjacency.items():
         rotation[v] = tuple(nbrs)
 
-    # neighbour sets make the symmetry test linear in the degree
-    nbr_sets = {v: set(nbrs) for v, nbrs in rotation.items()}
-    for v, nbrs in rotation.items():
-        seen_nbrs = set()
-        for u in nbrs:
-            if u == v:
-                raise SelfLoop(f"vertex {v!r} lists itself")
-            if u in seen_nbrs:
-                raise ParallelEdge(f"vertex {v!r} lists {u!r} twice")
-            seen_nbrs.add(u)
-            if u not in rotation:
-                raise AsymmetricRotation(f"{v!r} lists unknown vertex {u!r}")
-            if v not in nbr_sets[u]:
-                raise AsymmetricRotation(
-                    f"{v!r} lists {u!r} but {u!r} does not list {v!r}")
-
+    walks, slot_face = _trace_faces(rotation)
     if rotation and not _connected(rotation):
         raise Disconnected("rotation system describes a disconnected graph")
 
@@ -190,8 +216,6 @@ def build(adjacency: Mapping[Vertex, Iterable[Vertex]]) -> PlaneGraph:
         raise NotPlanar(
             f"{n} vertices and no edges: a plane graph needs at least one "
             "edge to have a face")
-    # the trace also raises NotPlanar on a non-closing walk
-    walks, slot_face = _trace_faces(rotation)
     f = len(walks)
     if n - m + f != 2:
         raise NotPlanar(
@@ -216,6 +240,9 @@ def _connected(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> bool:
 def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     """Return the same embedding with face_id designated as outer,
     sharing g's rotation and faces."""
+    # bool is an int, but serialize_rot would write it as a word
+    if isinstance(face_id, bool) or not isinstance(face_id, int):
+        raise OuterFaceUnset(f"face id {face_id!r} is not an integer")
     count = len(g.walks)
     if not 0 <= face_id < count:
         raise OuterFaceUnset(

@@ -39,10 +39,11 @@ PlaneGraph, split_vertex is a sequence of one split, and realize_cover,
 which returns only the ops, checks that its final walks are outerplane
 and builds no graph.  Within a sequence faces are followed by key,
 through the slots into the split vertex; a face id, which costs a search
-of the id order once keys and ids part, is computed only where a split
-records its SplitOp.  Copy origins are read off the ops only by
-extract_cover and SplitSequence.origin; realize_cover finds the current
-face of an original one by rotation position instead.
+of the id order once keys and ids part, is computed only where _merge
+records a SplitOp, as replay and split_vertex are given the ids.  Copy
+origins are read off the ops only by extract_cover and
+SplitSequence.origin; realize_cover finds the current face of an
+original one by rotation position instead.
 
 merge_faces_at_vertex chains splits around one vertex so that a whole set
 of faces incident to it becomes a single face.  realize_cover walks a
@@ -251,20 +252,19 @@ class _SplitState:
             gaps.append(rot.index(walk[p - 1]))
         return gaps
 
-    def split(self, v: Vertex, gap_a: int, gap_b: int) -> SplitOp:
+    def split(self, v: Vertex, gap_a: int,
+              gap_b: int) -> tuple[Vertex, Vertex]:
         """Split v at two rotation gaps owned by two distinct faces and
-        return the op, recorded with the ids those faces had before it.
+        return the names of its two copies.
 
         Every slot survives, with v renamed to the copy that owns the
         slot's edge, so the outer slot is renamed the same way and stays
         on the face that absorbed the old outer face.  The faces are
         derived from the faces before, not traced, and equal what a
         trace of the new rotation system would give."""
-        rotation, slot_face = self.rotation, self.slot_face
+        rotation = self.rotation
         rot = rotation[v]
         d = len(rot)
-        face_a = self.face_id(slot_face[(rot[gap_a], v)])
-        face_b = self.face_id(slot_face[(rot[gap_b], v)])
         # the first pair v.1 v.2, v.3 v.4, ... whose names are both free
         i = 1
         copy_1, copy_2 = f"{v}.1", f"{v}.2"
@@ -295,7 +295,7 @@ class _SplitState:
             nbrs = list(rotation[w])
             nbrs[nbrs.index(v)] = c
             rotation[w] = tuple(nbrs)
-        return SplitOp(v, face_a, face_b, copy_1, copy_2)
+        return copy_1, copy_2
 
     def _split_faces(self, v: Vertex, x_a: Vertex, x_b: Vertex,
                      owner: Mapping[Vertex, Vertex]) -> None:
@@ -418,12 +418,12 @@ class _SplitState:
 
 
 def _split_at_gaps(g: PlaneGraph, v: Vertex, gap_a: int,
-                   gap_b: int) -> tuple[PlaneGraph, SplitOp]:
+                   gap_b: int) -> PlaneGraph:
     """Split v at two rotation gaps owned by two distinct faces, as a
-    sequence of one split; returns (graph, op)."""
+    sequence of one split, and return the graph."""
     st = _SplitState(g)
-    op = st.split(v, gap_a, gap_b)
-    return st.graph(), op
+    st.split(v, gap_a, gap_b)
+    return st.graph()
 
 
 def _split_by_ids(st: _SplitState, v: Vertex, face_a: FaceId,
@@ -437,7 +437,9 @@ def _split_by_ids(st: _SplitState, v: Vertex, face_a: FaceId,
     if len(st.rotation[v]) < 2:
         raise DanglingVertex(
             f"vertex {v!r} has degree {len(st.rotation[v])}, cannot split")
-    return st.split(v, *st.corner_gaps(v, st.key(face_a), st.key(face_b)))
+    copy_1, copy_2 = st.split(
+        v, *st.corner_gaps(v, st.key(face_a), st.key(face_b)))
+    return SplitOp(v, face_a, face_b, copy_1, copy_2)
 
 
 def split_vertex(g: PlaneGraph, v: Vertex, face_a: FaceId,
@@ -475,12 +477,13 @@ def _merge(st: _SplitState, v: Vertex, keys: set[int]) -> list[SplitOp]:
         # an earlier vertex may have corners at several of them; split a
         # copy the next face touches.
         c = next(c for c in reversed(copies) if c in st.walks[target])
-        op = st.split(c, *st.corner_gaps(c, merged, target))
-        ops.append(op)
+        face_a, face_b = st.face_id(merged), st.face_id(target)
+        copy_1, copy_2 = st.split(c, *st.corner_gaps(c, merged, target))
+        ops.append(SplitOp(c, face_a, face_b, copy_1, copy_2))
         if merged not in st.walks:
             merged = target
         copies.remove(c)
-        copies += [op.copy_2, op.copy_1]
+        copies += [copy_2, copy_1]
     return ops
 
 

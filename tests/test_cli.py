@@ -259,6 +259,24 @@ def test_split_with_non_ascii_digits_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("parse error:")
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    rot = tmp_path / "bad.rot"
+    rot.write_bytes(b"3 3\na: b c\nb: c a\nc: a b\xff\n")
+    code, out, err = run(capsys, "verify", str(rot))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: line 4:")
+    assert "0xff" in err
+    seq = tmp_path / "bad.seq"
+    seq.write_bytes(b"SPLIT a 0 1 -> a.1 a.2\r\n\xfe\n")
+    code, out, err = run(capsys, "split", "--apply", write_k4(tmp_path),
+                         str(seq))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: line 2:")
+    assert "0xfe" in err
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.rot"))
     assert code == 2

@@ -63,7 +63,7 @@ def checked(monkeypatch):
     def checking(st, v, gap_a, gap_b):
         first = (None if st.outer is None
                  else st.walks[st.slot_face[st.outer]][:2])
-        op = real(st, v, gap_a, gap_b)
+        copies = real(st, v, gap_a, gap_b)
         assert ([st.face_id(k) for k in st.order]
                 == list(range(len(st.order))))
         walks = [st.walks[k] for k in st.order]
@@ -72,12 +72,12 @@ def checked(monkeypatch):
         assert_traced(result)
         assert (result.outer_face is None) == (first is None)
         if first is not None:
-            back = dict.fromkeys((op.copy_1, op.copy_2), v)
+            back = dict.fromkeys(copies, v)
             outer = result.faces[result.outer_face].boundary
             assert first in {
                 (back.get(x, x), back.get(y, y)) for x, y in outer}
-        made.append((v, op.copy_1, op.copy_2))
-        return op
+        made.append((v, *copies))
+        return copies
 
     monkeypatch.setattr(split_engine._SplitState, "split", checking)
     return made
@@ -238,7 +238,7 @@ def test_random_split_chains(kind, seed, data):
         if not choices:
             break
         v, i, j = data.draw(st.sampled_from(choices))
-        g, _ = split_engine._split_at_gaps(g, v, i, j)
+        g = split_engine._split_at_gaps(g, v, i, j)
         assert_traced(g)
 
 
@@ -261,8 +261,8 @@ def test_every_single_split_at_repeated_corners():
                 if fids[i] == fids[j]:
                     continue
                 repeated += fids.count(fids[i]) > 1 or fids.count(fids[j]) > 1
-                assert_traced(split_engine._split_at_gaps(g, v, i, j)[0])
-                assert_traced(split_engine._split_at_gaps(g, v, j, i)[0])
+                assert_traced(split_engine._split_at_gaps(g, v, i, j))
+                assert_traced(split_engine._split_at_gaps(g, v, j, i))
     assert repeated >= 10
 
 
@@ -313,7 +313,7 @@ def test_every_case_of_the_smallest_slot_rule():
             for i, j in permutations(range(len(rot)), 2):
                 if fids[i] != fids[j]:
                     seen.update(rule_cases(g, v, i, j))
-                    assert_traced(split_engine._split_at_gaps(g, v, i, j)[0])
+                    assert_traced(split_engine._split_at_gaps(g, v, i, j))
     expected = {"other face, v at 0", "other face, v at 1",
                 "other face, v past 1"}
     expected |= {("merged face, renamed longer, shorter", a, b)

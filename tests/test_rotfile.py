@@ -21,8 +21,14 @@ from outersplit import (
     serialize_splits,
     SplitOp,
     SplitSequence,
+    with_outer_face,
 )
-from outersplit.errors import AsymmetricRotation, ParseError, UnwritableName
+from outersplit.errors import (
+    AsymmetricRotation,
+    OuterFaceUnset,
+    ParseError,
+    UnwritableName,
+)
 
 K4_TEXT = """\
 # the complete graph on four vertices
@@ -54,6 +60,16 @@ def test_round_trip_families():
         assert h.rotation == g.rotation
         assert h.outer_face == g.outer_face
         assert serialize_rot(h) == text
+
+
+def test_outer_face_must_be_an_int():
+    g = k4()
+    for fid in range(len(g.walks)):
+        h = parse_rot(serialize_rot(with_outer_face(g, fid)))
+        assert h.outer_face == fid
+    for bad in (True, False, 1.0, "1", None):
+        with pytest.raises(OuterFaceUnset):
+            with_outer_face(g, bad)
 
 
 def test_parse_without_faces_block():

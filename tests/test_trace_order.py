@@ -1,13 +1,15 @@
 """_trace_faces picks its start slots tail by tail, in sorted order of
 tails and then of each tail's heads, instead of sorting every slot.
 
-That is the sorted slot order exactly when the rotation is symmetric,
-which build checks before it traces.  These tests compare the trace with
-a reference that consumes sorted(slots), on every generator family, on
-relabelings whose string order is not their numeric order ("10" < "9"),
-and on split results that hold copy names such as v.1: the walks must be
-equal and slot_face must hold the same items in the same insertion
-order.
+The slots are the (t, h) with h in rotation[t], so that is the sorted
+slot order.  These tests compare the trace with a reference that takes
+its successors from a slot-keyed map and consumes sorted(slots), on the
+valid rotation systems of every generator family, on relabelings whose
+string order is not their numeric order ("10" < "9"), and on split
+results that hold copy names such as v.1: the walks must be equal and
+slot_face must hold the same items in the same insertion order.  The
+trace's checks of invalid systems are compared with a reference in
+test_build_checks.
 """
 
 import random
