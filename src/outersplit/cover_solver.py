@@ -18,7 +18,9 @@ Every other dual goes to an exact branch and bound: one of maximum degree
 above 3, where the problem is NP-hard, and a cubic one of at most 24
 nodes, which the search solves faster than the rank and with no random
 draw.  It branches on the nodes of one short cycle, as every feedback
-set holds one of them.
+set holds one of them, and one solve keeps a memo of the reduced
+multigraphs (kernels) it has branched on, with the largest budget
+refuted on each and a feedback set found for it.
 
 Two independent brute-force oracles cross-check the theory on small
 instances: brute_min_cfc enumerates face subsets by size, and
@@ -125,36 +127,29 @@ class _Multi:
             self.deg[b] += 1
 
 
-def _components(mg: _Multi):
-    seen: set[int] = set()
-    for start in mg.adj:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        i = 0
-        while i < len(comp):
-            for w in mg.adj[comp[i]]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-            i += 1
-        yield comp
-
-
 def _lower_bound(mg: _Multi) -> int:
     # Per component: removing a node of degree <= D kills <= D edges, and
     # a forest on n' nodes has < n' edges, so any feedback set has at
     # least ceil((m - n + 1) / (D - 1)) nodes.
     total = 0
-    for comp in _components(mg):
-        n = len(comp)
-        m = sum(mg.deg[u] for u in comp) // 2
-        excess = m - n + 1
-        if excess <= 0:
+    seen: set[int] = set()
+    for start in mg.adj:
+        if start in seen:
             continue
-        max_deg = max(mg.deg[u] for u in comp)
-        total += -(-excess // (max_deg - 1))
+        seen.add(start)
+        comp = [start]
+        ends = top = 0  # edge ends and largest degree in the component
+        for u in comp:
+            deg = mg.deg[u]
+            ends += deg
+            top = max(top, deg)
+            for w in mg.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        excess = ends // 2 - len(comp) + 1
+        if excess > 0:
+            total += -(-excess // (top - 1))
     return total
 
 
@@ -179,32 +174,37 @@ def _is_forest(edges) -> bool:
     return True
 
 
-def _reduce(mg: _Multi, budget: int, taken: list[int]) -> bool:
-    """Exhaustively apply safe reductions; False when provably infeasible."""
-    changed = True
-    while changed:
-        changed = False
-        for u in list(mg.adj):
-            if u not in mg.adj:
-                continue
-            deg = mg.deg[u]
-            if deg <= 1:
+def _reduce(mg: _Multi, budget: int, taken: list[int],
+            todo: list[int] | None = None) -> bool:
+    """Exhaustively apply safe reductions; False when provably infeasible.
+    todo holds every node of degree 2 or less, all nodes by default; a
+    node joins it whenever its degree drops."""
+    if todo is None:
+        todo = list(mg.adj)
+    while todo:
+        u = todo.pop()
+        if u not in mg.adj:
+            continue
+        deg = mg.deg[u]
+        if deg <= 1:
+            todo.extend(mg.adj[u])
+            mg.remove(u)
+        elif deg == 2:
+            nbrs = mg.adj[u]
+            if len(nbrs) == 1:
+                # 2-cycle u=a: u's cycles all pass a, so take a
+                (a,) = nbrs
+                todo.extend(mg.adj[a])
+                taken.append(a)
+                mg.remove(a)
+                if len(taken) > budget:
+                    return False
+            else:
+                # a and b lose u, and gain each other unless already doubled
+                a, b = nbrs
                 mg.remove(u)
-                changed = True
-            elif deg == 2:
-                nbrs = mg.adj[u]
-                if len(nbrs) == 1:
-                    # 2-cycle u=a: u's cycles all pass a, so take a
-                    (a,) = nbrs
-                    taken.append(a)
-                    mg.remove(a)
-                    if len(taken) > budget:
-                        return False
-                else:
-                    a, b = nbrs
-                    mg.remove(u)
-                    mg.add_edge(a, b)
-                changed = True
+                mg.add_edge(a, b)
+                todo += (a, b)
     return True
 
 
@@ -236,25 +236,76 @@ def _short_cycle(mg: _Multi) -> list[int]:
             return path[:path.index(cycle[-1])] + cycle
 
 
-def _decide(mg: _Multi, budget: int):
+# The most kernel nodes one solve's memo keeps, summed over its kernels;
+# a stored node costs about 0.34 KB.  On a 2-vCPU Xeon VM the dual of
+# random_biconnected(60, 170, 0), which does not solve within a minute,
+# filled this cap with 6,208 kernels and peaked at 109 MB RSS after 60 s
+# (17 MB with no memo); with no cap it held 1.59M nodes and 551 MB after
+# 8 s.  The inputs that do solve stay below it: (40, 110, 0) stores
+# 70,326 nodes, (100, 200, 0) 133,490 and (150, 250, 0) 163,827.
+_MEMO_MAX_NODES = 1 << 18
+
+
+class _Memo:
+    """What the searches of one solve learned, by kernel: kernels maps
+    the node set of a reduced multigraph to [its adjacency, the largest
+    budget refuted on it or -1, a feedback set found for it or None].
+    A stored adjacency is the kernel's own and is never edited, as
+    branches work on copies; room counts the kernel nodes still to
+    store, and a kernel that does not fit is not stored."""
+
+    __slots__ = ("kernels", "room")
+
+    def __init__(self):
+        self.kernels: dict[frozenset[int], list] = {}
+        self.room = _MEMO_MAX_NODES
+
+
+def _decide(mg: _Multi, budget: int, memo: _Memo | None = None,
+            todo: list[int] | None = None):
     """Nodes of a feedback vertex set of at most budget nodes, or None;
-    consumes mg.  Every feedback set holds a node of each cycle, so once
-    the reductions leave every degree at 3 or more, the search branches
-    on the nodes of one short cycle, by descending degree and then id."""
+    consumes mg, and reduces it from todo as _reduce does.  Every
+    feedback set holds a node of each cycle, so once the reductions leave
+    every degree at 3 or more, the search branches on the nodes of one
+    short cycle, by descending degree and then id.  A branch deletes a
+    node from the reduced kernel, so only its neighbours need reducing.
+    Each kernel the search branches on is looked up in memo (a fresh
+    one by default) by its node set, and counts as met only when its
+    adjacency is equal too: a budget at or below one refuted on it is
+    refuted again, and a feedback set found for it is reused when it
+    fits the budget."""
     taken: list[int] = []
-    if not _reduce(mg, budget, taken):
+    if not _reduce(mg, budget, taken, todo):
         return None
     if not mg.adj:
         return taken
     rem = budget - len(taken)
     if rem <= 0 or _lower_bound(mg) > rem:
         return None
+    if memo is None:
+        memo = _Memo()
+    key = frozenset(mg.adj)
+    entry = memo.kernels.get(key)
+    if entry is not None and entry[0] == mg.adj:
+        if rem <= entry[1]:
+            return None
+        if entry[2] is not None and len(entry[2]) <= rem:
+            return taken + entry[2]
+    elif entry is not None or len(key) <= memo.room:
+        # a kernel on the same nodes but with other edges is replaced
+        if entry is None:
+            memo.room -= len(key)
+        entry = memo.kernels[key] = [mg.adj, -1, None]
     for x in sorted(_short_cycle(mg), key=lambda u: (-mg.deg[u], u)):
         trial = mg.copy()
         trial.remove(x)
-        sub = _decide(trial, rem - 1)
+        sub = _decide(trial, rem - 1, memo, list(mg.adj[x]))
         if sub is not None:
+            if entry is not None:
+                entry[2] = [x] + sub
             return taken + [x] + sub
+    if entry is not None:
+        entry[1] = rem
     return None
 
 
@@ -281,9 +332,11 @@ def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
     """Optimum size and lexicographically least optimal node set by
     branch and bound: the least feasible budget from the peel bound up,
     then the nodes in order, each kept when the witness holds it or else
-    when _decide meets the rest of the budget."""
+    when _decide meets the rest of the budget.  Every _decide call shares
+    one memo."""
+    memo = _Memo()
     k = _peel_bound(base.copy())
-    while (found := _decide(base.copy(), k)) is None:
+    while (found := _decide(base.copy(), k, memo)) is None:
         k += 1
 
     # the witness is the last feedback set _decide found: it holds every
@@ -298,7 +351,7 @@ def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
         if x not in witness:
             trial = rest.copy()
             trial.remove(x)
-            sub = _decide(trial, k - len(chosen) - 1)
+            sub = _decide(trial, k - len(chosen) - 1, memo)
             if sub is None:
                 continue
             witness = {*chosen, x, *sub}
@@ -597,8 +650,13 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     holds it, or else when _decide meets the rest of the budget with it
     and the nodes kept before it.  The witness is the last feedback set
     _decide found; it holds every node kept so far, so a node in it is
-    kept without a search.  The returned set is verified as a feedback
-    set in either case."""
+    kept without a search.  Every _decide call of the solve shares one
+    memo: a kernel met again with equal adjacency is refuted at or below
+    a budget refuted on it before, and takes a feedback set found for it
+    before when that fits, so the searches for k and for each node do
+    not repeat one another.  The memo keeps at most _MEMO_MAX_NODES
+    kernel nodes.  The returned set is verified as a feedback set in
+    either case."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
     degrees = d.degrees()

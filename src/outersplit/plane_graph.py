@@ -80,15 +80,28 @@ class PlaneGraph:
     from the tail of its smallest slot: the walk (u0, u1, ...) has the
     slots (u0, u1), (u1, u2), ... and (u_last, u0).  slot_face maps
     every slot to the id of its face.  Both are traced by build or
-    derived by a split.  Instances compare by identity; two graphs are
-    the same labeled embedding when their rotation and outer_face are
-    equal.
+    derived by a split.  outer_face is None or the int id of one of the
+    faces; any other value raises OuterFaceUnset when the graph is made.
+    Instances compare by identity; two graphs are the same labeled
+    embedding when their rotation and outer_face are equal.
     """
 
     rotation: Mapping[Vertex, tuple[Vertex, ...]]
     walks: tuple[tuple[Vertex, ...], ...]
     slot_face: dict[Slot, FaceId]
     outer_face: FaceId | None = None
+
+    def __post_init__(self):
+        outer = self.outer_face
+        if outer is None:
+            return
+        # bool is an int, but serialize_rot would write it as a word
+        if isinstance(outer, bool) or not isinstance(outer, int):
+            raise OuterFaceUnset(f"face id {outer!r} is not an integer")
+        count = len(self.walks)
+        if not 0 <= outer < count:
+            raise OuterFaceUnset(
+                f"face {outer} does not exist (graph has {count} faces)")
 
     @property
     def n(self) -> int:
@@ -239,14 +252,10 @@ def _connected(rotation: Mapping[Vertex, tuple[Vertex, ...]]) -> bool:
 
 def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     """Return the same embedding with face_id designated as outer,
-    sharing g's rotation and faces."""
-    # bool is an int, but serialize_rot would write it as a word
-    if isinstance(face_id, bool) or not isinstance(face_id, int):
-        raise OuterFaceUnset(f"face id {face_id!r} is not an integer")
-    count = len(g.walks)
-    if not 0 <= face_id < count:
-        raise OuterFaceUnset(
-            f"face {face_id} does not exist (graph has {count} faces)")
+    sharing g's rotation and faces.  None, or an id that is not one of
+    g's faces, raises OuterFaceUnset; PlaneGraph checks the latter."""
+    if face_id is None:
+        raise OuterFaceUnset("no face id given")
     return PlaneGraph(g.rotation, g.walks, g.slot_face, face_id)
 
 

@@ -213,3 +213,15 @@ def test_three_solvers_agree():
         assert solve_osn(gg).osn == len(cfc.faces) - 1
         if len(gg.faces) <= 8:
             assert brute_osn_by_splits(gg) == len(cfc.faces) - 1
+
+
+@pytest.mark.parametrize("n, m, osn", [(40, 110, 18), (150, 250, 35)])
+def test_hard_sparse_duals_solve(n, m, osn):
+    # (40, 110, 0) is a triangulation less 4 edges whose peel bound is 16
+    # against an optimum of 19; without the memo of kernels the search
+    # takes over a minute on either input, and with it a few seconds
+    g = random_biconnected(n, m, seed=0)
+    res = solve_osn(g)
+    assert res.osn == osn
+    assert len(res.splits.ops) == osn
+    assert is_outerplane(replay(g, res.splits))

@@ -2,13 +2,23 @@
 brute force on small random multigraphs.
 
 The graphs have up to 9 nodes and mix doubled and tripled edges, chains
-of degree-2 nodes, isolated nodes and several components.
+of degree-2 nodes, isolated nodes and several components.  The search
+memoizes the kernels it branches on, so the brute force also runs with
+one memo shared by every budget and with the memo capped to nothing.
 """
 
 import random
 from itertools import combinations
 
-from outersplit.cover_solver import _decide, _Multi, _peel_bound, _search_fvs
+from outersplit import cover_solver
+from outersplit.cover_solver import (
+    _decide,
+    _Memo,
+    _Multi,
+    _peel_bound,
+    _reduce,
+    _search_fvs,
+)
 from outersplit.plane_graph import DualGraph
 
 
@@ -84,19 +94,30 @@ def brute_fvs(d):
     raise AssertionError("unreachable")
 
 
-def test_search_matches_brute_force_on_random_multigraphs():
+def brute_corpus():
+    """The 1,000 multigraphs of the brute-force tests, with their answers."""
     rnd = random.Random(2024)
-    seen_triple = seen_split = 0
     for _ in range(1000):
         d = random_multigraph(rnd)
-        want = brute_fvs(d)
+        yield d, brute_fvs(d)
+
+
+def check_budgets(d, opt, budgets, memo=None):
+    """_decide meets each budget exactly when it is opt or more, with a
+    feedback set within it."""
+    for budget in budgets:
+        got = _decide(_Multi.from_dual(d), budget, memo)
+        assert (got is not None) == (budget >= opt), (d, budget)
+        if got is not None:
+            assert len(got) == len(set(got)) <= budget, (d, budget)
+            assert acyclic_without(d, set(got)), (d, budget)
+
+
+def test_search_matches_brute_force_on_random_multigraphs():
+    seen_triple = seen_split = 0
+    for d, want in brute_corpus():
         opt = len(want)
-        for budget in range(len(d.nodes) + 1):
-            got = _decide(_Multi.from_dual(d), budget)
-            assert (got is not None) == (budget >= opt), (d, budget)
-            if got is not None:
-                assert len(got) == len(set(got)) <= budget, (d, budget)
-                assert acyclic_without(d, set(got)), (d, budget)
+        check_budgets(d, opt, range(len(d.nodes) + 1))
         assert _peel_bound(_Multi.from_dual(d)) <= opt, d
         k, chosen = _search_fvs(_Multi.from_dual(d))
         assert (k, chosen) == (opt, want), d
@@ -105,3 +126,94 @@ def test_search_matches_brute_force_on_random_multigraphs():
         seen_split += cyclic_components(d) >= 2
     # the corpus does hold the shapes it is meant to
     assert seen_triple > 300 and seen_split > 100
+
+
+def test_reduce_from_the_neighbours_of_a_deleted_node():
+    """A branch deletes one node of a reduced kernel and reduces from its
+    neighbours only; that leaves every degree at 3 or more again."""
+    checked = 0
+    for d, _ in brute_corpus():
+        mg = _Multi.from_dual(d)
+        _reduce(mg, len(d.nodes), [])
+        for x in sorted(mg.adj):
+            trial = mg.copy()
+            trial.remove(x)
+            _reduce(trial, len(d.nodes), [], list(mg.adj[x]))
+            assert all(deg >= 3 for deg in trial.deg.values()), (d, x)
+            checked += 1
+    assert checked > 500
+
+
+def test_reduce_follows_a_capped_doubled_edge():
+    # u's edges a-u-b would double a=b, which is doubled already, so a
+    # and b each lose one degree; the reduction then takes one of them
+    mg = _Multi.from_dual(DualGraph((0, 1, 2), ((0, 1), (0, 1), (0, 2),
+                                                (1, 2))))
+    taken = []
+    assert _reduce(mg, 3, taken, [2])
+    assert mg.adj == {} and len(taken) == 1
+
+
+def test_one_memo_serves_every_budget(monkeypatch):
+    """Every budget up, then every budget down, with one memo: the way
+    up stores refuted budgets and found sets, and the way down is
+    answered from them without branching."""
+    branched = []
+    short_cycle = cover_solver._short_cycle
+
+    def counted(mg):
+        branched.append(mg)
+        return short_cycle(mg)
+
+    monkeypatch.setattr(cover_solver, "_short_cycle", counted)
+    refuted = found = 0
+    for d, want in brute_corpus():
+        opt = len(want)
+        memo = _Memo()
+        budgets = list(range(len(d.nodes) + 1))
+        check_budgets(d, opt, budgets, memo)
+        branched.clear()
+        check_budgets(d, opt, budgets[::-1], memo)
+        assert not branched, d
+        refuted += any(e[1] >= 0 for e in memo.kernels.values())
+        found += any(e[2] is not None for e in memo.kernels.values())
+    # most refutations come from the degree bound, before any lookup
+    assert refuted > 10 and found > 150
+
+
+def test_search_without_memo_room_gives_the_same_answers(monkeypatch):
+    monkeypatch.setattr(cover_solver, "_MEMO_MAX_NODES", 0)
+    for d, want in brute_corpus():
+        opt = len(want)
+        memo = _Memo()
+        check_budgets(d, opt, range(len(d.nodes) + 1), memo)
+        assert memo.kernels == {}
+        assert _search_fvs(_Multi.from_dual(d)) == (opt, want), d
+
+
+def test_kernels_on_one_node_set_keep_their_own_answers():
+    """Two a-u-b, a-w-b paths reduce to a doubled edge a=b, and one path
+    to a single edge, on the same kernel nodes 0..5 with a=0 and b=1.
+    The single edge needs 2 nodes and the doubled one 3; at budget 2
+    both kernels pass the degree bound, so both are stored."""
+    base = [(0, 2), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4),
+            (3, 5), (4, 5)]
+    one = DualGraph(tuple(range(7)), tuple(sorted(base + [(0, 6), (1, 6)])))
+    two = DualGraph(tuple(range(8)), tuple(sorted(
+        base + [(0, 6), (1, 6), (0, 7), (1, 7)])))
+    kernel = frozenset(range(6))
+    for first, second in ((one, two), (two, one)):
+        memo = _Memo()
+        for d in (first, second):
+            # a found set of one is no feedback set of two, and a
+            # refutation of two does not hold for one
+            got = _decide(_Multi.from_dual(d), 2, memo)
+            assert kernel in memo.kernels
+            if d is one:
+                assert len(got) == 2 and acyclic_without(d, set(got))
+            else:
+                assert got is None
+        got = _decide(_Multi.from_dual(two), 3, memo)
+        assert len(got) == 3 and acyclic_without(two, set(got))
+    assert _search_fvs(_Multi.from_dual(one))[0] == 2
+    assert _search_fvs(_Multi.from_dual(two))[0] == 3

@@ -18,7 +18,7 @@ from outersplit.errors import (
     SelfLoop,
     UnknownNode,
 )
-from outersplit.plane_graph import DualGraph
+from outersplit.plane_graph import DualGraph, PlaneGraph
 
 
 def triangle():
@@ -204,3 +204,13 @@ def test_outerplane_face_prefers_designation():
 def test_with_outer_face_validates_range():
     with pytest.raises(OuterFaceUnset):
         with_outer_face(triangle(), 5)
+
+
+@pytest.mark.parametrize("outer", [True, 7, -1, "x"])
+def test_plane_graph_rejects_an_outer_face_that_is_no_face_id(outer):
+    # -1 would otherwise read as the last face, and True would be
+    # written as a word that parse_rot rejects
+    g = k4()
+    with pytest.raises(OuterFaceUnset):
+        PlaneGraph(g.rotation, g.walks, g.slot_face, outer)
+    assert PlaneGraph(g.rotation, g.walks, g.slot_face, 3).outer_face == 3
