@@ -11,9 +11,15 @@ min_fvs has two solvers and picks one by the dual's size and largest
 degree.  Duals of more than 24 nodes and maximum degree 3 (the duals of
 triangulations on more than 14 vertices, among others) go to a
 polynomial one: there fvs = beta - nu, the cycle rank minus a matroid
-parity value, and nu is read off the rank of a random matrix over GF(p).
-That rank is the only numpy user here, and numpy is imported the first
-time a _ParityRank is built, so importing this module does not load it.
+parity value, and nu is read off the rank of a random matrix over GF(p),
+p = 4194301, the largest prime below 2**22.  The matrix is held as
+float64 residues in the symmetric range, so a product of two is below
+2**42 and BLAS sums up to 2048 of them exactly, below 2**53.  A node
+is passed over on the rank alone only when a second independent draw
+agrees, which errs with probability below (number of nodes /
+4194301)**2.  That rank is the only numpy user here, and numpy is
+imported the first time a _ParityRank is built, so importing this
+module does not load it.
 Every other dual goes to an exact branch and bound: one of maximum degree
 above 3, where the problem is NP-hard, and a cubic one of at most 24
 nodes, which the search solves faster than the rank and with no random
@@ -127,12 +133,15 @@ class _Multi:
             self.deg[b] += 1
 
 
-def _lower_bound(mg: _Multi) -> int:
+def _lower_bound(mg: _Multi, skip: int | None = None) -> int:
+    """The degree bound of mg, or of mg less the node skip when one is
+    given, which leaves mg as it is."""
     # Per component: removing a node of degree <= D kills <= D edges, and
     # a forest on n' nodes has < n' edges, so any feedback set has at
     # least ceil((m - n + 1) / (D - 1)) nodes.
     total = 0
-    seen: set[int] = set()
+    seen = {skip}
+    lost = mg.adj[skip] if skip is not None else {}  # degree lost to skip
     for start in mg.adj:
         if start in seen:
             continue
@@ -140,9 +149,10 @@ def _lower_bound(mg: _Multi) -> int:
         comp = [start]
         ends = top = 0  # edge ends and largest degree in the component
         for u in comp:
-            deg = mg.deg[u]
+            deg = mg.deg[u] - lost.get(u, 0)
             ends += deg
-            top = max(top, deg)
+            if deg > top:
+                top = deg
             for w in mg.adj[u]:
                 if w not in seen:
                     seen.add(w)
@@ -374,8 +384,31 @@ def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
 # A random evaluation can only lose rank, so the computed f is never below
 # the true one.
 
-_P = 2147483629  # prime below 2**31: a product of two residues fits in int64
-_LIMB = 1 << 16  # multipliers are split at this base before a matrix product
+# The prime of the rank, the largest below 2**22.  Residues are held as
+# float64 integers in the symmetric range |r| <= (p - 1) / 2, so a product
+# of two is below 2**42, and a sum of up to _BLOCK products plus one
+# residue stays below 2**31 p < 2**53.  Every float64 integer that size is
+# exact, so BLAS sums such products exactly in any order, and _mod maps
+# the sum back into the range.  A draw errs with probability below
+# (number of nodes) / p, so a pass-over that two independent draws agree
+# on errs with probability below (number of nodes / 4194301)**2.
+_P = 4194301
+_BLOCK = 2048  # products a read of S sums before reducing: 1024 pivots
+
+
+def _mod(x: np.ndarray) -> np.ndarray:
+    """x mod p in the symmetric range, in place, for float64 integers
+    below 2**31 p in magnitude.  There x / p is below 2**31, so its
+    rounding error, at most 2**-23, is less than its distance 1 / (2p)
+    from any half-integer, and rint finds the nearest multiple of p.  A
+    product by a rounded 1 / p errs by up to twice as much, which near
+    2**53 lands on the wrong multiple."""
+    import numpy as np
+
+    q = np.rint(x / _P)
+    q *= _P
+    x -= q
+    return x
 
 
 def _cycle_vectors(nodes, edges):
@@ -413,7 +446,7 @@ def _cycle_vectors(nodes, edges):
                     queue.append(w)
     cotree = [e for e, t in enumerate(tree) if not t]
     # the cycle of a non-tree edge a -> b runs back from b to a in the tree
-    z = (path[[ends[e][0] for e in cotree]].astype(np.int64)
+    z = (path[[ends[e][0] for e in cotree]].astype(np.float64)
          - path[[ends[e][1] for e in cotree]])
     z[np.arange(len(cotree)), cotree] = 1
     return z, inc
@@ -424,7 +457,7 @@ def _draw(rng: random.Random, n: int) -> np.ndarray:
     import numpy as np
 
     raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-    return np.frombuffer(raw, np.uint32).astype(np.int64) % (_P - 1) + 1
+    return np.frombuffer(raw, np.uint32) % (_P - 1) + 1.0
 
 
 def _rank_mod_p(rows: list[list[int]]) -> int:
@@ -454,8 +487,9 @@ class _ParityRank:
     coordinates, then the edges at each deleted node) pivots out a
     maximal nonsingular principal block of them.  The Schur complement S
     left over is kept as base plus one rank-2 update v u^T - u v^T per
-    pivot, so reading rows of S costs a small matrix product.  The
-    absorbed indices that were not pivoted form the free set, on which S
+    pivot, so rows of S are base plus one float64 matrix product of the
+    stacked factors [v_t; -u_t] and [u_t; v_t] (see _P).  The absorbed
+    indices that were not pivoted form the free set, on which S
     vanishes, and f is beta minus the number of pivots."""
 
     def __init__(self, nodes, edges, rng: random.Random):
@@ -469,18 +503,23 @@ class _ParityRank:
         # the entries of z are 0 and +-1, so the sum stays below len * p
         a = (z[:, e1] * _draw(rng, len(pairs))) @ z[:, e2].T
         beta, m = z.shape
-        self.base = np.zeros((beta + m, beta + m), np.int64)
-        self.base[:beta, :beta] = (a - a.T) % _P
-        self.base[:beta, beta:] = z % _P
-        self.base[beta:, :beta] = -z.T % _P
+        self.base = np.zeros((beta + m, beta + m))
+        self.base[:beta, :beta] = _mod(a - a.T)
+        self.base[:beta, beta:] = z
+        self.base[beta:, :beta] = -z.T
         self.beta = beta
         self.pivots = 0
-        # row t holds u of pivot t, and v split into limbs so that the
-        # terms of a matrix product stay below 2**47
-        self.u = np.zeros((8, beta + m), np.int64)
-        self.v = np.zeros((8, 2 * (beta + m)), np.int64)
+        # rows 2t of left and right hold v and u of pivot t, and rows
+        # 2t + 1 its -u and v; a principal block of base has rank at
+        # most 2 beta, as base is zero below and right of the
+        # coordinates, so there are at most beta pivots
+        self.left = np.zeros((2 * beta, beta + m))
+        self.right = np.zeros((2 * beta, beta + m))
         self.free: list[int] = []
-        self._absorb(list(range(beta)))
+        # the edges of the last value_without and the rows of S it read,
+        # until the next delete
+        self._query: tuple[list[int], np.ndarray] | None = None
+        self._absorb(list(range(beta)), self.base[:beta])
 
     @property
     def value(self) -> int:
@@ -489,39 +528,37 @@ class _ParityRank:
     def value_without(self, edges: list[int]) -> int:
         """The value once the given edges are deleted too."""
         idx = self.free + [self.beta + e for e in edges]
-        return self.value - _rank_mod_p(self._read(idx, idx).tolist()) // 2
+        rows = self._read(idx)
+        self._query = (list(edges), rows)
+        block = rows.take(idx, 1).astype(int).tolist()
+        return self.value - _rank_mod_p(block) // 2
 
     def delete(self, edges: list[int]) -> None:
-        """Delete the given edges, those at a deleted node."""
-        self._absorb([self.beta + e for e in edges])
+        """Delete the given edges, those at a deleted node, from the rows
+        of S that a value_without on the same edges read, if it was the
+        last query."""
+        pool = self.free + [self.beta + e for e in edges]
+        query, self._query = self._query, None
+        if query is not None and query[0] == list(edges):
+            self._absorb(pool, query[1])
+        else:
+            self._absorb(pool, self._read(pool))
 
-    def _read(self, rows: list[int], cols: list[int] | None) -> np.ndarray:
-        """S on rows x cols, or on rows x every index when cols is None."""
-        n, t = len(self.base), self.pivots
+    def _read(self, rows: list[int]) -> np.ndarray:
+        """S on the given rows and every column."""
         out = self.base.take(rows, 0)
-        if cols is not None:
-            out = out.take(cols, 1)
-        if not t:
-            return out
-        u, v = self.u[:t], self.v[:t]
-        if cols is not None:
-            u, v = u.take(cols, 1), v.take(cols + [c + n for c in cols], 1)
-        k = len(u[0])
-        vr = self.v[:t].take(rows + [r + n for r in rows], 1)
-        ur = self.u[:t].take(rows, 1)
-        # sum over pivots of v[r] u[c] - u[r] v[c], limb by limb
-        vu = vr.T @ u
-        uv = ur.T @ v
-        hi = vu[:len(rows)] - uv[:, :k]
-        lo = vu[len(rows):] - uv[:, k:]
-        return (out + hi % _P * _LIMB + lo) % _P
+        stop = 2 * self.pivots
+        for s in range(0, stop, _BLOCK):
+            end = min(s + _BLOCK, stop)
+            out = _mod(out + self.left[s:end].take(rows, 1).T
+                       @ self.right[s:end])
+        return out
 
-    def _absorb(self, new: list[int]) -> None:
-        """Pivot out of the free set plus new until S vanishes on it."""
+    def _absorb(self, pool: list[int], rows: np.ndarray) -> None:
+        """Pivot out of pool until S vanishes on it; rows holds S on the
+        rows pool, the free set followed by the new indices."""
         import numpy as np
 
-        pool = self.free + new
-        rows = self._read(pool, None)
         while True:
             hits = np.flatnonzero(rows.take(pool, 1))
             if not len(hits):
@@ -529,32 +566,36 @@ class _ParityRank:
             a, b = divmod(int(hits[0]), len(pool))
             # S' = S + v u^T - u v^T with u = S[:, i], v = S[:, j] / S[i, j]
             # clears rows and columns i = pool[a] and j = pool[b]
-            u = (_P - rows[a]) % _P
-            v = (_P - rows[b]) * pow(int(rows[a, pool[b]]), -1, _P) % _P
-            t = self.pivots
-            if t == len(self.u):
-                self.u = np.concatenate([self.u, np.zeros_like(self.u)])
-                self.v = np.concatenate([self.v, np.zeros_like(self.v)])
-            self.u[t] = u
-            self.v[t] = np.concatenate([v // _LIMB, v % _LIMB])
-            self.pivots = t + 1
+            u = -rows[a]
+            v = _mod(-rows[b] * pow(int(rows[a, pool[b]]), -1, _P))
+            t = 2 * self.pivots
+            self.left[t] = v
+            self.left[t + 1] = rows[a]
+            self.right[t] = u
+            self.right[t + 1] = v
+            self.pivots += 1
             keep = [c for c in range(len(pool)) if c != a and c != b]
             pool = [pool[c] for c in keep]
-            rows = (rows.take(keep, 0) + np.outer(v[pool], u)
-                    - np.outer(u[pool], v)) % _P
+            rows = _mod(rows.take(keep, 0) + np.outer(v[pool], u)
+                        - np.outer(u[pool], v))
         # a row of S that is zero stays zero under later pivots, so such
         # an index can never matter again
         self.free = [i for i, row in zip(pool, rows) if row.any()]
 
 
 # The most nodes a dual of maximum degree 3 may have and still go to the
-# branch and bound.  With numpy loaded, on a 2-vCPU 2.0 GHz Xeon VM: on
-# triangulation duals of up to 24 nodes (n <= 14) the search's median
-# was 0.08-1.29 ms against 0.64-2.57 ms for the rank, and its p99 over
-# 200 seeds at n=14 was 2.7 ms against 14.3 ms; on the cubic cages
-# Petersen (10 nodes), Heawood (14), McGee (24) and Tutte-Coxeter (30)
-# the search took 0.3-1.5 ms and the rank 1.2-3.3 ms.  The search's tail
-# begins at 32 nodes (n=18), where its maximum was 18 ms against 7 ms.
+# branch and bound.  Measured with the float64 rank and numpy loaded, on
+# a 2-vCPU 2.0 GHz Xeon VM, best of 3 per instance over seeds 0-99 of
+# random_triangulation(n): on duals of 12-24 nodes (n = 8..14) the
+# search's median was 0.21-0.70 ms against 0.43-0.93 ms for the rank,
+# and its slowest instance at 24 nodes 1.37 ms against 2.11 ms; on the
+# cubic cages Petersen (10 nodes), Heawood (14), McGee (24) and
+# Tutte-Coxeter (30) the search took 0.14-0.71 ms and the rank
+# 0.34-0.89 ms.  The search's tail begins at 28 nodes (n=16), where its
+# slowest instance took 4.19 ms against 3.32 ms, and at 30-32 nodes the
+# medians are 0.97-1.17 ms against 1.14-1.27 ms.  The cap stays at 24,
+# so that every triangulation on at most 14 vertices solves without
+# numpy.
 _SEARCH_MAX_CUBIC = 24
 
 
@@ -592,8 +633,11 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
             continue
         if oracle.value_without(new) != budget:
             # the rank says no: a lower bound on rest - x may prove it (the
-            # degree bound, else the peel bound), and otherwise the second
+            # degree bound, read without a copy, then that of its
+            # reduction, else the peel bound), and otherwise the second
             # draw has to agree
+            if _lower_bound(rest, skip=x) > budget:
+                continue
             trial = rest.copy()
             trial.remove(x)
             taken: list[int] = []
@@ -634,13 +678,17 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     steps are certified: k, once it meets the degree lower bound, else
     the peel bound (short cycles deleted one by one, each counting one
     node), or else _decide refutes k - 1; every node taken; and every
-    node passed over because a lower bound on what would remain, the
-    degree bound or else the peel bound, exceeds the budget.  A node
-    passed over on the rank alone, confirmed by a second independent
-    draw, is right with high probability: each draw errs with
-    probability below (number of nodes) / p, p = 2147483629.  A slip
-    there could only return an optimum that is not the least one, or
-    raise AssertionError; the size stays exact.
+    node passed over because a lower bound on what would remain exceeds
+    the budget: the degree bound, read off the dual less the chosen
+    nodes and the node without a copy, then the degree bound of its
+    reduction, else the peel bound.  A node passed over on the rank
+    alone, confirmed by a second independent draw, is right with high
+    probability: each draw errs with probability below (number of
+    nodes) / p, so both err together with probability below (number of
+    nodes / 4194301)**2.  p = 4194301 is the largest prime below 2**22,
+    small enough that the rank runs on float64 BLAS products exactly
+    (see _P).  A slip there could only return an optimum that is not
+    the least one, or raise AssertionError; the size stays exact.
 
     Every other dual, a cubic one of at most 24 nodes included, goes to
     branch and bound, which draws nothing at random and so carries no

@@ -10,9 +10,13 @@ one memo shared by every budget and with the memo capped to nothing.
 import random
 from itertools import combinations
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from outersplit import cover_solver
 from outersplit.cover_solver import (
     _decide,
+    _lower_bound,
     _Memo,
     _Multi,
     _peel_bound,
@@ -152,6 +156,30 @@ def test_reduce_follows_a_capped_doubled_edge():
     taken = []
     assert _reduce(mg, 3, taken, [2])
     assert mg.adj == {} and len(taken) == 1
+
+
+@st.composite
+def multigraphs(draw):
+    """Loopless multigraphs of up to 10 nodes and any degree, with
+    doubled and tripled edges."""
+    n = draw(st.integers(1, 10))
+    ends = st.integers(0, n - 1)
+    edges = sorted((min(a, b), max(a, b))
+                   for a, b in draw(st.lists(st.tuples(ends, ends),
+                                             max_size=30))
+                   if a != b)
+    return DualGraph(nodes=tuple(range(n)), edges=tuple(edges))
+
+
+@given(multigraphs(), st.data())
+def test_lower_bound_skipping_a_node_equals_it_removed(d, data):
+    mg = _Multi.from_dual(d)
+    x = data.draw(st.sampled_from(d.nodes))
+    adj = {u: dict(nbrs) for u, nbrs in mg.adj.items()}
+    rest = mg.copy()
+    rest.remove(x)
+    assert _lower_bound(mg, skip=x) == _lower_bound(rest)
+    assert mg.adj == adj
 
 
 def test_one_memo_serves_every_budget(monkeypatch):
