@@ -7,26 +7,32 @@ dual problem exactly; fvs_to_cover certifies the resulting face set as a
 connected cover; solve_osn chains both and realizes that cover as
 realize_cover does, without certifying it a second time.
 
-min_fvs has two solvers and picks one by the dual's size and largest
-degree.  Duals of more than 24 nodes and maximum degree 3 (the duals of
-triangulations on more than 14 vertices, among others) go to a
-polynomial one: there fvs = beta - nu, the cycle rank minus a matroid
-parity value, and nu is read off the rank of a random matrix over GF(p),
-p = 4194301, the largest prime below 2**22.  The matrix is held as
-float64 residues in the symmetric range, so a product of two is below
-2**42 and BLAS sums up to 2048 of them exactly, below 2**53.  A node
-is passed over on the rank alone only when a second independent draw
-agrees, which errs with probability below (number of nodes /
-4194301)**2.  That rank is the only numpy user here, and numpy is
-imported the first time a _ParityRank is built, so importing this
-module does not load it.
-Every other dual goes to an exact branch and bound: one of maximum degree
-above 3, where the problem is NP-hard, and a cubic one of at most 24
-nodes, which the search solves faster than the rank and with no random
-draw.  It branches on the nodes of one short cycle, as every feedback
-set holds one of them, and one solve keeps a memo of the reduced
-multigraphs (kernels) it has branched on, with the largest budget
-refuted on each and a feedback set found for it.
+min_fvs has three exact solvers and picks one by the dual's largest
+degree, parallel edges counted.  A dual with a node of degree above 3,
+where the problem is NP-hard, goes to a dynamic programme over a
+min-degree elimination order when its elimination width is at most 9,
+and to a branch and bound otherwise.  The programme is linear in the
+number of nodes at fixed width and finds the lexicographically least
+optimum directly; it solves random_biconnected(60, 170, 0), (100, 290,
+0), (200, 350, 1) and (300, 893, 0), which the branch and bound did not
+finish in a minute, in 0.02-4 s.  A dual of maximum degree 3 and more
+than 24 nodes (the dual of a triangulation on more than 14 vertices,
+among others) goes to a polynomial solver: there fvs = beta - nu, the
+cycle rank minus a matroid parity value, and nu is read off the rank of
+a random matrix over GF(p), p = 4194301, the largest prime below 2**22.
+The matrix is held as float64 residues in the symmetric range, so a
+product of two is below 2**42 and BLAS sums up to 2048 of them exactly,
+below 2**53.  A node is passed over on the rank alone only when a
+second independent draw agrees, which errs with probability below
+(number of nodes / 4194301)**2.  That rank is the only numpy user here,
+and numpy is imported the first time a _ParityRank is built, so
+importing this module does not load it.  Every other dual, a cubic one
+of at most 24 nodes or one above the programme's width cap, goes to the
+branch and bound, which solves the small cubic ones faster than the
+rank and with no random draw.  It branches on the nodes of one short
+cycle, as every feedback set holds one of them, and one solve keeps a
+memo of the reduced multigraphs (kernels) it has branched on, with the
+largest budget refuted on each and a feedback set found for it.
 
 Two independent brute-force oracles cross-check the theory on small
 instances: brute_min_cfc enumerates face subsets by size, and
@@ -37,6 +43,7 @@ Both are deliberately free of dual-graph reasoning.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -247,12 +254,14 @@ def _short_cycle(mg: _Multi) -> list[int]:
 
 
 # The most kernel nodes one solve's memo keeps, summed over its kernels;
-# a stored node costs about 0.34 KB.  On a 2-vCPU Xeon VM the dual of
-# random_biconnected(60, 170, 0), which does not solve within a minute,
-# filled this cap with 6,208 kernels and peaked at 109 MB RSS after 60 s
-# (17 MB with no memo); with no cap it held 1.59M nodes and 551 MB after
-# 8 s.  The inputs that do solve stay below it: (40, 110, 0) stores
-# 70,326 nodes, (100, 200, 0) 133,490 and (150, 250, 0) 163,827.
+# a stored node costs about 0.34 KB.  The memo serves only the duals the
+# search still takes: those above _DP_MAX_WIDTH and the cubic ones of at
+# most 24 nodes.  On a 2-vCPU Xeon VM the dual of random_biconnected(60,
+# 170, 0), which the search does not solve within a minute, filled this
+# cap with 6,208 kernels and peaked at 109 MB RSS after 60 s (17 MB with
+# no memo); with no cap it held 1.59M nodes and 551 MB after 8 s.  The
+# search solves (40, 110, 0) storing 70,326 nodes, (100, 200, 0) 133,490
+# and (150, 250, 0) 163,827.
 _MEMO_MAX_NODES = 1 << 18
 
 
@@ -368,6 +377,302 @@ def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
         chosen.append(x)
         rest.remove(x)
     return k, chosen
+
+
+# -- dynamic programme over an elimination order -------------------------------
+#
+# Eliminating the nodes one at a time, each time joining the eliminated
+# node's remaining neighbours into a clique (fill), gives a tree
+# decomposition: the bag of v is v plus its later neighbours N(v), and
+# its parent is the bag of the earliest node of N(v).  Its width is the
+# largest |N(v)|.  The table of v maps each state of N(v), taken in
+# elimination order, to the least cost of the nodes eliminated under v.
+# A state says which nodes of its scope are deleted, and which kept ones
+# the forest below joins into one tree.  It is an int with 4 bits per
+# position: 0 for deleted, else a block label, labels numbered 1, 2, ...
+# in order of first position.  v's table is the join of its children's
+# tables; then v's edges to N(v) are introduced and v is forgotten.  Two
+# kept nodes joined twice close a cycle, a doubled edge included.
+#
+# Deleting node x costs 2**n - 2**(n - 1 - r), with r the rank of x
+# among the n nodes, so a set of k nodes costs k 2**n less a mask with
+# the least node on its highest bit.  Costs add over disjoint sets, and
+# the least cost is that of the lexicographically least smallest set.
+#
+# A step of a join or of a forget depends only on the pattern of its
+# scopes and on its states, never on the instance, so the steps are kept
+# across solves in _DP_STEPS, one memo per pattern, filled lazily.  What
+# the memos hold changes the speed of a solve, never its answer.
+
+# The largest elimination width the programme takes; a dual of larger
+# width goes to _search_fvs.  A bag of w + 1 nodes has at most B(w + 2)
+# states, the Bell number: 678,570 at w = 9 and 4,213,597 at w = 10.
+# Measured on a 2-vCPU Xeon VM, the largest table at width 9 held
+# 114,223 states, on the dual of random_biconnected(400, 1150, 0),
+# solved in 11.5 s at 80 MB peak RSS; at width 10 the dual of
+# random_biconnected(180, 500, 0) reached 490,975 states and took 54 s
+# at 141 MB, too close to a minute.  A state holds 4 bits per position
+# and a join keys a pair of states on 64 bits each, so the cap stays
+# below 15.
+_DP_MAX_WIDTH = 9
+
+# The most steps _DP_STEPS holds; once full it is emptied.  A step costs
+# about 110 bytes, so this is about 28 MB: with no cap, the dual of
+# random_biconnected(300, 893, 0) stored 470,235 steps and peaked at
+# 76.5 MB RSS, against 24.7 MB with room for one step (same VM).  The
+# five duals of random_biconnected(n, n + 30, 0), n = 80..120 (32 nodes,
+# width 3), need 664 steps together.
+_DP_MAX_STEPS = 1 << 18
+
+
+class _Steps:
+    """The steps of the programme, kept across solves: memos maps each
+    pattern to its memo, from the states of a step to what they lead
+    to.  room counts the steps still to store; when none is left, every
+    memo is dropped before the next step is stored."""
+
+    __slots__ = ("memos", "size", "room")
+
+    def __init__(self, size: int):
+        self.memos: dict[tuple[int, ...], dict[int, object]] = {}
+        self.size = self.room = size
+
+    def remember(self, pattern: tuple[int, ...], memo: dict, key: int,
+                 step):
+        """Store a step in memo, the memo of pattern, and return it; the
+        caller holds no other memo, so only this one is kept in use."""
+        if self.room <= 0:
+            self.memos.clear()
+            memo.clear()
+            self.memos[pattern] = memo
+            self.room = self.size
+        memo[key] = step
+        self.room -= 1
+        return step
+
+
+_DP_STEPS = _Steps(_DP_MAX_STEPS)
+
+
+def _eliminate(nodes, pairs, cap: int):
+    """A min-degree elimination order of the simple graph on nodes with
+    the given pairs as edges, with fill and ties broken by node id, and
+    each node's later neighbours; None once a node has more than cap."""
+    adj: dict[int, set[int]] = {u: set() for u in nodes}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    by_degree: dict[int, set[int]] = {}
+    for u, nbrs in adj.items():
+        by_degree.setdefault(len(nbrs), set()).add(u)
+    low = 0  # no node has a smaller degree
+    order: list[int] = []
+    later: dict[int, set[int]] = {}
+    while adj:
+        while not by_degree.get(low):
+            low += 1
+        u = min(by_degree[low])
+        by_degree[low].remove(u)
+        nbrs = adj.pop(u)
+        if len(nbrs) > cap:
+            return None
+        for a in nbrs:
+            fill = adj[a]
+            before = len(fill)
+            fill |= nbrs
+            fill.discard(a)
+            fill.discard(u)
+            if len(fill) != before:
+                by_degree[before].remove(a)
+                by_degree.setdefault(len(fill), set()).add(a)
+                low = min(low, len(fill))
+        order.append(u)
+        later[u] = nbrs
+    return order, later
+
+
+def _canonical(labels) -> int:
+    """The state of a scope whose kept positions carry block labels and
+    whose deleted ones carry 0."""
+    names: dict[int, int] = {}
+    s = 0
+    for i, lab in enumerate(labels):
+        if lab:
+            s |= names.setdefault(lab, len(names) + 1) << 4 * i
+    return s
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    while x in parent:
+        x = parent[x]
+    return x
+
+
+def _join_step(pattern: tuple[int, ...], s1: int, s2: int) -> int | None:
+    """The join of s1, over the positions that pattern marks 1 or 3,
+    with s2, over those it marks 2 or 3; None when they disagree on a
+    deletion or close a cycle.  s2's labels are moved past s1's."""
+    parent: dict[int, int] = {}
+    labels = []
+    for code in pattern:
+        if code & 1:
+            a, s1 = s1 & 15, s1 >> 4
+        if code & 2:
+            b, s2 = s2 & 15, s2 >> 4
+            b = b and b + 16
+        if code == 3:
+            if (a == 0) != (b == 0):
+                return None
+            if a:
+                ra, rb = _find(parent, a), _find(parent, b)
+                if ra == rb:
+                    return None
+                parent[ra] = rb
+        labels.append(a if code & 1 else b)
+    return _canonical([lab and _find(parent, lab) for lab in labels])
+
+
+def _forget_step(pattern: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The states of N(v) that a state s of v's joined scope leads to.
+    pattern holds, for each node of v's bag, v first, 4 when s covers
+    it plus the multiplicity of its edge to v, at most 2.  A node that
+    s does not cover is taken both deleted and kept alone; then v's
+    edges are introduced, dropping a choice that closes a cycle, and v
+    is forgotten."""
+    base = []
+    new = []
+    for p, code in enumerate(pattern):
+        if code & 4:
+            base.append(s & 15)
+            s >>= 4
+        else:
+            base.append(0)
+            new.append(p)
+    out = []
+    for choice in range(1 << len(new)):
+        labels = base[:]
+        for j, p in enumerate(new):
+            if choice >> j & 1:
+                labels[p] = 16 + p
+        parent: dict[int, int] = {}
+        if labels[0]:
+            for code, lab in zip(pattern[1:], labels[1:]):
+                if code & 3 and lab:
+                    ra, rb = _find(parent, labels[0]), _find(parent, lab)
+                    if code & 3 == 2 or ra == rb:
+                        break
+                    parent[rb] = ra
+            else:
+                out.append(_canonical(
+                    [lab and _find(parent, lab) for lab in labels[1:]]))
+        else:
+            out.append(_canonical(labels[1:]))
+    return tuple(out)
+
+
+_NIBBLE_BASES = int("1" * 16, 16)
+
+
+def _kept(s: int) -> int:
+    """Bit 4i set for each kept position i of the state s."""
+    return (s | s >> 1 | s >> 2 | s >> 3) & _NIBBLE_BASES
+
+
+def _join(scope1, t1, scope2, t2, pos):
+    """The join of two tables, over the union of their scopes.  Only
+    states that keep the same common nodes are paired."""
+    in1, in2 = set(scope1), set(scope2)
+    scope = sorted(in1 | in2, key=pos.__getitem__)
+    pattern = tuple([(u in in1) | (u in in2) << 1 for u in scope])
+    steps = _DP_STEPS
+    memo = steps.memos.setdefault(pattern, {})
+    # the common nodes, as bits 4i of the states on either side
+    at1 = [4 * i for i, u in enumerate(scope1) if u in in2]
+    at2 = [4 * i for i, u in enumerate(scope2) if u in in1]
+    common1 = sum(1 << i for i in at1)
+    common2 = sum(1 << i for i in at2)
+    groups: dict[int, list] = {}
+    for item in t2.items():
+        groups.setdefault(_kept(item[0]) & common2, []).append(item)
+    # the same common nodes kept, as bits of the states of either side
+    match = {}
+    for kept in groups:
+        match[sum(1 << i for i, j in zip(at1, at2) if kept >> j & 1)] = kept
+    out: dict[int, int] = {}
+    for s1, c1 in t1.items():
+        group = groups.get(match.get(_kept(s1) & common1), ())
+        s1 <<= 64
+        for s2, c2 in group:
+            r = memo.get(s1 | s2, -1)
+            if r == -1:
+                r = steps.remember(pattern, memo, s1 | s2,
+                                   _join_step(pattern, s1 >> 64, s2))
+            if r is not None:
+                c = c1 + c2
+                if c < out.get(r, c + 1):
+                    out[r] = c
+    return scope, out
+
+
+def _forget(table: dict[int, int], pattern: tuple[int, ...],
+            cost: int) -> dict[int, int]:
+    """The table of N(v) from v's joined table, as _forget_step gives
+    it by pattern; a state that deletes v adds cost, v's own."""
+    steps = _DP_STEPS
+    memo = steps.memos.setdefault(pattern, {})
+    out: dict[int, int] = {}
+    for s, c in table.items():
+        if not s & 15:
+            c += cost
+        nxt = memo.get(s)
+        if nxt is None:
+            nxt = steps.remember(pattern, memo, s, _forget_step(pattern, s))
+        for r in nxt:
+            if c < out.get(r, c + 1):
+                out[r] = c
+    return out
+
+
+def _dp_fvs(d: DualGraph) -> tuple[int, list[int]] | None:
+    """Optimum size and lexicographically least optimal node set by the
+    dynamic programme, or None when the elimination width of d exceeds
+    _DP_MAX_WIDTH."""
+    mult = Counter(d.edges)
+    plan = _eliminate(d.nodes, mult, _DP_MAX_WIDTH)
+    if plan is None:
+        return None
+    order, later = plan
+    n = len(d.nodes)
+    ranked = sorted(d.nodes)
+    weight = {u: (1 << n) - (1 << (n - 1 - r)) for r, u in enumerate(ranked)}
+    pos = {u: i for i, u in enumerate(order)}
+    ends: dict[int, dict[int, int]] = {u: {} for u in order}
+    for (a, b), m in mult.items():
+        if pos[a] > pos[b]:
+            a, b = b, a
+        ends[a][b] = min(m, 2)
+    pending: dict[int, list] = {u: [] for u in order}
+    total = 0
+    for v in order:
+        tables = pending.pop(v)
+        if tables:
+            scope, table = tables[0]
+            for other, t in tables[1:]:
+                scope, table = _join(scope, table, other, t, pos)
+        else:
+            scope, table = (v,), {0: 0, 1: 0}
+        mine = ends[v]
+        bag = [v, *sorted(later[v], key=pos.__getitem__)]
+        covered = set(scope)
+        pattern = tuple([(u in covered) << 2 | mine.get(u, 0) for u in bag])
+        table = _forget(table, pattern, weight[v])
+        if len(bag) > 1:
+            pending[bag[1]].append((bag[1:], table))
+        else:
+            total += table[0]
+    k = -(-total >> n)
+    mask = (k << n) - total
+    return k, [u for r, u in enumerate(ranked) if mask >> (n - 1 - r) & 1]
 
 
 # -- matroid parity rank for subcubic duals ------------------------------------
@@ -669,7 +974,20 @@ def min_fvs(d: DualGraph) -> FvsSolution:
 
     Parallel edges are honored as 2-cycles; a self-loop makes the problem
     ill-posed for that node and raises SelfLoopPresent, and an edge with
-    an end that is not a node raises UnknownNode.
+    an end that is not a node raises UnknownNode; both are checked
+    before a solver is chosen.
+
+    A dual with a node of degree above 3, parallel edges counted, goes
+    to the dynamic programme over a min-degree elimination order with
+    fill, ties broken by node id, when no node has more than
+    _DP_MAX_WIDTH = 9 later neighbours there.  Its table over a bag
+    holds, per state (the deleted nodes and the partition of the kept
+    ones into trees), the least cost below, where a node set costs its
+    size times 2**n less a mask with the least node on the highest bit.
+    So the least total cost is the lexicographically least optimum, read
+    off with no completion loop.  The programme keeps the steps of its
+    joins and forgets, which depend only on local patterns and states,
+    across solves, at most _DP_MAX_STEPS of them.
 
     A dual of more than 24 nodes, every one of degree at most 3, goes to
     a matroid parity rank: the size k comes from the rank and the nodes
@@ -690,29 +1008,32 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     (see _P).  A slip there could only return an optimum that is not
     the least one, or raise AssertionError; the size stays exact.
 
-    Every other dual, a cubic one of at most 24 nodes included, goes to
-    branch and bound, which draws nothing at random and so carries no
-    such caveat; on those small cubic duals it is also faster than the
-    rank and needs no numpy.  k is the least budget _decide meets,
-    counting up from the peel bound, and a node is kept when the witness
-    holds it, or else when _decide meets the rest of the budget with it
-    and the nodes kept before it.  The witness is the last feedback set
-    _decide found; it holds every node kept so far, so a node in it is
-    kept without a search.  Every _decide call of the solve shares one
-    memo: a kernel met again with equal adjacency is refuted at or below
-    a budget refuted on it before, and takes a feedback set found for it
-    before when that fits, so the searches for k and for each node do
-    not repeat one another.  The memo keeps at most _MEMO_MAX_NODES
-    kernel nodes.  The returned set is verified as a feedback set in
-    either case."""
+    Every other dual, a cubic one of at most 24 nodes or one whose
+    elimination width is above the programme's cap, goes to branch and
+    bound.  Neither it nor the programme draws anything at random, so
+    they carry no such caveat, and neither needs numpy; on the small
+    cubic duals the search is also faster than the rank.  k is the least
+    budget _decide meets, counting up from the peel bound, and a node is
+    kept when the witness holds it, or else when _decide meets the rest
+    of the budget with it and the nodes kept before it.  The witness is
+    the last feedback set _decide found; it holds every node kept so
+    far, so a node in it is kept without a search.  Every _decide call
+    of the solve shares one memo: a kernel met again with equal
+    adjacency is refuted at or below a budget refuted on it before, and
+    takes a feedback set found for it before when that fits, so the
+    searches for k and for each node do not repeat one another.  The
+    memo keeps at most _MEMO_MAX_NODES kernel nodes.  The returned set
+    is verified as a feedback set whatever the solver."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
-    degrees = d.degrees()
-    base = _Multi.from_dual(d)
-    if len(d.nodes) > _SEARCH_MAX_CUBIC and max(degrees.values()) <= 3:
-        k, chosen = _rank_fvs(d, base)
+    top = max(d.degrees().values(), default=0)
+    found = _dp_fvs(d) if top > 3 else None
+    if found is not None:
+        k, chosen = found
+    elif top <= 3 and len(d.nodes) > _SEARCH_MAX_CUBIC:
+        k, chosen = _rank_fvs(d, _Multi.from_dual(d))
     else:
-        k, chosen = _search_fvs(base)
+        k, chosen = _search_fvs(_Multi.from_dual(d))
     if len(chosen) != k:
         raise AssertionError("lexicographic completion lost the optimum")
 

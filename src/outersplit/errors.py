@@ -22,7 +22,11 @@ class SelfLoop(OutersplitError):
 
 class ParallelEdge(OutersplitError):
     """A vertex lists the same neighbor twice; neighbor-list rotations
-    cannot express parallel edges unambiguously."""
+    cannot express parallel edges unambiguously.  vertex names it."""
+
+    def __init__(self, message: str, vertex=None):
+        self.vertex = vertex
+        super().__init__(message)
 
 
 class Disconnected(OutersplitError):

@@ -198,7 +198,7 @@ def _raise_not_simple(v: Vertex, nbrs: tuple[Vertex, ...]) -> None:
         if u == v:
             raise SelfLoop(f"vertex {v!r} lists itself")
         if u in seen:
-            raise ParallelEdge(f"vertex {v!r} lists {u!r} twice")
+            raise ParallelEdge(f"vertex {v!r} lists {u!r} twice", v)
         seen.add(u)
 
 

@@ -24,7 +24,7 @@ A split-sequence file has one op per line:
 
 from __future__ import annotations
 
-from .errors import OuterFaceUnset, ParseError, UnwritableName
+from .errors import OuterFaceUnset, ParallelEdge, ParseError, UnwritableName
 from .plane_graph import PlaneGraph, build, with_outer_face
 from .split_engine import SplitOp, SplitSequence
 
@@ -57,6 +57,7 @@ def parse_rot(text: str) -> PlaneGraph:
     pos += 1
 
     adjacency: dict[str, list[str]] = {}
+    line_of: dict[str, int] = {}
     for _ in range(n):
         if pos >= len(lines):
             raise ParseError(
@@ -70,18 +71,9 @@ def parse_rot(text: str) -> PlaneGraph:
         name = name[:-1]
         if name in adjacency:
             raise ParseError(f"duplicate vertex {name!r}", line=lineno)
-        nbrs = tokens[1:]
-        if len(set(nbrs)) != len(nbrs):
-            raise ParseError(
-                f"vertex {name!r} repeats a neighbor", line=lineno)
-        adjacency[name] = nbrs
+        adjacency[name] = tokens[1:]
+        line_of[name] = lineno
         pos += 1
-
-    deg_sum = sum(len(x) for x in adjacency.values())
-    if deg_sum != 2 * m:
-        raise ParseError(
-            f"header declares {m} edges but rotations describe "
-            f"{deg_sum / 2:g}", line=lines[0][0])
 
     outer = None
     outer_line = lines[0][0]
@@ -104,7 +96,15 @@ def parse_rot(text: str) -> PlaneGraph:
             raise ParseError(
                 f"trailing content: {lines[pos][1]!r}", line=lines[pos][0])
 
-    g = build(adjacency)
+    try:
+        g = build(adjacency)
+    except ParallelEdge as exc:
+        raise ParseError(f"vertex {exc.vertex!r} repeats a neighbor",
+                         line=line_of[exc.vertex]) from exc
+    if g.m != m:
+        raise ParseError(
+            f"header declares {m} edges but rotations describe {g.m}",
+            line=lines[0][0])
     if outer is None:
         return g
     try:

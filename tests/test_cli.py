@@ -277,6 +277,15 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
     assert "0xfe" in err
 
 
+def test_a_repeated_neighbor_is_a_parse_error(tmp_path, capsys):
+    rot = tmp_path / "repeat.rot"
+    rot.write_text("2 1\na: b b\nb: a\n")
+    code, out, err = run(capsys, "osn", str(rot))
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: line 2: vertex 'a' repeats a neighbor\n"
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.rot"))
     assert code == 2

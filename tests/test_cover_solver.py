@@ -4,6 +4,7 @@ import pytest
 
 from outersplit import (
     DualGraph,
+    cover_solver,
     brute_min_cfc,
     brute_osn_by_splits,
     build,
@@ -215,13 +216,76 @@ def test_three_solvers_agree():
             assert brute_osn_by_splits(gg) == len(cfc.faces) - 1
 
 
-@pytest.mark.parametrize("n, m, osn", [(40, 110, 18), (150, 250, 35)])
+@pytest.mark.parametrize("n, m, osn", [
+    (40, 110, 18), (150, 250, 35), (60, 170, 27), (300, 893, 148)])
 def test_hard_sparse_duals_solve(n, m, osn):
     # (40, 110, 0) is a triangulation less 4 edges whose peel bound is 16
-    # against an optimum of 19; without the memo of kernels the search
-    # takes over a minute on either input, and with it a few seconds
+    # against an optimum of 19; the branch and bound takes about a second
+    # on it with its memo of kernels and over a minute without, and on
+    # (60, 170, 0) and the near-triangulation (300, 893, 0) over a
+    # minute even with it.  The dynamic programme, at elimination width
+    # 5, 6, 6 and 8, solves each in a few seconds at most.
     g = random_biconnected(n, m, seed=0)
     res = solve_osn(g)
     assert res.osn == osn
     assert len(res.splits.ops) == osn
     assert is_outerplane(replay(g, res.splits))
+
+
+def complete(n):
+    return DualGraph(tuple(range(n)), tuple(combinations(range(n), 2)))
+
+
+def record_solvers(monkeypatch):
+    """The solvers min_fvs calls, by name, in order."""
+    calls = []
+    for name in ("_dp_fvs", "_search_fvs", "_rank_fvs"):
+        def wrapped(*args, _solver=getattr(cover_solver, name), _name=name):
+            calls.append(_name)
+            return _solver(*args)
+        monkeypatch.setattr(cover_solver, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("d, want, route", [
+    (DualGraph((), ()), set(), ["_search_fvs"]),
+    (DualGraph((0, 1, 2), ()), set(), ["_search_fvs"]),
+    (DualGraph((0, 1), ((0, 1), (0, 1))), {0}, ["_search_fvs"]),
+    # degree 4 at node 0, from two doubled edges
+    (DualGraph((0, 1, 2), ((0, 1), (0, 1), (0, 2), (0, 2))), {0},
+     ["_dp_fvs"]),
+])
+def test_min_fvs_routes_small_duals(monkeypatch, d, want, route):
+    calls = record_solvers(monkeypatch)
+    assert min_fvs(d).nodes == want
+    assert calls == route
+
+
+def test_min_fvs_routes_by_elimination_width(monkeypatch):
+    """K_{w+1} has elimination width w: at the cap the programme solves
+    it, and one node more sends it to the search."""
+    cap = cover_solver._DP_MAX_WIDTH
+    calls = record_solvers(monkeypatch)
+    assert min_fvs(complete(cap + 1)).nodes == set(range(cap - 1))
+    assert calls == ["_dp_fvs"]
+    calls.clear()
+    assert min_fvs(complete(cap + 2)).nodes == set(range(cap))
+    assert calls == ["_dp_fvs", "_search_fvs"]
+
+
+def test_min_fvs_routes_cubic_duals_as_before(monkeypatch):
+    calls = record_solvers(monkeypatch)
+    min_fvs(dual(icosahedron()))  # 20 nodes
+    min_fvs(dual(random_triangulation(15, seed=0)))  # 26 nodes
+    assert calls == ["_search_fvs", "_rank_fvs"]
+
+
+@pytest.mark.parametrize("edges, error", [
+    (((0, 0), (0, 1), (0, 1), (0, 2), (0, 2)), SelfLoopPresent),
+    (((0, 1), (0, 1), (0, 2), (0, 2), (0, 7)), UnknownNode),
+])
+def test_min_fvs_checks_before_it_routes(monkeypatch, edges, error):
+    calls = record_solvers(monkeypatch)
+    with pytest.raises(error):
+        min_fvs(DualGraph(nodes=(0, 1, 2), edges=edges))
+    assert calls == []

@@ -1,10 +1,13 @@
-"""The exact feedback vertex set search of cover_solver, pinned against a
-brute force on small random multigraphs.
+"""The exact feedback vertex set solvers of cover_solver, the search and
+the dynamic programme, pinned against a brute force on small random
+multigraphs.
 
 The graphs have up to 9 nodes and mix doubled and tripled edges, chains
 of degree-2 nodes, isolated nodes and several components.  The search
 memoizes the kernels it branches on, so the brute force also runs with
 one memo shared by every budget and with the memo capped to nothing.
+The programme keeps its steps across solves, so it also runs with that
+memo emptied again and again.
 """
 
 import random
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from outersplit import cover_solver
 from outersplit.cover_solver import (
     _decide,
+    _dp_fvs,
     _lower_bound,
     _Memo,
     _Multi,
@@ -245,3 +249,43 @@ def test_kernels_on_one_node_set_keep_their_own_answers():
         assert len(got) == 3 and acyclic_without(two, set(got))
     assert _search_fvs(_Multi.from_dual(one))[0] == 2
     assert _search_fvs(_Multi.from_dual(two))[0] == 3
+
+
+def test_dp_matches_brute_force_on_random_multigraphs():
+    for d, want in brute_corpus():
+        assert _dp_fvs(d) == (len(want), want), d
+
+
+def test_dp_with_its_steps_emptied_gives_the_same_answers(monkeypatch):
+    """Room for 7 steps, so every memo is emptied many times within one
+    solve, each time while one of them is in use."""
+    steps = cover_solver._Steps(7)
+    monkeypatch.setattr(cover_solver, "_DP_STEPS", steps)
+    for d, want in brute_corpus():
+        assert _dp_fvs(d) == (len(want), want), d
+        assert sum(map(len, steps.memos.values())) <= 7
+
+
+def test_dp_declines_above_its_width_cap(monkeypatch):
+    # K5 has elimination width 4
+    k5 = DualGraph(tuple(range(5)), tuple(combinations(range(5), 2)))
+    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 4)
+    assert _dp_fvs(k5) == (3, [0, 1, 2])
+    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 3)
+    assert _dp_fvs(k5) is None
+
+
+@st.composite
+def hub_multigraphs(draw):
+    """Multigraphs as multigraphs() draws them, on 2 to 10 nodes, plus
+    four edges at node 0, so that its degree is above 3."""
+    d = draw(multigraphs().filter(lambda d: len(d.nodes) >= 2))
+    ends = draw(st.lists(st.integers(1, len(d.nodes) - 1),
+                         min_size=4, max_size=4))
+    return DualGraph(d.nodes, tuple(sorted(d.edges + tuple(
+        (0, b) for b in ends))))
+
+
+@given(hub_multigraphs())
+def test_dp_matches_the_search_on_duals_of_degree_above_3(d):
+    assert _dp_fvs(d) == _search_fvs(_Multi.from_dual(d))

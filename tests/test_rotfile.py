@@ -26,6 +26,7 @@ from outersplit import (
 from outersplit.errors import (
     AsymmetricRotation,
     OuterFaceUnset,
+    ParallelEdge,
     ParseError,
     UnwritableName,
 )
@@ -102,6 +103,15 @@ def test_parse_errors_carry_line_numbers():
             parse_rot(text)
         assert info.value.line == line
         assert needle in str(info.value)
+
+
+def test_a_repeated_neighbor_is_a_parse_error_at_its_line():
+    # build finds the repeat; parse_rot reports it at the vertex's line
+    with pytest.raises(ParseError) as info:
+        parse_rot("# two vertices\n2 1\n\nb: a\na: b b\n")
+    assert info.value.line == 5
+    assert "'a' repeats a neighbor" in str(info.value)
+    assert isinstance(info.value.__cause__, ParallelEdge)
 
 
 def test_structural_errors_are_not_parse_errors():
