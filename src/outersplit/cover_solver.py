@@ -7,32 +7,16 @@ dual problem exactly; fvs_to_cover certifies the resulting face set as a
 connected cover; solve_osn chains both and realizes that cover as
 realize_cover does, without certifying it a second time.
 
-min_fvs has three exact solvers and picks one by the dual's largest
-degree, parallel edges counted.  A dual with a node of degree above 3,
-where the problem is NP-hard, goes to a dynamic programme over a
-min-degree elimination order when its elimination width is at most 9,
-and to a branch and bound otherwise.  The programme is linear in the
-number of nodes at fixed width and finds the lexicographically least
-optimum directly; it solves random_biconnected(60, 170, 0), (100, 290,
-0), (200, 350, 1) and (300, 893, 0), which the branch and bound did not
-finish in a minute, in 0.02-4 s.  A dual of maximum degree 3 and more
-than 24 nodes (the dual of a triangulation on more than 14 vertices,
-among others) goes to a polynomial solver: there fvs = beta - nu, the
-cycle rank minus a matroid parity value, and nu is read off the rank of
-a random matrix over GF(p), p = 4194301, the largest prime below 2**22.
-The matrix is held as float64 residues in the symmetric range, so a
-product of two is below 2**42 and BLAS sums up to 2048 of them exactly,
-below 2**53.  A node is passed over on the rank alone only when a
-second independent draw agrees, which errs with probability below
-(number of nodes / 4194301)**2.  That rank is the only numpy user here,
-and numpy is imported the first time a _ParityRank is built, so
-importing this module does not load it.  Every other dual, a cubic one
-of at most 24 nodes or one above the programme's width cap, goes to the
-branch and bound, which solves the small cubic ones faster than the
-rank and with no random draw.  It branches on the nodes of one short
-cycle, as every feedback set holds one of them, and one solve keeps a
-memo of the reduced multigraphs (kernels) it has branched on, with the
-largest budget refuted on each and a feedback set found for it.
+min_fvs has two exact solvers and picks one by the dual's largest
+degree, parallel edges counted, and its size.  One is a dynamic
+programme over a tree decomposition, linear in the number of nodes at
+fixed elimination width and capped at width 9; a dual it cannot take
+raises CapExceeded at once unless it is cubic.  The other, for duals of
+maximum degree 3, is polynomial: there fvs = beta - nu, the cycle rank
+minus a matroid parity value, and nu is read off the rank of a random
+matrix over GF(p).  That rank is the only numpy user here, and numpy is
+imported the first time a _ParityRank is built, so importing this
+module does not load it.
 
 Two independent brute-force oracles cross-check the theory on small
 instances: brute_min_cfc enumerates face subsets by size, and
@@ -191,13 +175,10 @@ def _is_forest(edges) -> bool:
     return True
 
 
-def _reduce(mg: _Multi, budget: int, taken: list[int],
-            todo: list[int] | None = None) -> bool:
+def _reduce(mg: _Multi, budget: int, taken: list[int]) -> bool:
     """Exhaustively apply safe reductions; False when provably infeasible.
-    todo holds every node of degree 2 or less, all nodes by default; a
-    node joins it whenever its degree drops."""
-    if todo is None:
-        todo = list(mg.adj)
+    Every node is looked at, and a node again whenever its degree drops."""
+    todo = list(mg.adj)
     while todo:
         u = todo.pop()
         if u not in mg.adj:
@@ -253,81 +234,6 @@ def _short_cycle(mg: _Multi) -> list[int]:
             return path[:path.index(cycle[-1])] + cycle
 
 
-# The most kernel nodes one solve's memo keeps, summed over its kernels;
-# a stored node costs about 0.34 KB.  The memo serves only the duals the
-# search still takes: those above _DP_MAX_WIDTH and the cubic ones of at
-# most 24 nodes.  On a 2-vCPU Xeon VM the dual of random_biconnected(60,
-# 170, 0), which the search does not solve within a minute, filled this
-# cap with 6,208 kernels and peaked at 109 MB RSS after 60 s (17 MB with
-# no memo); with no cap it held 1.59M nodes and 551 MB after 8 s.  The
-# search solves (40, 110, 0) storing 70,326 nodes, (100, 200, 0) 133,490
-# and (150, 250, 0) 163,827.
-_MEMO_MAX_NODES = 1 << 18
-
-
-class _Memo:
-    """What the searches of one solve learned, by kernel: kernels maps
-    the node set of a reduced multigraph to [its adjacency, the largest
-    budget refuted on it or -1, a feedback set found for it or None].
-    A stored adjacency is the kernel's own and is never edited, as
-    branches work on copies; room counts the kernel nodes still to
-    store, and a kernel that does not fit is not stored."""
-
-    __slots__ = ("kernels", "room")
-
-    def __init__(self):
-        self.kernels: dict[frozenset[int], list] = {}
-        self.room = _MEMO_MAX_NODES
-
-
-def _decide(mg: _Multi, budget: int, memo: _Memo | None = None,
-            todo: list[int] | None = None):
-    """Nodes of a feedback vertex set of at most budget nodes, or None;
-    consumes mg, and reduces it from todo as _reduce does.  Every
-    feedback set holds a node of each cycle, so once the reductions leave
-    every degree at 3 or more, the search branches on the nodes of one
-    short cycle, by descending degree and then id.  A branch deletes a
-    node from the reduced kernel, so only its neighbours need reducing.
-    Each kernel the search branches on is looked up in memo (a fresh
-    one by default) by its node set, and counts as met only when its
-    adjacency is equal too: a budget at or below one refuted on it is
-    refuted again, and a feedback set found for it is reused when it
-    fits the budget."""
-    taken: list[int] = []
-    if not _reduce(mg, budget, taken, todo):
-        return None
-    if not mg.adj:
-        return taken
-    rem = budget - len(taken)
-    if rem <= 0 or _lower_bound(mg) > rem:
-        return None
-    if memo is None:
-        memo = _Memo()
-    key = frozenset(mg.adj)
-    entry = memo.kernels.get(key)
-    if entry is not None and entry[0] == mg.adj:
-        if rem <= entry[1]:
-            return None
-        if entry[2] is not None and len(entry[2]) <= rem:
-            return taken + entry[2]
-    elif entry is not None or len(key) <= memo.room:
-        # a kernel on the same nodes but with other edges is replaced
-        if entry is None:
-            memo.room -= len(key)
-        entry = memo.kernels[key] = [mg.adj, -1, None]
-    for x in sorted(_short_cycle(mg), key=lambda u: (-mg.deg[u], u)):
-        trial = mg.copy()
-        trial.remove(x)
-        sub = _decide(trial, rem - 1, memo, list(mg.adj[x]))
-        if sub is not None:
-            if entry is not None:
-                entry[2] = [x] + sub
-            return taken + [x] + sub
-    if entry is not None:
-        entry[1] = rem
-    return None
-
-
 def _peel_bound(mg: _Multi) -> int:
     """A lower bound on the feedback vertex set size; consumes mg.  Every
     feedback set holds a node of each cycle C, so fvs(G) >= 1 +
@@ -345,38 +251,6 @@ def _peel_bound(mg: _Multi) -> int:
         for x in _short_cycle(mg):
             mg.remove(x)
         count += 1
-
-
-def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
-    """Optimum size and lexicographically least optimal node set by
-    branch and bound: the least feasible budget from the peel bound up,
-    then the nodes in order, each kept when the witness holds it or else
-    when _decide meets the rest of the budget.  Every _decide call shares
-    one memo."""
-    memo = _Memo()
-    k = _peel_bound(base.copy())
-    while (found := _decide(base.copy(), k, memo)) is None:
-        k += 1
-
-    # the witness is the last feedback set _decide found: it holds every
-    # chosen node and, k being optimal, has k nodes, so a node in it can
-    # be kept without a search
-    witness = set(found)
-    chosen: list[int] = []
-    rest = base.copy()  # the dual minus the chosen nodes
-    for x in sorted(base.adj):
-        if len(chosen) == k:
-            break
-        if x not in witness:
-            trial = rest.copy()
-            trial.remove(x)
-            sub = _decide(trial, k - len(chosen) - 1, memo)
-            if sub is None:
-                continue
-            witness = {*chosen, x, *sub}
-        chosen.append(x)
-        rest.remove(x)
-    return k, chosen
 
 
 # -- dynamic programme over an elimination order -------------------------------
@@ -404,16 +278,16 @@ def _search_fvs(base: _Multi) -> tuple[int, list[int]]:
 # across solves in _DP_STEPS, one memo per pattern, filled lazily.  What
 # the memos hold changes the speed of a solve, never its answer.
 
-# The largest elimination width the programme takes; a dual of larger
-# width goes to _search_fvs.  A bag of w + 1 nodes has at most B(w + 2)
-# states, the Bell number: 678,570 at w = 9 and 4,213,597 at w = 10.
-# Measured on a 2-vCPU Xeon VM, the largest table at width 9 held
-# 114,223 states, on the dual of random_biconnected(400, 1150, 0),
-# solved in 11.5 s at 80 MB peak RSS; at width 10 the dual of
-# random_biconnected(180, 500, 0) reached 490,975 states and took 54 s
-# at 141 MB, too close to a minute.  A state holds 4 bits per position
-# and a join keys a pair of states on 64 bits each, so the cap stays
-# below 15.
+# The largest elimination width the programme takes; min_fvs sends a
+# wider dual to the rank when it is cubic and raises CapExceeded
+# otherwise.  A bag of w + 1 nodes has at most B(w + 2) states, the Bell
+# number: 678,570 at w = 9 and 4,213,597 at w = 10.  Measured on a
+# 2-vCPU Xeon VM, the largest table at width 9 held 114,223 states, on
+# the dual of random_biconnected(400, 1150, 0), solved in 11.5 s at 80
+# MB peak RSS; at width 10 the dual of random_biconnected(180, 500, 0)
+# reached 490,975 states and took 54 s at 141 MB, too close to a minute.
+# A state holds 4 bits per position and a join keys a pair of states on
+# 64 bits each, so the cap stays below 15.
 _DP_MAX_WIDTH = 9
 
 # The most steps _DP_STEPS holds; once full it is emptied.  A step costs
@@ -889,24 +763,22 @@ class _ParityRank:
 
 
 # The most nodes a dual of maximum degree 3 may have and still go to the
-# branch and bound.  Measured with the float64 rank and numpy loaded, on
-# a 2-vCPU 2.0 GHz Xeon VM, best of 3 per instance over seeds 0-99 of
-# random_triangulation(n): on duals of 12-24 nodes (n = 8..14) the
-# search's median was 0.21-0.70 ms against 0.43-0.93 ms for the rank,
-# and its slowest instance at 24 nodes 1.37 ms against 2.11 ms; on the
-# cubic cages Petersen (10 nodes), Heawood (14), McGee (24) and
-# Tutte-Coxeter (30) the search took 0.14-0.71 ms and the rank
-# 0.34-0.89 ms.  The search's tail begins at 28 nodes (n=16), where its
-# slowest instance took 4.19 ms against 3.32 ms, and at 30-32 nodes the
-# medians are 0.97-1.17 ms against 1.14-1.27 ms.  The cap stays at 24,
-# so that every triangulation on at most 14 vertices solves without
-# numpy.
-_SEARCH_MAX_CUBIC = 24
+# programme first.  Measured with numpy loaded and the programme's steps
+# warm, on a 2-vCPU Xeon VM under load, best of 3 per instance over seeds
+# 0-39 of random_triangulation(n): on duals of 12-26 nodes (n = 8..15)
+# the programme's median was 0.43-1.44 ms against 0.64-1.74 ms for the
+# rank, but its slowest instances, 2.8-5.7 ms from 20 nodes on, pass the
+# rank's 1.9-2.6 ms, and the icosahedron's dual (20 nodes) took 5.3 ms
+# against 1.3 ms.  No benchmark workload times a cubic dual this small.
+# The cap stays at 24, so that every triangulation on at most 14
+# vertices solves without numpy.
+_DP_MAX_CUBIC = 24
 
 
 def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
     """Optimum size and lexicographically least optimal node set of a
-    dual of maximum degree 3, by matroid parity ranks."""
+    dual of maximum degree 3, by matroid parity ranks, or by _dp_fvs
+    when the rank value meets neither lower bound."""
     nodes = sorted(d.nodes)
     # a str seed goes through SHA-512, so the draws depend on the graph only
     rng = random.Random(repr((d.nodes, d.edges)))
@@ -914,12 +786,17 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
 
     k = oracle.value
     # k is never below the optimum; it is certified by the degree bound,
-    # else by the peel bound, else by refuting k - 1
+    # else by the peel bound, and otherwise the programme solves d
     floor = _lower_bound(base)
     if k > floor:
         floor = _peel_bound(base.copy())
-    while k > floor and _decide(base.copy(), k - 1) is not None:
-        k -= 1
+    if k > floor:
+        found = _dp_fvs(d)
+        if found is None:
+            raise CapExceeded(
+                f"a dual of {len(nodes)} nodes has a rank value above its "
+                f"bounds and elimination width above {_DP_MAX_WIDTH}")
+        return found
 
     # a lower bound on the cycle rank of the dual minus the chosen nodes
     cycles = oracle.beta
@@ -977,63 +854,56 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     an end that is not a node raises UnknownNode; both are checked
     before a solver is chosen.
 
-    A dual with a node of degree above 3, parallel edges counted, goes
-    to the dynamic programme over a min-degree elimination order with
-    fill, ties broken by node id, when no node has more than
-    _DP_MAX_WIDTH = 9 later neighbours there.  Its table over a bag
-    holds, per state (the deleted nodes and the partition of the kept
-    ones into trees), the least cost below, where a node set costs its
-    size times 2**n less a mask with the least node on the highest bit.
-    So the least total cost is the lexicographically least optimum, read
-    off with no completion loop.  The programme keeps the steps of its
-    joins and forgets, which depend only on local patterns and states,
-    across solves, at most _DP_MAX_STEPS of them.
+    A dual with a node of degree above 3, parallel edges counted, or
+    with at most _DP_MAX_CUBIC = 24 nodes goes to the dynamic programme
+    over a min-degree elimination order with fill, ties broken by node
+    id.  Its table over a bag holds, per state (the deleted nodes and
+    the partition of the kept ones into trees), the least cost below,
+    where a node set costs its size times 2**n less a mask with the
+    least node on the highest bit.  So the least total cost is the
+    lexicographically least optimum, read off with no completion loop.
+    The programme keeps the steps of its joins and forgets, which depend
+    only on local patterns and states, across solves, at most
+    _DP_MAX_STEPS of them.  It draws nothing at random and needs no
+    numpy.  It declines a dual where some node has more than
+    _DP_MAX_WIDTH = 9 later neighbours in the order: such a dual raises
+    CapExceeded at once when it has a node of degree above 3, and goes
+    to the rank below when it is cubic.
 
-    A dual of more than 24 nodes, every one of degree at most 3, goes to
-    a matroid parity rank: the size k comes from the rank and the nodes
-    are taken in order, each kept when the rank says one node fewer
-    remains to find.  A random evaluation can only lose rank, so these
-    steps are certified: k, once it meets the degree lower bound, else
-    the peel bound (short cycles deleted one by one, each counting one
-    node), or else _decide refutes k - 1; every node taken; and every
-    node passed over because a lower bound on what would remain exceeds
-    the budget: the degree bound, read off the dual less the chosen
-    nodes and the node without a copy, then the degree bound of its
-    reduction, else the peel bound.  A node passed over on the rank
-    alone, confirmed by a second independent draw, is right with high
-    probability: each draw errs with probability below (number of
-    nodes) / p, so both err together with probability below (number of
-    nodes / 4194301)**2.  p = 4194301 is the largest prime below 2**22,
-    small enough that the rank runs on float64 BLAS products exactly
-    (see _P).  A slip there could only return an optimum that is not
-    the least one, or raise AssertionError; the size stays exact.
-
-    Every other dual, a cubic one of at most 24 nodes or one whose
-    elimination width is above the programme's cap, goes to branch and
-    bound.  Neither it nor the programme draws anything at random, so
-    they carry no such caveat, and neither needs numpy; on the small
-    cubic duals the search is also faster than the rank.  k is the least
-    budget _decide meets, counting up from the peel bound, and a node is
-    kept when the witness holds it, or else when _decide meets the rest
-    of the budget with it and the nodes kept before it.  The witness is
-    the last feedback set _decide found; it holds every node kept so
-    far, so a node in it is kept without a search.  Every _decide call
-    of the solve shares one memo: a kernel met again with equal
-    adjacency is refuted at or below a budget refuted on it before, and
-    takes a feedback set found for it before when that fits, so the
-    searches for k and for each node do not repeat one another.  The
-    memo keeps at most _MEMO_MAX_NODES kernel nodes.  The returned set
-    is verified as a feedback set whatever the solver."""
+    Every other dual, one of more than 24 nodes, every one of degree at
+    most 3, goes to a matroid parity rank: the size k comes from the
+    rank and the nodes are taken in order, each kept when the rank says
+    one node fewer remains to find.  A random evaluation can only lose
+    rank, so these steps are certified: k, once it meets the degree
+    lower bound, else the peel bound (short cycles deleted one by one,
+    each counting one node); every node taken; and every node passed
+    over because a lower bound on what would remain exceeds the budget:
+    the degree bound, read off the dual less the chosen nodes and the
+    node without a copy, then the degree bound of its reduction, else
+    the peel bound.  When k meets neither bound, the programme solves
+    the dual instead, or CapExceeded is raised.  A node passed over on
+    the rank alone, confirmed by a second independent draw, is right
+    with high probability: each draw errs with probability below
+    (number of nodes) / p, so both err together with probability below
+    (number of nodes / 4194301)**2.  p = 4194301 is the largest prime
+    below 2**22, small enough that the rank runs on float64 BLAS
+    products exactly (see _P).  A slip there could only return an
+    optimum that is not the least one, or raise AssertionError; the size
+    stays exact.  The returned set is verified as a feedback set
+    whatever the solver."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
-    top = max(d.degrees().values(), default=0)
-    found = _dp_fvs(d) if top > 3 else None
-    if found is not None:
-        k, chosen = found
-    elif top <= 3 and len(d.nodes) > _SEARCH_MAX_CUBIC:
-        k, chosen = _rank_fvs(d, _Multi.from_dual(d))
-    else:
-        k, chosen = _search_fvs(_Multi.from_dual(d))
+    cubic = max(d.degrees().values(), default=0) <= 3
+    found = None
+    if not cubic or len(d.nodes) <= _DP_MAX_CUBIC:
+        found = _dp_fvs(d)
+    if found is None and not cubic:
+        raise CapExceeded(
+            f"a dual of {len(d.nodes)} nodes has a node of degree above 3 "
+            f"and elimination width above the cap of {_DP_MAX_WIDTH}")
+    if found is None:
+        found = _rank_fvs(d, _Multi.from_dual(d))
+    k, chosen = found
     if len(chosen) != k:
         raise AssertionError("lexicographic completion lost the optimum")
 

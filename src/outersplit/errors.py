@@ -90,7 +90,9 @@ class NotBiconnected(OutersplitError):
 
 
 class CapExceeded(OutersplitError):
-    """The instance is larger than the configured cap for this oracle."""
+    """The instance is larger than a configured cap: a generator's size
+    cap, a brute-force oracle's, or the elimination width cap of the
+    exact feedback vertex set solver."""
 
 
 # -- reductions --------------------------------------------------------------

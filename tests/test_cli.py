@@ -383,6 +383,16 @@ def test_gen_above_the_size_cap_is_a_domain_error(tmp_path, capsys):
         assert not out_path.exists()
 
 
+def test_osn_above_the_width_cap_is_a_domain_error(tmp_path, capsys):
+    path = str(tmp_path / "b180.rot")
+    run(capsys, "gen", "random_biconnected", "-n", "180", "-m", "500",
+        "--seed", "0", "-o", path)
+    code, out, err = run(capsys, "osn", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: CapExceeded: a dual of 322 nodes")
+
+
 def test_gen_negative_seed_is_a_domain_error(tmp_path, capsys):
     out_path = tmp_path / "t.rot"
     for argv in (("random_triangulation", "-n", "12"),

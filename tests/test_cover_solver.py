@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -220,11 +221,9 @@ def test_three_solvers_agree():
     (40, 110, 18), (150, 250, 35), (60, 170, 27), (300, 893, 148)])
 def test_hard_sparse_duals_solve(n, m, osn):
     # (40, 110, 0) is a triangulation less 4 edges whose peel bound is 16
-    # against an optimum of 19; the branch and bound takes about a second
-    # on it with its memo of kernels and over a minute without, and on
-    # (60, 170, 0) and the near-triangulation (300, 893, 0) over a
-    # minute even with it.  The dynamic programme, at elimination width
-    # 5, 6, 6 and 8, solves each in a few seconds at most.
+    # against an optimum of 19, and (300, 893, 0) a near-triangulation.
+    # The dynamic programme, at elimination width 5, 6, 6 and 8, solves
+    # each in a few seconds at most.
     g = random_biconnected(n, m, seed=0)
     res = solve_osn(g)
     assert res.osn == osn
@@ -239,7 +238,7 @@ def complete(n):
 def record_solvers(monkeypatch):
     """The solvers min_fvs calls, by name, in order."""
     calls = []
-    for name in ("_dp_fvs", "_search_fvs", "_rank_fvs"):
+    for name in ("_dp_fvs", "_rank_fvs"):
         def wrapped(*args, _solver=getattr(cover_solver, name), _name=name):
             calls.append(_name)
             return _solver(*args)
@@ -248,9 +247,9 @@ def record_solvers(monkeypatch):
 
 
 @pytest.mark.parametrize("d, want, route", [
-    (DualGraph((), ()), set(), ["_search_fvs"]),
-    (DualGraph((0, 1, 2), ()), set(), ["_search_fvs"]),
-    (DualGraph((0, 1), ((0, 1), (0, 1))), {0}, ["_search_fvs"]),
+    (DualGraph((), ()), set(), ["_dp_fvs"]),
+    (DualGraph((0, 1, 2), ()), set(), ["_dp_fvs"]),
+    (DualGraph((0, 1), ((0, 1), (0, 1))), {0}, ["_dp_fvs"]),
     # degree 4 at node 0, from two doubled edges
     (DualGraph((0, 1, 2), ((0, 1), (0, 1), (0, 2), (0, 2))), {0},
      ["_dp_fvs"]),
@@ -263,21 +262,44 @@ def test_min_fvs_routes_small_duals(monkeypatch, d, want, route):
 
 def test_min_fvs_routes_by_elimination_width(monkeypatch):
     """K_{w+1} has elimination width w: at the cap the programme solves
-    it, and one node more sends it to the search."""
+    it, and one node more, with every degree above 3, is refused."""
     cap = cover_solver._DP_MAX_WIDTH
     calls = record_solvers(monkeypatch)
     assert min_fvs(complete(cap + 1)).nodes == set(range(cap - 1))
     assert calls == ["_dp_fvs"]
     calls.clear()
-    assert min_fvs(complete(cap + 2)).nodes == set(range(cap))
-    assert calls == ["_dp_fvs", "_search_fvs"]
+    with pytest.raises(CapExceeded, match=f"above the cap of {cap}"):
+        min_fvs(complete(cap + 2))
+    assert calls == ["_dp_fvs"]
 
 
 def test_min_fvs_routes_cubic_duals_as_before(monkeypatch):
+    """A cubic dual of at most 24 nodes goes to the programme, a larger
+    one to the rank."""
     calls = record_solvers(monkeypatch)
     min_fvs(dual(icosahedron()))  # 20 nodes
     min_fvs(dual(random_triangulation(15, seed=0)))  # 26 nodes
-    assert calls == ["_search_fvs", "_rank_fvs"]
+    assert calls == ["_dp_fvs", "_rank_fvs"]
+
+
+def test_min_fvs_sends_small_cubic_duals_above_the_width_cap_to_the_rank(
+        monkeypatch):
+    d = dual(icosahedron())  # 20 nodes, every degree 3
+    want = min_fvs(d).nodes
+    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 2)
+    calls = record_solvers(monkeypatch)
+    assert min_fvs(d).nodes == want
+    assert calls == ["_dp_fvs", "_rank_fvs"]
+
+
+def test_min_fvs_refuses_a_wide_dual_at_once():
+    # the dual of random_biconnected(180, 500, 0) has 322 nodes, degrees
+    # up to 6 and min-degree elimination width 10
+    d = dual(random_biconnected(180, 500, seed=0))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="dual of 322 nodes"):
+        min_fvs(d)
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("edges, error", [

@@ -1,11 +1,11 @@
 """The matroid parity rank that min_fvs uses on duals of more than 24
-nodes and maximum degree 3, pinned against the branch and bound.
+nodes and maximum degree 3, pinned against the dynamic programme.
 
 For a multigraph H of maximum degree 3 the minimum feedback vertex set
 has size beta(H) - nu(H), and the rank of a random Lovasz matrix gives
-nu(H) with high probability.  The reference here is the exact search:
-the least budget _decide can meet, and the node set of its
-lexicographic completion.  Smaller cubic duals go to that search
+nu(H) with high probability.  The reference here is the programme,
+_dp_fvs, which gives the optimum and the lexicographically least
+optimal node set exactly.  Smaller cubic duals go to the programme
 instead, so the rank path is also called directly here.
 """
 
@@ -30,30 +30,33 @@ from outersplit import (
 )
 from outersplit import cover_solver
 from outersplit.cover_solver import (
-    _decide,
+    _dp_fvs,
     _lower_bound,
     _Multi,
     _ParityRank,
     _peel_bound,
     _rank_fvs,
-    _search_fvs,
 )
+from outersplit.errors import CapExceeded
 from outersplit.plane_graph import DualGraph
+
+
+def as_dual(mg):
+    """The multigraph as a DualGraph, each edge as often as mg holds it."""
+    edges = [(u, w) for u, nbrs in mg.adj.items()
+             for w, mult in nbrs.items() if u < w for _ in range(mult)]
+    return DualGraph(nodes=tuple(mg.adj), edges=tuple(edges))
 
 
 def rank_value(mg, rng):
     """beta - nu of the multigraph from one fresh draw."""
-    edges = [(u, w) for u, nbrs in mg.adj.items()
-             for w, mult in nbrs.items() if u < w for _ in range(mult)]
-    return _ParityRank(list(mg.adj), edges, rng).value
+    d = as_dual(mg)
+    return _ParityRank(list(d.nodes), d.edges, rng).value
 
 
-def search_optimum(mg):
-    """Minimum feedback vertex set size by branch and bound."""
-    k = _lower_bound(mg)
-    while _decide(mg.copy(), k) is None:
-        k += 1
-    return k
+def dp_optimum(mg):
+    """Minimum feedback vertex set size by the dynamic programme."""
+    return _dp_fvs(as_dual(mg))[0]
 
 
 def triangulation_duals(n_max, seeds=(0, 1, 2)):
@@ -67,7 +70,7 @@ def test_rank_value_matches_search_on_triangulation_duals():
     for n, seed, d in triangulation_duals(26):
         mg = _Multi.from_dual(d)
         rng = random.Random(f"{n}/{seed}")
-        assert rank_value(mg, rng) == search_optimum(mg), (n, seed)
+        assert rank_value(mg, rng) == dp_optimum(mg), (n, seed)
         checked += 1
     assert checked == 69
 
@@ -77,7 +80,7 @@ def test_rank_value_on_complete_3trees(depth, optimum):
     # the value lies above the degree lower bound from depth 2 on: 9
     # against 8, and 27 against 21
     mg = _Multi.from_dual(dual(complete_3tree(depth)))
-    assert search_optimum(mg) == optimum
+    assert dp_optimum(mg) == optimum
     assert rank_value(mg, random.Random(depth)) == optimum
     assert len(min_fvs(dual(complete_3tree(depth))).nodes) == optimum
 
@@ -92,14 +95,16 @@ def test_peel_bound_on_complete_3trees(depth, degree, peel):
 
 
 def test_complete_3tree_depth_4_needs_no_refutation(monkeypatch):
+    # the peel bound certifies the rank value, so the programme, the
+    # rank's fallback, never runs
     calls = []
-    decide = cover_solver._decide
+    dp_fvs = cover_solver._dp_fvs
 
-    def counted(mg, budget):
-        calls.append(budget)
-        return decide(mg, budget)
+    def counted(d):
+        calls.append(d)
+        return dp_fvs(d)
 
-    monkeypatch.setattr(cover_solver, "_decide", counted)
+    monkeypatch.setattr(cover_solver, "_dp_fvs", counted)
     assert len(min_fvs(dual(complete_3tree(4))).nodes) == 81
     assert calls == []
 
@@ -119,7 +124,7 @@ def test_rank_value_matches_search_on_subgraphs():
                 mg = _Multi.from_dual(d)
                 for x in gone:
                     mg.remove(x)
-                want = search_optimum(mg)
+                want = dp_optimum(mg)
                 assert rank_value(mg, random.Random(checked)) == want
 
                 oracle = _ParityRank(nodes, d.edges, random.Random(checked))
@@ -137,11 +142,13 @@ def test_rank_value_matches_search_on_subgraphs():
 
 
 def test_node_sets_match_the_search_completion():
+    """The rank path's node sets are the programme's, the
+    lexicographically least optimal ones."""
     cases = [(n, s) for n in range(4, 27) for s in (0, 1, 2)]
     cases += [(29, 1), (29, 2)]
     for n, seed in cases:
         d = dual(random_triangulation(n, seed=seed))
-        k, chosen = _search_fvs(_Multi.from_dual(d))
+        k, chosen = _dp_fvs(d)
         assert len(chosen) == k
         assert _rank_fvs(d, _Multi.from_dual(d)) == (k, chosen), (n, seed)
 
@@ -192,8 +199,7 @@ CAGES = {
 }
 
 
-def test_min_fvs_sends_cubic_duals_of_at_most_24_nodes_to_the_search(
-        built):
+def test_min_fvs_sends_cubic_duals_of_at_most_24_nodes_to_the_dp(built):
     """Every triangulation dual with n <= 14 (at most 24 nodes) and the
     cages of at most 24 nodes solve with no rank oracle built, to the
     node set the rank path finds; from 25 nodes on, min_fvs builds the
@@ -205,7 +211,7 @@ def test_min_fvs_sends_cubic_duals_of_at_most_24_nodes_to_the_search(
         assert set(d.degrees().values()) == {3}, name
         assert len(min_fvs(d).nodes) == optimum, name
         cases[name] = d
-    routed = {"search": 0, "rank": 0}
+    routed = {"dp": 0, "rank": 0}
     for key, d in cases.items():
         del built[:]
         k, chosen = _rank_fvs(d, _Multi.from_dual(d))
@@ -215,13 +221,13 @@ def test_min_fvs_sends_cubic_duals_of_at_most_24_nodes_to_the_search(
         assert min_fvs(d).nodes == frozenset(chosen), key
         if len(d.nodes) <= 24:
             assert built == [], key
-            routed["search"] += 1
+            routed["dp"] += 1
         else:
             assert len(built) == draws, key
             routed["rank"] += 1
     # n = 4..14 with 5 seeds and three cages; n = 15 (26 nodes) and
     # Tutte-Coxeter
-    assert routed == {"search": 58, "rank": 6}
+    assert routed == {"dp": 58, "rank": 6}
 
 
 def test_rank_path_makes_no_delete_after_the_last_node(built,
@@ -251,6 +257,11 @@ def test_rank_path_makes_no_delete_after_the_last_node(built,
     assert total == 57
 
 
+# the triangulations (n, seed) of the tri_exact benchmark
+TRI_EXACT = [(24, 0), (24, 1), (25, 0), (25, 1), (26, 0), (26, 1), (27, 0),
+             (27, 1), (28, 0), (28, 1), (29, 0), (29, 3), (30, 0), (30, 1)]
+
+
 def test_peel_bound_saves_second_draws(monkeypatch):
     """On the 14 triangulations of the tri_exact benchmark, the peel bound
     certifies most rejections the degree bound cannot, so few second
@@ -264,20 +275,41 @@ def test_peel_bound_saves_second_draws(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(cover_solver, "_ParityRank", Counted)
-    specs = [(24, 0), (24, 1), (25, 0), (25, 1), (26, 0), (26, 1), (27, 0),
-             (27, 1), (28, 0), (28, 1), (29, 0), (29, 3), (30, 0), (30, 1)]
-    for n, seed in specs:
+    for n, seed in TRI_EXACT:
         d = dual(random_triangulation(n, seed=seed))
-        k, chosen = _search_fvs(_Multi.from_dual(d))
+        k, chosen = _dp_fvs(d)
         assert min_fvs(d).nodes == frozenset(chosen), (n, seed)
     assert len(built) <= 17
+
+
+class HighValue(_ParityRank):
+    """A rank whose value is one above the optimum, as a draw that lost
+    rank would give; neither lower bound can certify it."""
+
+    @property
+    def value(self):
+        return super().value + 1
+
+
+def test_rank_value_above_its_bounds_falls_back_to_the_dp(monkeypatch):
+    monkeypatch.setattr(cover_solver, "_ParityRank", HighValue)
+    duals = [dual(random_triangulation(n, seed=seed))
+             for n, seed in TRI_EXACT]
+    duals.append(dual(complete_3tree(2)))
+    for d in duals:
+        # the rank's own completion would return one node too many
+        assert _rank_fvs(d, _Multi.from_dual(d)) == _dp_fvs(d), d.n
+    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 2)
+    for d in duals:
+        with pytest.raises(CapExceeded, match="rank value above"):
+            _rank_fvs(d, _Multi.from_dual(d))
 
 
 @pytest.mark.parametrize("n, seed, osn", [(29, 1, 13), (29, 2, 13),
                                           (100, 0, 49)])
 def test_large_triangulations_solve_quickly(n, seed, osn):
-    # the benchmark leaves out n=29 seeds 1 and 2, which the search took
-    # 52 s and 27 s to solve
+    # the benchmark leaves out n=29 seeds 1 and 2, which an earlier
+    # branch and bound took 52 s and 27 s to solve
     g = random_triangulation(n, seed=seed)
     start = time.perf_counter()
     res = solve_osn(g)

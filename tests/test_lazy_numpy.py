@@ -2,7 +2,7 @@
 rank that min_fvs uses on duals of more than 24 nodes and maximum degree
 3, and the SVG layout.  Cubic duals of at most 24 nodes, those of K4,
 the octahedron, the icosahedron and every triangulation on at most 14
-vertices, go to the branch and bound and solve without it.
+vertices, go to the dynamic programme and solve without it.
 
 Each check runs in a fresh interpreter, because this one has numpy loaded
 already.  Setting sys.modules["numpy"] to None makes any import of numpy
@@ -51,7 +51,7 @@ out = {}
 g = o.generate(o.FamilySpec("random_biconnected", n=12, m=16, seed=0))
 h = o.parse_rot(o.serialize_rot(g))
 out["rot"] = o.serialize_rot(h)
-# the dual has a node of degree above 3, so the branch and bound solves it
+# the dual has a node of degree above 3, so the dynamic programme solves it
 out["max_dual_degree"] = max(o.dual(h).degrees().values())
 res = o.solve_osn(h)
 out["osn"] = res.osn
@@ -64,7 +64,7 @@ inst = o.build_cfc_instance(o.k4())
 vc = o.brute_min_vc(o.k4())
 out["round_trip"] = o.cfc_to_vc(inst, o.vc_to_cfc(inst, vc)) == vc
 
-# cubic duals of at most 24 nodes go to the branch and bound
+# cubic duals of at most 24 nodes go to the dynamic programme
 out["small_cubic"] = {}
 for name in ("k4", "octahedron", "icosahedron"):
     res = o.solve_osn(getattr(o, name)())
