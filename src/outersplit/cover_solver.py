@@ -7,16 +7,16 @@ dual problem exactly; fvs_to_cover certifies the resulting face set as a
 connected cover; solve_osn chains both and realizes that cover as
 realize_cover does, without certifying it a second time.
 
-min_fvs has two exact solvers and picks one by the dual's largest
-degree, parallel edges counted, and its size.  One is a dynamic
-programme over a tree decomposition, linear in the number of nodes at
-fixed elimination width and capped at width 9; a dual it cannot take
-raises CapExceeded at once unless it is cubic.  The other, for duals of
-maximum degree 3, is polynomial: there fvs = beta - nu, the cycle rank
-minus a matroid parity value, and nu is read off the rank of a random
-matrix over GF(p).  That rank is the only numpy user here, and numpy is
-imported the first time a _ParityRank is built, so importing this
-module does not load it.
+min_fvs has two exact solvers.  Every dual goes first to a dynamic
+programme over a tree decomposition from a min-fill elimination order,
+linear in the number of nodes at fixed elimination width and capped at
+width 9.  A dual it declines raises CapExceeded at once unless it is
+cubic.  A cubic one goes to the other solver, which is polynomial:
+there fvs = beta - nu, the cycle rank minus a matroid parity value, and
+nu is read off the rank of a random matrix over GF(p).  That rank is
+the only numpy user here, and numpy is imported the first time a
+_ParityRank is built, so importing this module does not load it, and
+neither does a solve the programme takes.
 
 Two independent brute-force oracles cross-check the theory on small
 instances: brute_min_cfc enumerates face subsets by size, and
@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -266,102 +267,159 @@ def _peel_bound(mg: _Multi) -> int:
 # position: 0 for deleted, else a block label, labels numbered 1, 2, ...
 # in order of first position.  v's table is the join of its children's
 # tables; then v's edges to N(v) are introduced and v is forgotten.  Two
-# kept nodes joined twice close a cycle, a doubled edge included.
+# kept nodes joined twice close a cycle, a doubled edge included.  When
+# v has two children or more, the last join and the forget are taken as
+# one step, so v's joined table is never built.  Nodes are named by
+# their elimination positions, and a scope is a sorted list of them.
 #
 # Deleting node x costs 2**n - 2**(n - 1 - r), with r the rank of x
 # among the n nodes, so a set of k nodes costs k 2**n less a mask with
 # the least node on its highest bit.  Costs add over disjoint sets, and
 # the least cost is that of the lexicographically least smallest set.
 #
-# A step of a join or of a forget depends only on the pattern of its
-# scopes and on its states, never on the instance, so the steps are kept
-# across solves in _DP_STEPS, one memo per pattern, filled lazily.  What
-# the memos hold changes the speed of a solve, never its answer.
+# A step of a join, of a forget, or of both at once depends only on the
+# pattern of its scopes and on its states, never on the instance, so the
+# steps are kept across solves in _DP_STEPS, one memo per pattern, filled
+# lazily.  What the memos hold changes the speed of a solve, never its
+# answer.
 
 # The largest elimination width the programme takes; min_fvs sends a
 # wider dual to the rank when it is cubic and raises CapExceeded
 # otherwise.  A bag of w + 1 nodes has at most B(w + 2) states, the Bell
 # number: 678,570 at w = 9 and 4,213,597 at w = 10.  Measured on a
-# 2-vCPU Xeon VM, the largest table at width 9 held 114,223 states, on
-# the dual of random_biconnected(400, 1150, 0), solved in 11.5 s at 80
-# MB peak RSS; at width 10 the dual of random_biconnected(180, 500, 0)
-# reached 490,975 states and took 54 s at 141 MB, too close to a minute.
-# A state holds 4 bits per position and a join keys a pair of states on
-# 64 bits each, so the cap stays below 15.
+# 2-vCPU Xeon VM with the min-fill order: the dual of
+# random_triangulation(1600, 0), 3,196 nodes at width 9, solved in 28 s
+# at 81 MB peak RSS, its largest table holding 55,146 states; the dual
+# of random_biconnected(2000, 5950, 0), 3,952 nodes at width 10, had not
+# finished after 150 s.  A state holds 4 bits per position, so the cap
+# stays below 15.
 _DP_MAX_WIDTH = 9
 
 # The most steps _DP_STEPS holds; once full it is emptied.  A step costs
 # about 110 bytes, so this is about 28 MB: with no cap, the dual of
-# random_biconnected(300, 893, 0) stored 470,235 steps and peaked at
-# 76.5 MB RSS, against 24.7 MB with room for one step (same VM).  The
-# five duals of random_biconnected(n, n + 30, 0), n = 80..120 (32 nodes,
-# width 3), need 664 steps together.
+# random_biconnected(400, 1150, 0) stored 129,544 steps and peaked at
+# 30.7 MB RSS (same VM).  The 14 duals of the tri_exact benchmark
+# (44-56 nodes, width 4-6) need 42,982 steps together, and the five
+# duals of random_biconnected(n, n + 30, 0), n = 80..120 (32 nodes,
+# width 3), need 577.
 _DP_MAX_STEPS = 1 << 18
 
 
 class _Steps:
     """The steps of the programme, kept across solves: memos maps each
-    pattern to its memo, from the states of a step to what they lead
-    to.  room counts the steps still to store; when none is left, every
-    memo is dropped before the next step is stored."""
+    pattern to its memo, from the state of a forget to the states it
+    leads to, or from the first state of a join to a row, from the
+    second state to the states the two lead to.  room counts the steps
+    still to store; when none is left, every memo is dropped before the
+    next step is stored."""
 
     __slots__ = ("memos", "size", "room")
 
     def __init__(self, size: int):
-        self.memos: dict[tuple[int, ...], dict[int, object]] = {}
+        self.memos: dict[tuple, dict[int, object]] = {}
         self.size = self.room = size
 
-    def remember(self, pattern: tuple[int, ...], memo: dict, key: int,
-                 step):
-        """Store a step in memo, the memo of pattern, and return it; the
-        caller holds no other memo, so only this one is kept in use."""
-        if self.room <= 0:
-            self.memos.clear()
-            memo.clear()
-            self.memos[pattern] = memo
-            self.room = self.size
-        memo[key] = step
+    def memo(self, pattern: tuple) -> dict[int, object]:
+        memo = self.memos.get(pattern)
+        if memo is None:
+            memo = self.memos[pattern] = {}
+        return memo
+
+    def spend(self, pattern: tuple, memo: dict) -> bool:
+        """Count a step about to be stored in memo, the memo of pattern.
+        When no room is left, every memo is emptied first, memo is kept
+        as the memo of pattern, and True is returned; the caller holds no
+        other memo, so only this one is kept in use."""
         self.room -= 1
-        return step
+        if self.room >= 0:
+            return False
+        self.memos.clear()
+        memo.clear()
+        self.memos[pattern] = memo
+        self.room = self.size - 1
+        return True
 
 
 _DP_STEPS = _Steps(_DP_MAX_STEPS)
+_ABOVE = float("inf")  # above every cost, as a table's default
 
 
 def _eliminate(nodes, pairs, cap: int):
-    """A min-degree elimination order of the simple graph on nodes with
-    the given pairs as edges, with fill and ties broken by node id, and
-    each node's later neighbours; None once a node has more than cap."""
+    """A min-fill elimination order of the simple graph on nodes with
+    the given pairs as edges, ties broken by degree, then node id, and
+    each node's later neighbours; None once a node has more than cap.
+
+    The fill of a node is the number of pairs of its neighbours that are
+    not adjacent; it is counted once for every node, then kept up to
+    date.  Eliminating u joins its neighbours N into a clique.  Each new
+    pair lowers the fill of every common neighbour of its two ends by
+    one.  A node a of N loses u, its neighbours R outside N, none of
+    them adjacent to u, and gains the nodes M of N it was not adjacent
+    to, each adjacent to all of N; so its fill drops by |R| and by one
+    per new pair of two of its neighbours, and rises by the pairs of
+    R x M that are not adjacent.  No other fill moves.  A heap holds (fill, degree,
+    node) entries, and one that no longer matches its node is skipped."""
     adj: dict[int, set[int]] = {u: set() for u in nodes}
     for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
-    by_degree: dict[int, set[int]] = {}
+    # every pair of neighbours, less one per edge between two of them
+    fill = {u: len(nbrs) * (len(nbrs) - 1) >> 1 for u, nbrs in adj.items()}
     for u, nbrs in adj.items():
-        by_degree.setdefault(len(nbrs), set()).add(u)
-    low = 0  # no node has a smaller degree
+        for w in nbrs:
+            if u < w:
+                for x in nbrs & adj[w]:
+                    fill[x] -= 1
+    heap = [(f, len(adj[u]), u) for u, f in fill.items()]
+    heapify(heap)
     order: list[int] = []
     later: dict[int, set[int]] = {}
-    while adj:
-        while not by_degree.get(low):
-            low += 1
-        u = min(by_degree[low])
-        by_degree[low].remove(u)
-        nbrs = adj.pop(u)
-        if len(nbrs) > cap:
+    while heap:
+        f, deg, u = heappop(heap)
+        nbrs = adj.get(u)
+        if nbrs is None or f != fill[u] or deg != len(nbrs):
+            continue
+        if deg > cap:
             return None
-        for a in nbrs:
-            fill = adj[a]
-            before = len(fill)
-            fill |= nbrs
-            fill.discard(a)
-            fill.discard(u)
-            if len(fill) != before:
-                by_degree[before].remove(a)
-                by_degree.setdefault(len(fill), set()).add(a)
-                low = min(low, len(fill))
+        del adj[u]
         order.append(u)
         later[u] = nbrs
+        if not f:
+            # N is a clique already: a loses u and R, |R| = |near| - |N| + 1
+            for a in nbrs:
+                near = adj[a]
+                near.discard(u)
+                fill[a] -= len(near) + 1 - deg
+                heappush(heap, (fill[a], len(near), a))
+            continue
+        for a in nbrs:
+            adj[a].discard(u)
+        grow = []
+        moved = set()  # the common neighbours of new pairs
+        for a in nbrs:
+            near = adj[a]
+            out = near - nbrs
+            new = nbrs - near
+            new.discard(a)
+            g = fill[a] - len(out)
+            if new:
+                g += len(out) * len(new)
+                for b in new:
+                    far = adj[b]
+                    g -= len(far & out)
+                    if a < b:
+                        # adjacency as it was before the fill
+                        for w in near & far:
+                            fill[w] -= 1
+                            moved.add(w)
+                grow.append((a, new))
+            fill[a] = g
+        for a, new in grow:
+            adj[a] |= new
+        for w in moved - nbrs:
+            heappush(heap, (fill[w], len(adj[w]), w))
+        for a in nbrs:
+            heappush(heap, (fill[a], len(adj[a]), a))
     return order, later
 
 
@@ -444,46 +502,66 @@ def _forget_step(pattern: tuple[int, ...], s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_NIBBLE_BASES = int("1" * 16, 16)
-
-
-def _kept(s: int) -> int:
-    """Bit 4i set for each kept position i of the state s."""
-    return (s | s >> 1 | s >> 2 | s >> 3) & _NIBBLE_BASES
-
-
-def _join(scope1, t1, scope2, t2, pos):
-    """The join of two tables, over the union of their scopes.  Only
-    states that keep the same common nodes are paired."""
-    in1, in2 = set(scope1), set(scope2)
-    scope = sorted(in1 | in2, key=pos.__getitem__)
-    pattern = tuple([(u in in1) | (u in in2) << 1 for u in scope])
-    steps = _DP_STEPS
-    memo = steps.memos.setdefault(pattern, {})
+def _join(scope1, t1, scope2, t2, forget=None, cost=0):
+    """The join of two tables, over the union of their scopes, each a
+    sorted list of elimination positions.  Only states that keep the
+    same common nodes are paired.  Given a forget pattern and v's cost,
+    the join is forgotten by it at once, as _forget would do."""
+    codes = dict.fromkeys(scope1, 1)
+    for p in scope2:
+        codes[p] = codes.get(p, 0) | 2
+    scope = sorted(codes)
+    pattern = tuple(map(codes.__getitem__, scope))
     # the common nodes, as bits 4i of the states on either side
-    at1 = [4 * i for i, u in enumerate(scope1) if u in in2]
-    at2 = [4 * i for i, u in enumerate(scope2) if u in in1]
-    common1 = sum(1 << i for i in at1)
-    common2 = sum(1 << i for i in at2)
+    at1 = [4 * i for i, p in enumerate(scope1) if codes[p] == 3]
+    at2 = [4 * i for i, p in enumerate(scope2) if codes[p] == 3]
+    common1 = sum(map((1).__lshift__, at1))
+    common2 = sum(map((1).__lshift__, at2))
+    # t2's states by the common nodes they keep: bit 4i is set in
+    # s | s >> 1 | s >> 2 | s >> 3 when position i of s is kept
     groups: dict[int, list] = {}
     for item in t2.items():
-        groups.setdefault(_kept(item[0]) & common2, []).append(item)
-    # the same common nodes kept, as bits of the states of either side
-    match = {}
-    for kept in groups:
-        match[sum(1 << i for i, j in zip(at1, at2) if kept >> j & 1)] = kept
+        s2 = item[0]
+        kept = (s2 | s2 >> 1 | s2 >> 2 | s2 >> 3) & common2
+        group = groups.get(kept)
+        if group is None:
+            groups[kept] = [item]
+        else:
+            group.append(item)
+    # the groups by the common nodes they keep, as bits of t1's states
+    if at1 == at2:
+        match = groups
+    else:
+        match = {sum(1 << i for i, j in zip(at1, at2) if kept >> j & 1):
+                 group for kept, group in groups.items()}
+    steps = _DP_STEPS
+    key = pattern if forget is None else (pattern, forget)
+    memo = steps.memo(key)
     out: dict[int, int] = {}
+    best = out.get
+    above = _ABOVE
     for s1, c1 in t1.items():
-        group = groups.get(match.get(_kept(s1) & common1), ())
-        s1 <<= 64
+        group = match.get((s1 | s1 >> 1 | s1 >> 2 | s1 >> 3) & common1)
+        if group is None:
+            continue
+        if not s1 & 15:
+            c1 += cost
+        row = memo.get(s1)
+        if row is None:
+            row = memo[s1] = {}
+        known = row.get
         for s2, c2 in group:
-            r = memo.get(s1 | s2, -1)
-            if r == -1:
-                r = steps.remember(pattern, memo, s1 | s2,
-                                   _join_step(pattern, s1 >> 64, s2))
-            if r is not None:
-                c = c1 + c2
-                if c < out.get(r, c + 1):
+            nxt = known(s2)
+            if nxt is None:
+                if steps.spend(key, memo):
+                    memo[s1] = row
+                    row.clear()
+                r = _join_step(pattern, s1, s2)
+                nxt = row[s2] = (() if r is None else (r,) if forget is None
+                                 else _forget_step(forget, r))
+            c = c1 + c2
+            for r in nxt:
+                if c < best(r, above):
                     out[r] = c
     return scope, out
 
@@ -493,16 +571,20 @@ def _forget(table: dict[int, int], pattern: tuple[int, ...],
     """The table of N(v) from v's joined table, as _forget_step gives
     it by pattern; a state that deletes v adds cost, v's own."""
     steps = _DP_STEPS
-    memo = steps.memos.setdefault(pattern, {})
+    memo = steps.memo(pattern)
+    known = memo.get
     out: dict[int, int] = {}
+    best = out.get
+    above = _ABOVE
     for s, c in table.items():
         if not s & 15:
             c += cost
-        nxt = memo.get(s)
+        nxt = known(s)
         if nxt is None:
-            nxt = steps.remember(pattern, memo, s, _forget_step(pattern, s))
+            steps.spend(pattern, memo)
+            nxt = memo[s] = _forget_step(pattern, s)
         for r in nxt:
-            if c < out.get(r, c + 1):
+            if c < best(r, above):
                 out[r] = c
     return out
 
@@ -516,32 +598,40 @@ def _dp_fvs(d: DualGraph) -> tuple[int, list[int]] | None:
     if plan is None:
         return None
     order, later = plan
-    n = len(d.nodes)
-    ranked = sorted(d.nodes)
-    weight = {u: (1 << n) - (1 << (n - 1 - r)) for r, u in enumerate(ranked)}
+    # nodes are named by their elimination positions from here on
     pos = {u: i for i, u in enumerate(order)}
-    ends: dict[int, dict[int, int]] = {u: {} for u in order}
+    n = len(order)
+    ranked = sorted(d.nodes)
+    weight = [0] * n
+    for r, u in enumerate(ranked):
+        weight[pos[u]] = (1 << n) - (1 << (n - 1 - r))
+    ends: list[dict[int, int]] = [{} for _ in order]
     for (a, b), m in mult.items():
-        if pos[a] > pos[b]:
+        a, b = pos[a], pos[b]
+        if a > b:
             a, b = b, a
-        ends[a][b] = min(m, 2)
-    pending: dict[int, list] = {u: [] for u in order}
+        ends[a][b] = min(ends[a].get(b, 0) + m, 2)
+    pending: dict[int, list] = {}
     total = 0
-    for v in order:
-        tables = pending.pop(v)
-        if tables:
-            scope, table = tables[0]
-            for other, t in tables[1:]:
-                scope, table = _join(scope, table, other, t, pos)
+    for v, u in enumerate(order):
+        tables = pending.pop(v, None) or [((v,), {0: 0, 1: 0})]
+        if len(tables) == 1:
+            covered = tables[0][0]
         else:
-            scope, table = (v,), {0: 0, 1: 0}
+            covered = set().union(*[scope for scope, _ in tables])
         mine = ends[v]
-        bag = [v, *sorted(later[v], key=pos.__getitem__)]
-        covered = set(scope)
-        pattern = tuple([(u in covered) << 2 | mine.get(u, 0) for u in bag])
-        table = _forget(table, pattern, weight[v])
-        if len(bag) > 1:
-            pending[bag[1]].append((bag[1:], table))
+        bag = sorted(map(pos.__getitem__, later[u]))
+        pattern = (4, *[(p in covered) << 2 | mine.get(p, 0) for p in bag])
+        scope, table = tables[0]
+        if len(tables) == 1:
+            table = _forget(table, pattern, weight[v])
+        else:
+            for other, t in tables[1:-1]:
+                scope, table = _join(scope, table, other, t)
+            other, t = tables[-1]
+            table = _join(scope, table, other, t, pattern, weight[v])[1]
+        if bag:
+            pending.setdefault(bag[0], []).append((bag, table))
         else:
             total += table[0]
     k = -(-total >> n)
@@ -762,23 +852,11 @@ class _ParityRank:
         self.free = [i for i, row in zip(pool, rows) if row.any()]
 
 
-# The most nodes a dual of maximum degree 3 may have and still go to the
-# programme first.  Measured with numpy loaded and the programme's steps
-# warm, on a 2-vCPU Xeon VM under load, best of 3 per instance over seeds
-# 0-39 of random_triangulation(n): on duals of 12-26 nodes (n = 8..15)
-# the programme's median was 0.43-1.44 ms against 0.64-1.74 ms for the
-# rank, but its slowest instances, 2.8-5.7 ms from 20 nodes on, pass the
-# rank's 1.9-2.6 ms, and the icosahedron's dual (20 nodes) took 5.3 ms
-# against 1.3 ms.  No benchmark workload times a cubic dual this small.
-# The cap stays at 24, so that every triangulation on at most 14
-# vertices solves without numpy.
-_DP_MAX_CUBIC = 24
-
-
 def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
     """Optimum size and lexicographically least optimal node set of a
-    dual of maximum degree 3, by matroid parity ranks, or by _dp_fvs
-    when the rank value meets neither lower bound."""
+    dual of maximum degree 3, by matroid parity ranks; CapExceeded when
+    the rank value meets neither lower bound, as min_fvs calls this
+    only once the programme has declined the dual."""
     nodes = sorted(d.nodes)
     # a str seed goes through SHA-512, so the draws depend on the graph only
     rng = random.Random(repr((d.nodes, d.edges)))
@@ -786,17 +864,14 @@ def _rank_fvs(d: DualGraph, base: _Multi) -> tuple[int, list[int]]:
 
     k = oracle.value
     # k is never below the optimum; it is certified by the degree bound,
-    # else by the peel bound, and otherwise the programme solves d
+    # else by the peel bound
     floor = _lower_bound(base)
     if k > floor:
         floor = _peel_bound(base.copy())
     if k > floor:
-        found = _dp_fvs(d)
-        if found is None:
-            raise CapExceeded(
-                f"a dual of {len(nodes)} nodes has a rank value above its "
-                f"bounds and elimination width above {_DP_MAX_WIDTH}")
-        return found
+        raise CapExceeded(
+            f"a dual of {len(nodes)} nodes has a rank value above its "
+            f"bounds and elimination width above {_DP_MAX_WIDTH}")
 
     # a lower bound on the cycle rank of the dual minus the chosen nodes
     cycles = oracle.beta
@@ -854,54 +929,48 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     an end that is not a node raises UnknownNode; both are checked
     before a solver is chosen.
 
-    A dual with a node of degree above 3, parallel edges counted, or
-    with at most _DP_MAX_CUBIC = 24 nodes goes to the dynamic programme
-    over a min-degree elimination order with fill, ties broken by node
-    id.  Its table over a bag holds, per state (the deleted nodes and
-    the partition of the kept ones into trees), the least cost below,
-    where a node set costs its size times 2**n less a mask with the
-    least node on the highest bit.  So the least total cost is the
-    lexicographically least optimum, read off with no completion loop.
-    The programme keeps the steps of its joins and forgets, which depend
-    only on local patterns and states, across solves, at most
-    _DP_MAX_STEPS of them.  It draws nothing at random and needs no
-    numpy.  It declines a dual where some node has more than
-    _DP_MAX_WIDTH = 9 later neighbours in the order: such a dual raises
-    CapExceeded at once when it has a node of degree above 3, and goes
-    to the rank below when it is cubic.
+    Every dual goes first to the dynamic programme over a min-fill
+    elimination order with fill, ties broken by degree, then node id.
+    Its table over a bag holds, per state (the deleted nodes and the
+    partition of the kept ones into trees), the least cost below, where
+    a node set costs its size times 2**n less a mask with the least node
+    on the highest bit.  So the least total cost is the
+    lexicographically least optimum, read off with no completion loop,
+    whatever the order.  The programme keeps the steps of its joins and
+    forgets, which depend only on local patterns and states, across
+    solves, at most _DP_MAX_STEPS of them.  It draws nothing at random
+    and needs no numpy.  It declines a dual where some node has more
+    than _DP_MAX_WIDTH = 9 later neighbours in the order: such a dual
+    raises CapExceeded at once when it has a node of degree above 3,
+    parallel edges counted, and goes to the rank below when it is cubic.
 
-    Every other dual, one of more than 24 nodes, every one of degree at
-    most 3, goes to a matroid parity rank: the size k comes from the
-    rank and the nodes are taken in order, each kept when the rank says
-    one node fewer remains to find.  A random evaluation can only lose
-    rank, so these steps are certified: k, once it meets the degree
-    lower bound, else the peel bound (short cycles deleted one by one,
-    each counting one node); every node taken; and every node passed
-    over because a lower bound on what would remain exceeds the budget:
-    the degree bound, read off the dual less the chosen nodes and the
-    node without a copy, then the degree bound of its reduction, else
-    the peel bound.  When k meets neither bound, the programme solves
-    the dual instead, or CapExceeded is raised.  A node passed over on
-    the rank alone, confirmed by a second independent draw, is right
-    with high probability: each draw errs with probability below
-    (number of nodes) / p, so both err together with probability below
-    (number of nodes / 4194301)**2.  p = 4194301 is the largest prime
-    below 2**22, small enough that the rank runs on float64 BLAS
-    products exactly (see _P).  A slip there could only return an
-    optimum that is not the least one, or raise AssertionError; the size
-    stays exact.  The returned set is verified as a feedback set
-    whatever the solver."""
+    The rank finds the size k and then takes the nodes in order, each
+    kept when the rank says one node fewer remains to find.  A random
+    evaluation can only lose rank, so these steps are certified: k, once
+    it meets the degree lower bound, else the peel bound (short cycles
+    deleted one by one, each counting one node); every node taken; and
+    every node passed over because a lower bound on what would remain
+    exceeds the budget: the degree bound, read off the dual less the
+    chosen nodes and the node without a copy, then the degree bound of
+    its reduction, else the peel bound.  When k meets neither bound,
+    CapExceeded is raised.  A node passed over on the rank alone,
+    confirmed by a second independent draw, is right with high
+    probability: each draw errs with probability below (number of
+    nodes) / p, so both err together with probability below (number of
+    nodes / 4194301)**2.  p = 4194301 is the largest prime below 2**22,
+    small enough that the rank runs on float64 BLAS products exactly
+    (see _P).  A slip there could only return an optimum that is not the
+    least one, or raise AssertionError; the size stays exact.  The
+    returned set is verified as a feedback set whatever the solver."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
-    cubic = max(d.degrees().values(), default=0) <= 3
-    found = None
-    if not cubic or len(d.nodes) <= _DP_MAX_CUBIC:
-        found = _dp_fvs(d)
-    if found is None and not cubic:
-        raise CapExceeded(
-            f"a dual of {len(d.nodes)} nodes has a node of degree above 3 "
-            f"and elimination width above the cap of {_DP_MAX_WIDTH}")
+    degrees = d.degrees()
+    found = _dp_fvs(d)
     if found is None:
+        if max(degrees.values()) > 3:
+            raise CapExceeded(
+                f"a dual of {len(d.nodes)} nodes has a node of degree above "
+                f"3 and elimination width above the cap of {_DP_MAX_WIDTH}")
         found = _rank_fvs(d, _Multi.from_dual(d))
     k, chosen = found
     if len(chosen) != k:

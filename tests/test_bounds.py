@@ -6,11 +6,13 @@ from outersplit import (
     build,
     complete_3tree,
     cycle,
+    dual,
     icosahedron,
     is_outerplane,
     k4,
     lower_bound_3tree,
     lower_bound_generic,
+    min_fvs,
     octahedron,
     random_biconnected,
     replay,
@@ -117,6 +119,14 @@ def test_complete_3tree_depth_3_meets_its_bound():
     res = solve_osn(g)
     assert res.osn == 26 == lower_bound_3tree(3)
     assert is_outerplane(replay(g, res.splits))
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_complete_3tree_meets_its_family_bound(depth):
+    # the paper's lower bound 3^d - 1 is tight through depth 5: a dual
+    # of min-fill elimination width 4 at every depth, solved exactly
+    assert len(min_fvs(dual(complete_3tree(depth))).nodes) == 3 ** depth
+    assert lower_bound_3tree(depth) == 3 ** depth - 1
 
 
 def test_lower_violation_is_always_hard():

@@ -384,13 +384,15 @@ def test_gen_above_the_size_cap_is_a_domain_error(tmp_path, capsys):
 
 
 def test_osn_above_the_width_cap_is_a_domain_error(tmp_path, capsys):
-    path = str(tmp_path / "b180.rot")
-    run(capsys, "gen", "random_biconnected", "-n", "180", "-m", "500",
+    # the dual has 3,952 nodes, degrees up to 4 and min-fill
+    # elimination width 10
+    path = str(tmp_path / "b2000.rot")
+    run(capsys, "gen", "random_biconnected", "-n", "2000", "-m", "5950",
         "--seed", "0", "-o", path)
     code, out, err = run(capsys, "osn", path)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: CapExceeded: a dual of 322 nodes")
+    assert err.startswith("error: CapExceeded: a dual of 3952 nodes")
 
 
 def test_gen_negative_seed_is_a_domain_error(tmp_path, capsys):

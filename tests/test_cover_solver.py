@@ -12,6 +12,7 @@ from outersplit import (
     complete_3tree,
     cycle,
     dual,
+    face_cover,
     fan,
     fvs_to_cover,
     icosahedron,
@@ -218,16 +219,19 @@ def test_three_solvers_agree():
 
 
 @pytest.mark.parametrize("n, m, osn", [
-    (40, 110, 18), (150, 250, 35), (60, 170, 27), (300, 893, 148)])
+    (40, 110, 18), (150, 250, 35), (60, 170, 27), (300, 893, 148),
+    (180, 500, 77), (250, 700, 110)])
 def test_hard_sparse_duals_solve(n, m, osn):
     # (40, 110, 0) is a triangulation less 4 edges whose peel bound is 16
     # against an optimum of 19, and (300, 893, 0) a near-triangulation.
-    # The dynamic programme, at elimination width 5, 6, 6 and 8, solves
-    # each in a few seconds at most.
+    # The dynamic programme, at min-fill elimination width 4, 5, 5, 7, 7
+    # and 8, solves each in a few seconds at most; (180, 500, 0) and
+    # (250, 700, 0) have min-degree width 10 and 11, above the cap.
     g = random_biconnected(n, m, seed=0)
     res = solve_osn(g)
     assert res.osn == osn
     assert len(res.splits.ops) == osn
+    assert face_cover(g, res.cover.faces) == res.cover
     assert is_outerplane(replay(g, res.splits))
 
 
@@ -274,12 +278,17 @@ def test_min_fvs_routes_by_elimination_width(monkeypatch):
 
 
 def test_min_fvs_routes_cubic_duals_as_before(monkeypatch):
-    """A cubic dual of at most 24 nodes goes to the programme, a larger
-    one to the rank."""
+    """A cubic dual goes to the programme whatever its size, and to the
+    rank only when the programme declines it."""
+    small = dual(icosahedron())  # 20 nodes, min-fill width 6
+    large = dual(random_triangulation(15, seed=0))  # 26 nodes, width 4
     calls = record_solvers(monkeypatch)
-    min_fvs(dual(icosahedron()))  # 20 nodes
-    min_fvs(dual(random_triangulation(15, seed=0)))  # 26 nodes
-    assert calls == ["_dp_fvs", "_rank_fvs"]
+    want = [min_fvs(small).nodes, min_fvs(large).nodes]
+    assert calls == ["_dp_fvs", "_dp_fvs"]
+    calls.clear()
+    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 5)
+    assert [min_fvs(small).nodes, min_fvs(large).nodes] == want
+    assert calls == ["_dp_fvs", "_rank_fvs", "_dp_fvs"]
 
 
 def test_min_fvs_sends_small_cubic_duals_above_the_width_cap_to_the_rank(
@@ -293,11 +302,11 @@ def test_min_fvs_sends_small_cubic_duals_above_the_width_cap_to_the_rank(
 
 
 def test_min_fvs_refuses_a_wide_dual_at_once():
-    # the dual of random_biconnected(180, 500, 0) has 322 nodes, degrees
-    # up to 6 and min-degree elimination width 10
-    d = dual(random_biconnected(180, 500, seed=0))
+    # the dual of random_biconnected(2000, 5950, 0) has 3,952 nodes,
+    # degrees up to 4 and min-fill elimination width 10
+    d = dual(random_biconnected(2000, 5950, seed=0))
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match="dual of 322 nodes"):
+    with pytest.raises(CapExceeded, match="dual of 3952 nodes"):
         min_fvs(d)
     assert time.perf_counter() - start < 5.0
 

@@ -1,12 +1,13 @@
-"""The matroid parity rank that min_fvs uses on duals of more than 24
-nodes and maximum degree 3, pinned against the dynamic programme.
+"""The matroid parity rank that min_fvs uses on a dual of maximum degree
+3 when the dynamic programme declines it, pinned against the programme.
 
 For a multigraph H of maximum degree 3 the minimum feedback vertex set
 has size beta(H) - nu(H), and the rank of a random Lovasz matrix gives
 nu(H) with high probability.  The reference here is the programme,
 _dp_fvs, which gives the optimum and the lexicographically least
-optimal node set exactly.  Smaller cubic duals go to the programme
-instead, so the rank path is also called directly here.
+optimal node set exactly.  The programme takes every dual within its
+width cap, so the rank path is called directly here, or reached through
+min_fvs with _DP_MAX_WIDTH lowered.
 """
 
 import os
@@ -95,18 +96,13 @@ def test_peel_bound_on_complete_3trees(depth, degree, peel):
 
 
 def test_complete_3tree_depth_4_needs_no_refutation(monkeypatch):
-    # the peel bound certifies the rank value, so the programme, the
-    # rank's fallback, never runs
-    calls = []
-    dp_fvs = cover_solver._dp_fvs
-
-    def counted(d):
-        calls.append(d)
-        return dp_fvs(d)
-
-    monkeypatch.setattr(cover_solver, "_dp_fvs", counted)
-    assert len(min_fvs(dual(complete_3tree(4))).nodes) == 81
-    assert calls == []
+    # the peel bound certifies the rank value, so the rank path, reached
+    # once the programme declines the dual, raises no CapExceeded
+    d = dual(complete_3tree(4))
+    k, chosen = _dp_fvs(d)
+    assert _rank_fvs(d, _Multi.from_dual(d)) == (81, chosen)
+    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 2)
+    assert min_fvs(d).nodes == frozenset(chosen)
 
 
 def test_rank_value_matches_search_on_subgraphs():
@@ -199,35 +195,39 @@ CAGES = {
 }
 
 
-def test_min_fvs_sends_cubic_duals_of_at_most_24_nodes_to_the_dp(built):
-    """Every triangulation dual with n <= 14 (at most 24 nodes) and the
-    cages of at most 24 nodes solve with no rank oracle built, to the
-    node set the rank path finds; from 25 nodes on, min_fvs builds the
-    same oracles, one per draw, as the rank path does."""
+def test_min_fvs_sends_cubic_duals_of_at_most_24_nodes_to_the_dp(built,
+                                                                monkeypatch):
+    """Every triangulation dual with n <= 15 and every cage solves on
+    the programme with no rank oracle built, to the node set the rank
+    path finds; with the programme's width cap lowered below each of
+    them, min_fvs builds the same oracles, one per draw, as the rank
+    path does."""
     cases = {(n, seed): dual(random_triangulation(n, seed=seed))
              for n in range(4, 16) for seed in range(5)}
     for name, (d, nodes, optimum) in CAGES.items():
         assert len(d.nodes) == nodes
         assert set(d.degrees().values()) == {3}, name
-        assert len(min_fvs(d).nodes) == optimum, name
         cases[name] = d
     routed = {"dp": 0, "rank": 0}
+    cap = cover_solver._DP_MAX_WIDTH
     for key, d in cases.items():
         del built[:]
         k, chosen = _rank_fvs(d, _Multi.from_dual(d))
+        if key in CAGES:
+            assert k == CAGES[key][2], key
         draws = len(built)
         assert draws in (1, 2)
         del built[:]
         assert min_fvs(d).nodes == frozenset(chosen), key
-        if len(d.nodes) <= 24:
-            assert built == [], key
-            routed["dp"] += 1
-        else:
-            assert len(built) == draws, key
-            routed["rank"] += 1
-    # n = 4..14 with 5 seeds and three cages; n = 15 (26 nodes) and
-    # Tutte-Coxeter
-    assert routed == {"dp": 58, "rank": 6}
+        assert built == [], key
+        routed["dp"] += 1
+        monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 2)
+        assert min_fvs(d).nodes == frozenset(chosen), key
+        assert len(built) == draws, key
+        routed["rank"] += 1
+        monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", cap)
+    # n = 4..15 with 5 seeds and four cages
+    assert routed == {"dp": 64, "rank": 64}
 
 
 def test_rank_path_makes_no_delete_after_the_last_node(built,
@@ -249,7 +249,7 @@ def test_rank_path_makes_no_delete_after_the_last_node(built,
     for n, seed in [(24, 0), (25, 1), (27, 0), (30, 1)]:
         del built[:], deleted[:]
         d = dual(random_triangulation(n, seed=seed))
-        k = len(min_fvs(d).nodes)
+        k = len(_rank_fvs(d, _Multi.from_dual(d))[1])
         assert deleted.count(built[0]) == k - 1, (n, seed)
         total += len(deleted)
     # 5 oracles, one each for the first three and two for (30, 1): a
@@ -277,8 +277,7 @@ def test_peel_bound_saves_second_draws(monkeypatch):
     monkeypatch.setattr(cover_solver, "_ParityRank", Counted)
     for n, seed in TRI_EXACT:
         d = dual(random_triangulation(n, seed=seed))
-        k, chosen = _dp_fvs(d)
-        assert min_fvs(d).nodes == frozenset(chosen), (n, seed)
+        assert _rank_fvs(d, _Multi.from_dual(d)) == _dp_fvs(d), (n, seed)
     assert len(built) <= 17
 
 
@@ -292,17 +291,23 @@ class HighValue(_ParityRank):
 
 
 def test_rank_value_above_its_bounds_falls_back_to_the_dp(monkeypatch):
+    """The programme solves each dual before the rank could; the rank
+    path, reached only once the programme declines, refuses a value
+    that neither lower bound certifies, since its own completion would
+    return one node too many."""
     monkeypatch.setattr(cover_solver, "_ParityRank", HighValue)
     duals = [dual(random_triangulation(n, seed=seed))
              for n, seed in TRI_EXACT]
     duals.append(dual(complete_3tree(2)))
     for d in duals:
-        # the rank's own completion would return one node too many
-        assert _rank_fvs(d, _Multi.from_dual(d)) == _dp_fvs(d), d.n
+        k, chosen = _dp_fvs(d)
+        assert min_fvs(d).nodes == frozenset(chosen), d.n
+        with pytest.raises(CapExceeded, match="rank value above"):
+            _rank_fvs(d, _Multi.from_dual(d))
     monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 2)
     for d in duals:
         with pytest.raises(CapExceeded, match="rank value above"):
-            _rank_fvs(d, _Multi.from_dual(d))
+            min_fvs(d)
 
 
 @pytest.mark.parametrize("n, seed, osn", [(29, 1, 13), (29, 2, 13),

@@ -1,8 +1,8 @@
 """The dynamic programme of cover_solver, the exact feedback vertex set
-solver for every dual the matroid parity rank does not take, and
-min_fvs, which dispatches to it, pinned against a brute force on small
-random multigraphs, together with the reductions and lower bounds that
-certify the rank.
+solver that min_fvs tries first on every dual, its min-fill elimination
+order, and min_fvs itself, pinned against a brute force on small random
+multigraphs, together with the reductions and lower bounds that certify
+the rank.
 
 The graphs have up to 9 nodes and mix doubled and tripled edges, chains
 of degree-2 nodes, isolated nodes and several components.  The programme
@@ -10,15 +10,25 @@ keeps its steps across solves, so it also runs with that memo emptied
 again and again.
 """
 
+import heapq
 import random
+from collections import Counter
 from itertools import combinations
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outersplit import cover_solver
+from outersplit import (
+    complete_3tree,
+    cover_solver,
+    dual,
+    random_biconnected,
+    random_triangulation,
+)
 from outersplit.cover_solver import (
     _dp_fvs,
+    _eliminate,
     _lower_bound,
     _Multi,
     _peel_bound,
@@ -198,3 +208,183 @@ def hub_multigraphs(draw):
 def test_dp_matches_brute_force_on_duals_of_degree_above_3(d):
     want = brute_fvs(d)
     assert _dp_fvs(d) == (len(want), want)
+
+
+# -- the elimination order -------------------------------------------------------
+#
+# The programme runs over a min-fill elimination order, but its answer,
+# the lexicographically least optimum, does not depend on the order; only
+# the width, the time and the memory do.  The orders below are built by
+# plain elimination with fill, node by node, as a reference.
+
+def eliminate_along(pick, nodes, pairs, cap):
+    """Eliminate the simple graph on nodes with the given pairs as edges,
+    each time the node that pick chooses from the adjacency left, and
+    join its neighbours into a clique: the order and each node's later
+    neighbours, as _eliminate gives them, or None once a node has more
+    than cap."""
+    adj = {u: set() for u in nodes}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    order, later = [], {}
+    while adj:
+        u = pick(adj)
+        nbrs = adj.pop(u)
+        if len(nbrs) > cap:
+            return None
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(u)
+        order.append(u)
+        later[u] = nbrs
+    return order, later
+
+
+def fill_of(adj, u):
+    return sum(b not in adj[a] for a, b in combinations(adj[u], 2))
+
+
+def min_fill_order(nodes, pairs, cap):
+    """Min-fill with every fill counted afresh at every step, ties broken
+    by degree, then node id."""
+    return eliminate_along(
+        lambda adj: min(adj, key=lambda u: (fill_of(adj, u), len(adj[u]), u)),
+        nodes, pairs, cap)
+
+
+def min_degree_order(nodes, pairs, cap):
+    """Min-degree with fill, ties broken by node id: the order the
+    programme ran over before min-fill.  A heap keeps it fast enough for
+    duals of a few thousand nodes."""
+    adj = {u: set() for u in nodes}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    heap = [(len(nbrs), u) for u, nbrs in adj.items()]
+    heapq.heapify(heap)
+    order, later = [], {}
+    while heap:
+        deg, u = heapq.heappop(heap)
+        if u not in adj or deg != len(adj[u]):
+            continue
+        nbrs = adj.pop(u)
+        if deg > cap:
+            return None
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(u)
+            heapq.heappush(heap, (len(adj[a]), a))
+        order.append(u)
+        later[u] = nbrs
+    return order, later
+
+
+def random_order(seed):
+    rnd = random.Random(seed)
+    return lambda nodes, pairs, cap: eliminate_along(
+        lambda adj: rnd.choice(sorted(adj)), nodes, pairs, cap)
+
+
+def width(plan):
+    return max(map(len, plan[1].values()), default=0)
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), max_size=40))
+    return tuple(range(n)), sorted(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_graphs())
+def test_incremental_fill_counts_give_the_min_fill_order(graph):
+    nodes, pairs = graph
+    assert _eliminate(nodes, pairs, len(nodes)) == min_fill_order(
+        nodes, pairs, len(nodes))
+    for cap in range(4):
+        assert (_eliminate(nodes, pairs, cap) is None) == (
+            width(min_fill_order(nodes, pairs, len(nodes))) > cap)
+
+
+def test_min_fill_order_on_benchmark_duals():
+    for d in [dual(random_triangulation(26, 0)),
+              dual(random_biconnected(80, 110, 0))]:
+        pairs = Counter(d.edges)
+        assert _eliminate(d.nodes, pairs, 9) == min_fill_order(
+            d.nodes, pairs, 9)
+
+
+@pytest.mark.parametrize("order", ["min_degree", "random"])
+def test_dp_answer_does_not_depend_on_the_order(monkeypatch, order):
+    for i, (d, want) in enumerate(brute_corpus()):
+        monkeypatch.setattr(cover_solver, "_eliminate",
+                            min_degree_order if order == "min_degree"
+                            else random_order(i))
+        assert _dp_fvs(d) == (len(want), want), d
+
+
+@given(hub_multigraphs(), st.integers(0, 2**32))
+def test_dp_answer_does_not_depend_on_the_order_above_degree_3(d, seed):
+    want = _dp_fvs(d)
+    with pytest.MonkeyPatch.context() as mp:
+        for order in (min_degree_order, random_order(seed)):
+            mp.setattr(cover_solver, "_eliminate", order)
+            assert _dp_fvs(d) == want
+
+
+# dual of: (graph, nodes, min-degree width, min-fill width)
+WIDTHS = {
+    "random_triangulation(100, 0)":
+        (lambda: random_triangulation(100, 0), 196, 8, 6),
+    "random_triangulation(200, 0)":
+        (lambda: random_triangulation(200, 0), 396, 6, 5),
+    "random_triangulation(400, 0)":
+        (lambda: random_triangulation(400, 0), 796, 8, 7),
+    "random_triangulation(800, 0)":
+        (lambda: random_triangulation(800, 0), 1596, 10, 8),
+    "random_triangulation(1600, 0)":
+        (lambda: random_triangulation(1600, 0), 3196, 12, 9),
+    "random_biconnected(180, 500, 0)":
+        (lambda: random_biconnected(180, 500, 0), 322, 10, 7),
+    "random_biconnected(250, 700, 0)":
+        (lambda: random_biconnected(250, 700, 0), 452, 11, 8),
+    "complete_3tree(4)": (lambda: complete_3tree(4), 244, 8, 4),
+    "complete_3tree(5)": (lambda: complete_3tree(5), 730, 12, 4),
+    "complete_3tree(6)": (lambda: complete_3tree(6), 2188, 14, 4),
+}
+
+
+@pytest.mark.parametrize("name", WIDTHS)
+def test_min_fill_width_is_at_most_the_min_degree_width(name):
+    graph, nodes, degree_width, fill_width = WIDTHS[name]
+    d = dual(graph())
+    pairs = Counter(d.edges)
+    assert len(d.nodes) == nodes
+    assert width(min_degree_order(d.nodes, pairs, nodes)) == degree_width
+    assert width(_eliminate(d.nodes, pairs, nodes)) == fill_width
+    assert fill_width <= degree_width
+
+
+def test_min_fill_width_on_the_tri_exact_duals():
+    specs = [(24, 0), (24, 1), (25, 0), (25, 1), (26, 0), (26, 1), (27, 0),
+             (27, 1), (28, 0), (28, 1), (29, 0), (29, 3), (30, 0), (30, 1)]
+    degree, fill = [], []
+    for n, seed in specs:
+        d = dual(random_triangulation(n, seed))
+        pairs = Counter(d.edges)
+        degree.append(width(min_degree_order(d.nodes, pairs, d.n)))
+        fill.append(width(_eliminate(d.nodes, pairs, d.n)))
+    assert degree == [6, 6, 5, 5, 6, 5, 5, 6, 7, 5, 5, 6, 6, 5]
+    assert fill == [5, 6, 5, 4, 5, 4, 5, 5, 6, 4, 4, 5, 5, 5]
+
+
+def test_dp_counts_parallel_pairs_in_either_orientation():
+    # DualGraph promises (min, max) pairs, but a pair given the other way
+    # round is still the same edge: (0, 1) and (1, 0) make a 2-cycle
+    d = DualGraph((0, 1, 2), ((0, 1), (1, 0), (1, 2)))
+    assert _dp_fvs(d) == (1, [0])
+    assert min_fvs(d).nodes == {0}

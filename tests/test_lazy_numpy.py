@@ -1,8 +1,9 @@
 """numpy is loaded only where a computation needs it: the matroid parity
-rank that min_fvs uses on duals of more than 24 nodes and maximum degree
-3, and the SVG layout.  Cubic duals of at most 24 nodes, those of K4,
-the octahedron, the icosahedron and every triangulation on at most 14
-vertices, go to the dynamic programme and solve without it.
+rank that min_fvs uses on a dual of maximum degree 3 when the dynamic
+programme declines it, and the SVG layout.  The programme takes every
+dual within its width cap, those of K4, the octahedron, the icosahedron
+and every triangulation of the tri_exact benchmark included, and solves
+without it.
 
 Each check runs in a fresh interpreter, because this one has numpy loaded
 already.  Setting sys.modules["numpy"] to None makes any import of numpy
@@ -74,7 +75,11 @@ out["n_le_14"] = [o.serialize_splits(o.solve_osn(
     o.random_triangulation(n, seed)).splits)
     for n in range(4, 15) for seed in range(5)]
 
-# the dual of a triangulation on 20 vertices has 36 nodes
+# the dual of a triangulation on 20 vertices has 36 nodes; the programme
+# solves it, and once it declines, the rank needs numpy
+out["n_20_dp"] = o.serialize_splits(
+    o.solve_osn(o.random_triangulation(20, 0)).splits)
+o.cover_solver._DP_MAX_WIDTH = 2
 try:
     o.solve_osn(o.random_triangulation(20, 0))
     out["n_20"] = "solved"
@@ -106,8 +111,50 @@ def test_everything_but_the_rank_path_and_layout_runs_without_numpy():
     assert out["n_le_14"] == [
         serialize_splits(solve_osn(random_triangulation(n, seed)).splits)
         for n in range(4, 15) for seed in range(5)]
-    # a cubic dual of more than 24 nodes needs the rank and with it numpy
+    assert out["n_20_dp"] == serialize_splits(
+        solve_osn(random_triangulation(20, 0)).splits)
+    # a cubic dual the programme declines needs the rank and with it numpy
     assert out["n_20"] == "ImportError"
+
+
+TRI_EXACT = """
+import json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["numpy"] = None
+import outersplit as o
+from outersplit import cover_solver
+
+out = {}
+for n, seed in json.loads(sys.argv[1]):
+    res = o.solve_osn(o.random_triangulation(n, seed))
+    out[f"{n}/{seed}"] = [res.osn, o.serialize_splits(res.splits)]
+steps = cover_solver._DP_STEPS
+print(json.dumps({"solved": out, "numpy": "numpy" in sys.modules,
+                  "steps": steps.size - steps.room}))
+"""
+
+# the triangulations (n, seed) of the tri_exact benchmark
+TRI_EXACT_SPECS = [(24, 0), (24, 1), (25, 0), (25, 1), (26, 0), (26, 1),
+                   (27, 0), (27, 1), (28, 0), (28, 1), (29, 0), (29, 3),
+                   (30, 0), (30, 1)]
+
+
+def test_tri_exact_triangulations_solve_without_numpy():
+    """Every triangulation of the tri_exact benchmark solves on the
+    programme with numpy blocked, to the splits this interpreter finds,
+    storing fewer than 50,000 steps together; unblocked, numpy is never
+    imported."""
+    specs = json.dumps(TRI_EXACT_SPECS)
+    out = run_python(TRI_EXACT, specs, "blocked")
+    assert out["steps"] < 50_000
+    assert run_python(TRI_EXACT, specs, "free") == dict(out, numpy=False)
+    want = {}
+    for n, seed in TRI_EXACT_SPECS:
+        res = solve_osn(random_triangulation(n, seed))
+        want[f"{n}/{seed}"] = [res.osn, serialize_splits(res.splits)]
+        # a triangulation's osn is ceil((n - 3) / 2)
+        assert res.osn == (n - 2) // 2
+    assert out["solved"] == want
 
 
 FIRST_USE = """
@@ -117,6 +164,8 @@ import outersplit.cli
 
 out = {"after_import": "numpy" in sys.modules}
 if sys.argv[1] == "solve":
+    # the rank path, as when the programme declines the dual
+    o.cover_solver._DP_MAX_WIDTH = 2
     res = o.solve_osn(o.random_triangulation(20, 0))
     out["result"] = [res.osn, sorted(res.cover.faces),
                      o.serialize_splits(res.splits)]
