@@ -10,23 +10,31 @@ ADVISORY_N are reported as notes instead of hard failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleParameters, NotMaximalPlanar
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, _Value, _set
 
 ADVISORY_N = 8
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Value):
     n: int
     min_degree: int
     lower_generic: Fraction
     lower_family: Fraction | None
     upper: Fraction | None
     osn: int | None
+
+    def __init__(self, n: int, min_degree: int, lower_generic: Fraction,
+                 lower_family: Fraction | None, upper: Fraction | None,
+                 osn: int | None):
+        _set(self, "n", n)
+        _set(self, "min_degree", min_degree)
+        _set(self, "lower_generic", lower_generic)
+        _set(self, "lower_family", lower_family)
+        _set(self, "upper", upper)
+        _set(self, "osn", osn)
 
 
 def upper_bound(g: PlaneGraph) -> Fraction:

@@ -9,7 +9,6 @@ written.  --porcelain switches reports to key=value lines for scripting.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .bounds import report, violations
@@ -131,7 +130,7 @@ def _cmd_bounds(args) -> int:
     # the report checks --depth, so a wrong one fails before the solve
     rep = report(g, tree_depth=args.depth)
     if args.solve:
-        rep = dataclasses.replace(rep, osn=solve_osn(g).osn)
+        rep = report(g, osn=solve_osn(g).osn, tree_depth=args.depth)
     notes = violations(rep)
     if args.porcelain:
         print(f"n={rep.n}")

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     CapExceeded,
     CertificateFailure,
+    DuplicateNode,
     InfeasibleParameters,
     InvalidCover,
     NotBiconnected,
@@ -45,6 +46,8 @@ from .plane_graph import (
     DualGraph,
     FaceId,
     PlaneGraph,
+    _Value,
+    _set,
     dual,
     is_biconnected,
     is_outerplane,
@@ -61,22 +64,31 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ForestCertificate:
+class ForestCertificate(_Value):
     """What remains of the dual after removing the solution nodes."""
 
     nodes: tuple[FaceId, ...]
     edges: tuple[tuple[FaceId, FaceId], ...]
 
+    def __init__(self, nodes: tuple[FaceId, ...],
+                 edges: tuple[tuple[FaceId, FaceId], ...]):
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
 
-@dataclass(frozen=True)
-class FvsSolution:
+
+class FvsSolution(_Value):
     """A feedback vertex set of a dual graph plus the acyclic remainder."""
 
     nodes: frozenset[FaceId]
     certificate: ForestCertificate
 
+    def __init__(self, nodes: frozenset[FaceId],
+                 certificate: ForestCertificate):
+        _set(self, "nodes", nodes)
+        _set(self, "certificate", certificate)
 
+
+# the one dataclass: callers copy it with dataclasses.replace
 @dataclass(frozen=True)
 class OsnResult:
     """Exact splitting number with its cover and realizing splits."""
@@ -925,9 +937,10 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     the lexicographically least optimal node set.
 
     Parallel edges are honored as 2-cycles; a self-loop makes the problem
-    ill-posed for that node and raises SelfLoopPresent, and an edge with
-    an end that is not a node raises UnknownNode; both are checked
-    before a solver is chosen.
+    ill-posed for that node and raises SelfLoopPresent, an edge with an
+    end that is not a node raises UnknownNode, and a node listed twice
+    raises DuplicateNode; all three are checked before a solver is
+    chosen.
 
     Every dual goes first to the dynamic programme over a min-fill
     elimination order with fill, ties broken by degree, then node id.
@@ -965,6 +978,9 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
     degrees = d.degrees()
+    if len(degrees) != len(d.nodes):
+        twice = next(f for f, c in Counter(d.nodes).items() if c > 1)
+        raise DuplicateNode(f"dual node {twice!r} is listed twice")
     found = _dp_fvs(d)
     if found is None:
         if max(degrees.values()) > 3:

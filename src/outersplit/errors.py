@@ -80,6 +80,10 @@ class UnknownNode(OutersplitError):
     nodes."""
 
 
+class DuplicateNode(OutersplitError):
+    """A dual graph lists the same node more than once."""
+
+
 class CertificateFailure(OutersplitError):
     """A feedback vertex set failed to induce a connected face cover;
     this signals an implementation bug, not bad input."""

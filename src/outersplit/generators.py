@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from .errors import CapExceeded, InfeasibleParameters, UnknownFamily
 from .plane_graph import (
     PlaneGraph,
     Slot,
     Vertex,
+    _Value,
+    _set,
     build,
     with_outer_face,
 )
@@ -36,15 +37,22 @@ Rotation = dict[Vertex, list[Vertex]]
 Walk = tuple[Slot, ...]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Value):
     """A named family plus whichever parameters it takes."""
 
     family: str
-    d: int | None = None
-    n: int | None = None
-    m: int | None = None
-    seed: int = 0
+    d: int | None
+    n: int | None
+    m: int | None
+    seed: int
+
+    def __init__(self, family: str, d: int | None = None,
+                 n: int | None = None, m: int | None = None, seed: int = 0):
+        _set(self, "family", family)
+        _set(self, "d", d)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "seed", seed)
 
 
 # The stacked families start from K4: the triangle 0,1,2 with vertex 3

@@ -34,7 +34,6 @@ callers of PlaneGraph.faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -52,9 +51,50 @@ Vertex = str
 FaceId = int
 Slot = tuple[Vertex, Vertex]
 
+# sets a _Value's field past its __setattr__; the field is stored as any
+# attribute is, so reading it costs what reading any attribute does
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Face:
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    The fields are the names a subclass annotates, in order; each
+    subclass sets them in its own __init__ through _set.  Instances
+    compare equal when they are of the same class and their fields are
+    equal, hash their fields' tuple, repr as ClassName(field=value, ...),
+    and raise AttributeError on any assignment or deletion: the
+    behaviour of a frozen dataclass, without the code it generates and
+    compiles for every class at import."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Face(_Value):
     """One face of a plane graph.
 
     boundary holds the facial walk as directed slots, starting at the
@@ -66,12 +106,17 @@ class Face:
     boundary: tuple[Slot, ...]
     incident_vertices: frozenset[Vertex]
 
+    def __init__(self, id: FaceId, boundary: tuple[Slot, ...],
+                 incident_vertices: frozenset[Vertex]):
+        _set(self, "id", id)
+        _set(self, "boundary", boundary)
+        _set(self, "incident_vertices", incident_vertices)
+
     def __len__(self) -> int:
         return len(self.boundary)
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneGraph:
+class PlaneGraph(_Value):
     """Immutable rotation system, its faces and an optional outer-face
     designation.
 
@@ -89,19 +134,29 @@ class PlaneGraph:
     rotation: Mapping[Vertex, tuple[Vertex, ...]]
     walks: tuple[tuple[Vertex, ...], ...]
     slot_face: dict[Slot, FaceId]
-    outer_face: FaceId | None = None
+    outer_face: FaceId | None
 
-    def __post_init__(self):
-        outer = self.outer_face
-        if outer is None:
-            return
-        # bool is an int, but serialize_rot would write it as a word
-        if isinstance(outer, bool) or not isinstance(outer, int):
-            raise OuterFaceUnset(f"face id {outer!r} is not an integer")
-        count = len(self.walks)
-        if not 0 <= outer < count:
-            raise OuterFaceUnset(
-                f"face {outer} does not exist (graph has {count} faces)")
+    # by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, rotation: Mapping[Vertex, tuple[Vertex, ...]],
+                 walks: tuple[tuple[Vertex, ...], ...],
+                 slot_face: dict[Slot, FaceId],
+                 outer_face: FaceId | None = None):
+        outer = outer_face
+        if outer is not None:
+            # bool is an int, but serialize_rot would write it as a word
+            if isinstance(outer, bool) or not isinstance(outer, int):
+                raise OuterFaceUnset(f"face id {outer!r} is not an integer")
+            count = len(walks)
+            if not 0 <= outer < count:
+                raise OuterFaceUnset(
+                    f"face {outer} does not exist (graph has {count} faces)")
+        _set(self, "rotation", rotation)
+        _set(self, "walks", walks)
+        _set(self, "slot_face", slot_face)
+        _set(self, "outer_face", outer_face)
 
     @property
     def n(self) -> int:
@@ -259,8 +314,7 @@ def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
     return PlaneGraph(g.rotation, g.walks, g.slot_face, face_id)
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(_Value):
     """Multigraph on face ids with one edge per primal edge.
 
     edges holds unordered (min, max) pairs, sorted; two faces sharing k
@@ -270,6 +324,11 @@ class DualGraph:
 
     nodes: tuple[FaceId, ...]
     edges: tuple[tuple[FaceId, FaceId], ...]
+
+    def __init__(self, nodes: tuple[FaceId, ...],
+                 edges: tuple[tuple[FaceId, FaceId], ...]):
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
 
     @property
     def n(self) -> int:

@@ -16,7 +16,6 @@ subdivided result is always simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -26,12 +25,19 @@ from .errors import (
     NotBiconnected,
     NotCubic,
 )
-from .plane_graph import FaceId, PlaneGraph, Vertex, build, is_biconnected
+from .plane_graph import (
+    FaceId,
+    PlaneGraph,
+    Vertex,
+    _Value,
+    _set,
+    build,
+    is_biconnected,
+)
 from .split_engine import FaceCover, face_cover
 
 
-@dataclass(frozen=True)
-class CfcInstance:
+class CfcInstance(_Value):
     """The face-cover counterpart of a cubic biconnected plane graph.
 
     dstar is the subdivided dual; vertex_of_face and face_of_vertex tie
@@ -41,6 +47,14 @@ class CfcInstance:
     dstar: PlaneGraph
     vertex_of_face: dict[FaceId, Vertex]
     face_of_vertex: dict[Vertex, FaceId]
+
+    def __init__(self, primal: PlaneGraph, dstar: PlaneGraph,
+                 vertex_of_face: dict[FaceId, Vertex],
+                 face_of_vertex: dict[Vertex, FaceId]):
+        _set(self, "primal", primal)
+        _set(self, "dstar", dstar)
+        _set(self, "vertex_of_face", vertex_of_face)
+        _set(self, "face_of_vertex", face_of_vertex)
 
 
 def _fresh_name(base: str, used: set[str]) -> str:

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -74,13 +73,14 @@ from .plane_graph import (
     FaceId,
     PlaneGraph,
     Vertex,
+    _Value,
+    _set,
     _touches_all,
     outerplane_face,
 )
 
 
-@dataclass(frozen=True)
-class SplitOp:
+class SplitOp(_Value):
     """One vertex split, recorded with the face ids of the graph it was
     applied to (ids shift after every split, so ops only make sense in
     sequence order)."""
@@ -91,14 +91,24 @@ class SplitOp:
     copy_1: Vertex
     copy_2: Vertex
 
+    def __init__(self, vertex: Vertex, face_a: FaceId, face_b: FaceId,
+                 copy_1: Vertex, copy_2: Vertex):
+        _set(self, "vertex", vertex)
+        _set(self, "face_a", face_a)
+        _set(self, "face_b", face_b)
+        _set(self, "copy_1", copy_1)
+        _set(self, "copy_2", copy_2)
 
-@dataclass(frozen=True)
-class SplitSequence:
+
+class SplitSequence(_Value):
     """Ordered splits.  origin maps every copy they create back to the
     vertex of the original graph it descends from, and is read off the
     ops, so it always agrees with them."""
 
     ops: tuple[SplitOp, ...]
+
+    def __init__(self, ops: tuple[SplitOp, ...]):
+        _set(self, "ops", ops)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -113,8 +123,7 @@ class SplitSequence:
         return origin
 
 
-@dataclass(frozen=True)
-class FaceCover:
+class FaceCover(_Value):
     """A set of faces covering every vertex, with a spanning tree of the
     induced incidence subgraph as the connectivity certificate.
 
@@ -123,6 +132,11 @@ class FaceCover:
 
     faces: frozenset[FaceId]
     tree: tuple[tuple[Vertex, FaceId], ...]
+
+    def __init__(self, faces: frozenset[FaceId],
+                 tree: tuple[tuple[Vertex, FaceId], ...]):
+        _set(self, "faces", faces)
+        _set(self, "tree", tree)
 
 
 # -- the working state and its split primitive ------------------------------

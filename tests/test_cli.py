@@ -300,6 +300,27 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert err.startswith("error: NotBiconnected")
 
 
+@pytest.mark.parametrize("seq, first_line", [
+    ("SPLIT a 0 0 -> a.1 a.2\n",
+     "error: ReplayFailure: step 0 (SplitOp(vertex='a', face_a=0, face_b=0, "
+     "copy_1='a.1', copy_2='a.2')): split needs two distinct faces, got 0 "
+     "twice"),
+    ("SPLIT a 0 1 -> x y\n",
+     "error: ReplayFailure: step 0: expected copies x/y, got a.1/a.2"),
+])
+def test_bad_split_sequences_name_the_step(tmp_path, capsys, seq,
+                                           first_line):
+    path = tmp_path / "bad.seq"
+    path.write_text(seq)
+    out_path = tmp_path / "out.rot"
+    code, out, err = run(capsys, "split", "--apply", write_k4(tmp_path),
+                         str(path), "-o", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == first_line
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("verb", ["verify", "bounds", "oracle", "osn"])
 @pytest.mark.parametrize("text", ["0 0\n", "1 0\na:\n"])
 def test_edgeless_graph_is_a_domain_error(tmp_path, capsys, verb, text):

@@ -28,6 +28,7 @@ from outersplit import (
 )
 from outersplit.errors import (
     CapExceeded,
+    DuplicateNode,
     InfeasibleParameters,
     NotBiconnected,
     SelfLoopPresent,
@@ -137,6 +138,19 @@ def test_min_fvs_rejects_self_loops():
 def test_min_fvs_rejects_edges_to_missing_nodes(nodes, edges):
     with pytest.raises(UnknownNode, match="is not a node"):
         min_fvs(DualGraph(nodes=nodes, edges=edges))
+
+
+@pytest.mark.parametrize("nodes, edges, twice", [
+    ((0, 0), (), 0),
+    ((0, 1, 2, 1), ((0, 1), (0, 1), (1, 2)), 1),
+])
+def test_min_fvs_rejects_a_node_listed_twice(monkeypatch, nodes, edges,
+                                             twice):
+    calls = record_solvers(monkeypatch)
+    with pytest.raises(DuplicateNode,
+                       match=f"^dual node {twice} is listed twice$"):
+        min_fvs(DualGraph(nodes=nodes, edges=edges))
+    assert calls == []
 
 
 def test_solve_osn_known_values():
