@@ -254,65 +254,45 @@ def complete(n):
 
 
 def record_solvers(monkeypatch):
-    """The solvers min_fvs calls, by name, in order."""
+    """Each call min_fvs makes to the programme, by name."""
     calls = []
-    for name in ("_dp_fvs", "_rank_fvs"):
-        def wrapped(*args, _solver=getattr(cover_solver, name), _name=name):
-            calls.append(_name)
-            return _solver(*args)
-        monkeypatch.setattr(cover_solver, name, wrapped)
+    solver = cover_solver._dp_fvs
+
+    def wrapped(*args):
+        calls.append("_dp_fvs")
+        return solver(*args)
+
+    monkeypatch.setattr(cover_solver, "_dp_fvs", wrapped)
     return calls
 
 
-@pytest.mark.parametrize("d, want, route", [
-    (DualGraph((), ()), set(), ["_dp_fvs"]),
-    (DualGraph((0, 1, 2), ()), set(), ["_dp_fvs"]),
-    (DualGraph((0, 1), ((0, 1), (0, 1))), {0}, ["_dp_fvs"]),
+CAP = cover_solver._DP_MAX_WIDTH
+
+
+@pytest.mark.parametrize("d, cap, want", [
+    (DualGraph((), ()), CAP, set()),
+    (DualGraph((0, 1, 2), ()), CAP, set()),
+    (DualGraph((0, 1), ((0, 1), (0, 1))), CAP, {0}),
     # degree 4 at node 0, from two doubled edges
-    (DualGraph((0, 1, 2), ((0, 1), (0, 1), (0, 2), (0, 2))), {0},
-     ["_dp_fvs"]),
-])
-def test_min_fvs_routes_small_duals(monkeypatch, d, want, route):
+    (DualGraph((0, 1, 2), ((0, 1), (0, 1), (0, 2), (0, 2))), CAP, {0}),
+    # K_{w+1} has elimination width w: at the cap the programme solves
+    # it, and one node more is refused
+    (complete(CAP + 1), CAP, set(range(CAP - 1))),
+    (complete(CAP + 2), CAP, CapExceeded),
+    # 20 nodes, every degree 3, min-fill width 6: cubic duals above the
+    # cap are refused too
+    (dual(icosahedron()), 2, CapExceeded),
+], ids=["empty", "isolated", "doubled", "degree_4", "k_cap_plus_1",
+        "k_cap_plus_2", "icosahedron_cap_2"])
+def test_min_fvs_calls_only_the_programme(monkeypatch, d, cap, want):
+    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", cap)
     calls = record_solvers(monkeypatch)
-    assert min_fvs(d).nodes == want
-    assert calls == route
-
-
-def test_min_fvs_routes_by_elimination_width(monkeypatch):
-    """K_{w+1} has elimination width w: at the cap the programme solves
-    it, and one node more, with every degree above 3, is refused."""
-    cap = cover_solver._DP_MAX_WIDTH
-    calls = record_solvers(monkeypatch)
-    assert min_fvs(complete(cap + 1)).nodes == set(range(cap - 1))
+    if want is CapExceeded:
+        with pytest.raises(CapExceeded, match=f"above the cap of {cap}$"):
+            min_fvs(d)
+    else:
+        assert min_fvs(d).nodes == want
     assert calls == ["_dp_fvs"]
-    calls.clear()
-    with pytest.raises(CapExceeded, match=f"above the cap of {cap}"):
-        min_fvs(complete(cap + 2))
-    assert calls == ["_dp_fvs"]
-
-
-def test_min_fvs_routes_cubic_duals_as_before(monkeypatch):
-    """A cubic dual goes to the programme whatever its size, and to the
-    rank only when the programme declines it."""
-    small = dual(icosahedron())  # 20 nodes, min-fill width 6
-    large = dual(random_triangulation(15, seed=0))  # 26 nodes, width 4
-    calls = record_solvers(monkeypatch)
-    want = [min_fvs(small).nodes, min_fvs(large).nodes]
-    assert calls == ["_dp_fvs", "_dp_fvs"]
-    calls.clear()
-    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 5)
-    assert [min_fvs(small).nodes, min_fvs(large).nodes] == want
-    assert calls == ["_dp_fvs", "_rank_fvs", "_dp_fvs"]
-
-
-def test_min_fvs_sends_small_cubic_duals_above_the_width_cap_to_the_rank(
-        monkeypatch):
-    d = dual(icosahedron())  # 20 nodes, every degree 3
-    want = min_fvs(d).nodes
-    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 2)
-    calls = record_solvers(monkeypatch)
-    assert min_fvs(d).nodes == want
-    assert calls == ["_dp_fvs", "_rank_fvs"]
 
 
 def test_min_fvs_refuses_a_wide_dual_at_once():
@@ -321,6 +301,18 @@ def test_min_fvs_refuses_a_wide_dual_at_once():
     d = dual(random_biconnected(2000, 5950, seed=0))
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="dual of 3952 nodes"):
+        min_fvs(d)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("n, seed, nodes", [(1200, 6, 2396), (2000, 0, 3996)])
+def test_min_fvs_refuses_a_wide_cubic_dual_at_once(n, seed, nodes):
+    # of the triangulation duals for n from 100 to 2000 and seeds 0-9,
+    # only these two have min-fill elimination width above 9: both 10
+    d = dual(random_triangulation(n, seed=seed))
+    assert set(d.degrees().values()) == {3}
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"dual of {nodes} nodes"):
         min_fvs(d)
     assert time.perf_counter() - start < 5.0
 

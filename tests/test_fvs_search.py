@@ -1,8 +1,7 @@
-"""The dynamic programme of cover_solver, the exact feedback vertex set
-solver that min_fvs tries first on every dual, its min-fill elimination
-order, and min_fvs itself, pinned against a brute force on small random
-multigraphs, together with the reductions and lower bounds that certify
-the rank.
+"""The dynamic programme of cover_solver, the one exact feedback vertex
+set solver, its min-fill elimination order, and min_fvs itself, pinned
+against a brute force on small random multigraphs, with timing and
+determinism checks on larger triangulations.
 
 The graphs have up to 9 nodes and mix doubled and tripled edges, chains
 of degree-2 nodes, isolated nodes and several components.  The programme
@@ -11,30 +10,31 @@ again and again.
 """
 
 import heapq
+import os
 import random
+import subprocess
+import sys
+import time
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import outersplit
 from outersplit import (
     complete_3tree,
     cover_solver,
     dual,
+    is_outerplane,
     random_biconnected,
     random_triangulation,
+    replay,
+    solve_osn,
 )
-from outersplit.cover_solver import (
-    _dp_fvs,
-    _eliminate,
-    _lower_bound,
-    _Multi,
-    _peel_bound,
-    _reduce,
-    min_fvs,
-)
+from outersplit.cover_solver import _dp_fvs, _eliminate, min_fvs
 from outersplit.plane_graph import DualGraph
 
 
@@ -118,17 +118,6 @@ def brute_corpus():
         yield d, brute_fvs(d)
 
 
-def test_reduce_follows_a_capped_doubled_edge():
-    # u = 2 is the one node of degree 2; its edges a-u-b would double
-    # a=b, which is doubled already, so a and b each lose one degree, and
-    # the reduction then takes one of them
-    mg = _Multi.from_dual(DualGraph((0, 1, 2), ((0, 1), (0, 1), (0, 2),
-                                                (1, 2))))
-    taken = []
-    assert _reduce(mg, 3, taken)
-    assert mg.adj == {} and len(taken) == 1
-
-
 @st.composite
 def multigraphs(draw):
     """Loopless multigraphs of up to 10 nodes and any degree, with
@@ -142,23 +131,10 @@ def multigraphs(draw):
     return DualGraph(nodes=tuple(range(n)), edges=tuple(edges))
 
 
-@given(multigraphs(), st.data())
-def test_lower_bound_skipping_a_node_equals_it_removed(d, data):
-    mg = _Multi.from_dual(d)
-    x = data.draw(st.sampled_from(d.nodes))
-    adj = {u: dict(nbrs) for u, nbrs in mg.adj.items()}
-    rest = mg.copy()
-    rest.remove(x)
-    assert _lower_bound(mg, skip=x) == _lower_bound(rest)
-    assert mg.adj == adj
-
-
 def test_search_matches_brute_force_on_random_multigraphs():
-    """min_fvs, the exact search as callers see it, together with the
-    peel bound it certifies the rank with."""
+    """min_fvs, the exact search as callers see it."""
     seen_triple = seen_split = 0
     for d, want in brute_corpus():
-        assert _peel_bound(_Multi.from_dual(d)) <= len(want), d
         sol = min_fvs(d)
         assert sorted(sol.nodes) == want, d
         assert acyclic_without(d, sol.nodes), d
@@ -388,3 +364,40 @@ def test_dp_counts_parallel_pairs_in_either_orientation():
     d = DualGraph((0, 1, 2), ((0, 1), (1, 0), (1, 2)))
     assert _dp_fvs(d) == (1, [0])
     assert min_fvs(d).nodes == {0}
+
+
+@pytest.mark.parametrize("n, seed, osn", [(29, 1, 13), (29, 2, 13),
+                                          (100, 0, 49)])
+def test_large_triangulations_solve_quickly(n, seed, osn):
+    # the benchmark leaves out n=29 seeds 1 and 2, which an earlier
+    # branch and bound took 52 s and 27 s to solve
+    g = random_triangulation(n, seed=seed)
+    start = time.perf_counter()
+    res = solve_osn(g)
+    elapsed = time.perf_counter() - start
+    assert res.osn == osn
+    assert is_outerplane(replay(g, res.splits))
+    if n == 29:
+        assert elapsed < 2.0
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
+    src = Path(outersplit.__file__).resolve().parent.parent
+    rot = tmp_path / "t.rot"
+
+    def cli(*argv, hash_seed="0"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "outersplit.cli", *argv], env=env,
+            capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    cli("gen", "random_triangulation", "-n", "30", "--seed", "1",
+        "-o", str(rot))
+    first = cli("osn", str(rot), "--porcelain", hash_seed="1")
+    second = cli("osn", str(rot), "--porcelain", hash_seed="2")
+    assert first == second
+    assert b"osn=14\n" in first

@@ -1,9 +1,6 @@
-"""numpy is loaded only where a computation needs it: the matroid parity
-rank that min_fvs uses on a dual of maximum degree 3 when the dynamic
-programme declines it, and the SVG layout.  The programme takes every
-dual within its width cap, those of K4, the octahedron, the icosahedron
-and every triangulation of the tri_exact benchmark included, and solves
-without it.
+"""numpy is loaded only by the SVG layout.  Every solve runs on the
+dynamic programme, which needs no numpy, and a dual it declines raises
+CapExceeded without loading it.
 
 Each check runs in a fresh interpreter, because this one has numpy loaded
 already.  Setting sys.modules["numpy"] to None makes any import of numpy
@@ -65,7 +62,7 @@ inst = o.build_cfc_instance(o.k4())
 vc = o.brute_min_vc(o.k4())
 out["round_trip"] = o.cfc_to_vc(inst, o.vc_to_cfc(inst, vc)) == vc
 
-# cubic duals of at most 24 nodes go to the dynamic programme
+# cubic duals go to the dynamic programme too
 out["small_cubic"] = {}
 for name in ("k4", "octahedron", "icosahedron"):
     res = o.solve_osn(getattr(o, name)())
@@ -76,15 +73,15 @@ out["n_le_14"] = [o.serialize_splits(o.solve_osn(
     for n in range(4, 15) for seed in range(5)]
 
 # the dual of a triangulation on 20 vertices has 36 nodes; the programme
-# solves it, and once it declines, the rank needs numpy
+# solves it, and once it declines, the solve fails with a named error
 out["n_20_dp"] = o.serialize_splits(
     o.solve_osn(o.random_triangulation(20, 0)).splits)
 o.cover_solver._DP_MAX_WIDTH = 2
 try:
     o.solve_osn(o.random_triangulation(20, 0))
     out["n_20"] = "solved"
-except ImportError:
-    out["n_20"] = "ImportError"
+except o.errors.CapExceeded:
+    out["n_20"] = "CapExceeded"
 print(json.dumps(out))
 """
 
@@ -94,7 +91,7 @@ def solved(g):
     return [res.osn, sorted(res.cover.faces), serialize_splits(res.splits)]
 
 
-def test_everything_but_the_rank_path_and_layout_runs_without_numpy():
+def test_everything_but_the_layout_runs_without_numpy():
     out = run_python(BLOCKED)
     g = random_biconnected(12, 16, 0)
     res = solve_osn(g)
@@ -113,8 +110,8 @@ def test_everything_but_the_rank_path_and_layout_runs_without_numpy():
         for n in range(4, 15) for seed in range(5)]
     assert out["n_20_dp"] == serialize_splits(
         solve_osn(random_triangulation(20, 0)).splits)
-    # a cubic dual the programme declines needs the rank and with it numpy
-    assert out["n_20"] == "ImportError"
+    # a cubic dual the programme declines is refused, numpy or not
+    assert out["n_20"] == "CapExceeded"
 
 
 TRI_EXACT = """
@@ -163,25 +160,20 @@ import outersplit as o
 import outersplit.cli
 
 out = {"after_import": "numpy" in sys.modules}
-if sys.argv[1] == "solve":
-    # the rank path, as when the programme declines the dual
-    o.cover_solver._DP_MAX_WIDTH = 2
-    res = o.solve_osn(o.random_triangulation(20, 0))
-    out["result"] = [res.osn, sorted(res.cover.faces),
-                     o.serialize_splits(res.splits)]
-else:
-    out["result"] = o.render(o.k4())
+# solves, a declined one included, leave numpy unloaded
+for n, seed in [(20, 0), (1200, 6)]:
+    try:
+        o.solve_osn(o.random_triangulation(n, seed))
+    except o.errors.CapExceeded:
+        pass
+out["after_solve"] = "numpy" in sys.modules
+out["result"] = o.render(o.k4())
 out["after_use"] = "numpy" in sys.modules
 print(json.dumps(out))
 """
 
 
 def test_numpy_loads_on_first_use_with_unchanged_results():
-    expected = {
-        "solve": solved(random_triangulation(20, 0)),
-        "render": render(k4()),
-    }
-    for use, result in expected.items():
-        out = run_python(FIRST_USE, use)
-        assert out == {"after_import": False, "result": result,
-                       "after_use": True}, use
+    out = run_python(FIRST_USE)
+    assert out == {"after_import": False, "after_solve": False,
+                   "result": render(k4()), "after_use": True}
