@@ -295,6 +295,23 @@ def test_min_fvs_calls_only_the_programme(monkeypatch, d, cap, want):
     assert calls == ["_dp_fvs"]
 
 
+def test_min_fvs_routes_cubic_duals_as_before(monkeypatch):
+    """A cubic dual goes to the programme whatever its size, as any other
+    dual does, and is refused when its width is above the cap."""
+    small = dual(icosahedron())  # 20 nodes, min-fill width 6
+    large = dual(random_triangulation(15, seed=0))  # 26 nodes, width 4
+    calls = record_solvers(monkeypatch)
+    want = min_fvs(large).nodes
+    min_fvs(small)
+    assert calls == ["_dp_fvs", "_dp_fvs"]
+    calls.clear()
+    monkeypatch.setattr(cover_solver, "_DP_MAX_WIDTH", 5)
+    with pytest.raises(CapExceeded, match="above the cap of 5$"):
+        min_fvs(small)
+    assert min_fvs(large).nodes == want
+    assert calls == ["_dp_fvs", "_dp_fvs"]
+
+
 def test_min_fvs_refuses_a_wide_dual_at_once():
     # the dual of random_biconnected(2000, 5950, 0) has 3,952 nodes,
     # degrees up to 4 and min-fill elimination width 10

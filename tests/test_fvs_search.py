@@ -358,6 +358,15 @@ def test_min_fill_width_on_the_tri_exact_duals():
     assert fill == [5, 6, 5, 4, 5, 4, 5, 5, 6, 4, 4, 5, 5, 5]
 
 
+@pytest.mark.parametrize("depth, optimum", [(1, 3), (2, 9), (3, 27)])
+def test_dp_value_on_complete_3trees(depth, optimum):
+    # the optimum lies above the degree lower bound from depth 2 on: 9
+    # against 8, and 27 against 21
+    d = dual(complete_3tree(depth))
+    assert _dp_fvs(d)[0] == optimum
+    assert len(min_fvs(d).nodes) == optimum
+
+
 def test_dp_counts_parallel_pairs_in_either_orientation():
     # DualGraph promises (min, max) pairs, but a pair given the other way
     # round is still the same edge: (0, 1) and (1, 0) make a 2-cycle
