@@ -137,8 +137,10 @@ def _is_forest(edges) -> bool:
 # A step of a join, of a forget, or of both at once depends only on the
 # pattern of its scopes and on its states, never on the instance, so the
 # steps are kept across solves in _DP_STEPS, one memo per pattern, filled
-# lazily.  What the memos hold changes the speed of a solve, never its
-# answer.
+# lazily.  Many steps have equal results, so a new step's tuple of
+# states, and each state in it, is stored as the first equal one stored,
+# shared by all the memos.  What the memos hold changes the speed of a
+# solve, never its answer.
 
 # The largest elimination width the programme takes; min_fvs raises
 # CapExceeded for any wider dual, cubic or not.  A bag of w + 1 nodes
@@ -153,13 +155,14 @@ def _is_forest(edges) -> bool:
 # bits per position, so the cap stays below 15.
 _DP_MAX_WIDTH = 9
 
-# The most steps _DP_STEPS holds; once full it is emptied.  A step costs
-# about 110 bytes, so this is about 28 MB: with no cap, the dual of
-# random_biconnected(400, 1150, 0) stored 129,544 steps and peaked at
-# 30.7 MB RSS (same VM).  The 14 duals of the tri_exact benchmark
-# (44-56 nodes, width 4-6) need 42,982 steps together, and the five
-# duals of random_biconnected(n, n + 30, 0), n = 80..120 (32 nodes,
-# width 3), need 577.
+# The most steps _DP_STEPS holds; once full it is emptied.  With equal
+# results shared, a step costs about 46 bytes, so this is about 12 MB:
+# with no cap, the dual of random_biconnected(400, 1150, 0) stored
+# 129,544 steps in 6.0 MB and peaked at 23.2 MB RSS (same VM).  The 14
+# duals of the tri_exact benchmark (44-56 nodes, width 4-6) need 42,982
+# steps together, whose results are 2,110 distinct tuples and states,
+# and the five duals of random_biconnected(n, n + 30, 0), n = 80..120
+# (32 nodes, width 3), need 577.
 _DP_MAX_STEPS = 1 << 18
 
 
@@ -167,14 +170,17 @@ class _Steps:
     """The steps of the programme, kept across solves: memos maps each
     pattern to its memo, from the state of a forget to the states it
     leads to, or from the first state of a join to a row, from the
-    second state to the states the two lead to.  room counts the steps
-    still to store; when none is left, every memo is dropped before the
-    next step is stored."""
+    second state to the states the two lead to.  The stored tuples of
+    states, and the states in them, are shared: shared maps each to the
+    first equal one stored.  room counts the steps still to store; when
+    none is left, every memo is dropped, and shared with them, before
+    the next step is stored."""
 
-    __slots__ = ("memos", "size", "room")
+    __slots__ = ("memos", "shared", "size", "room")
 
     def __init__(self, size: int):
         self.memos: dict[tuple, dict[int, object]] = {}
+        self.shared: dict = {}
         self.size = self.room = size
 
     def memo(self, pattern: tuple) -> dict[int, object]:
@@ -192,10 +198,21 @@ class _Steps:
         if self.room >= 0:
             return False
         self.memos.clear()
+        self.shared.clear()
         memo.clear()
         self.memos[pattern] = memo
         self.room = self.size - 1
         return True
+
+    def share(self, states: tuple[int, ...]) -> tuple[int, ...]:
+        """The first stored tuple equal to states, or else states made of
+        the first stored states equal to its own, stored from now on."""
+        shared = self.shared
+        kept = shared.get(states)
+        if kept is None:
+            kept = tuple([shared.setdefault(s, s) for s in states])
+            shared[kept] = kept
+        return kept
 
 
 _DP_STEPS = _Steps(_DP_MAX_STEPS)
@@ -415,8 +432,9 @@ def _join(scope1, t1, scope2, t2, forget=None, cost=0):
                     memo[s1] = row
                     row.clear()
                 r = _join_step(pattern, s1, s2)
-                nxt = row[s2] = (() if r is None else (r,) if forget is None
-                                 else _forget_step(forget, r))
+                nxt = row[s2] = steps.share(
+                    () if r is None else (r,) if forget is None
+                    else _forget_step(forget, r))
             c = c1 + c2
             for r in nxt:
                 if c < best(r, above):
@@ -440,7 +458,7 @@ def _forget(table: dict[int, int], pattern: tuple[int, ...],
         nxt = known(s)
         if nxt is None:
             steps.spend(pattern, memo)
-            nxt = memo[s] = _forget_step(pattern, s)
+            nxt = memo[s] = steps.share(_forget_step(pattern, s))
         for r in nxt:
             if c < best(r, above):
                 out[r] = c

@@ -15,6 +15,7 @@ from outersplit import (
     min_fvs,
     octahedron,
     random_biconnected,
+    random_triangulation,
     replay,
     report,
     solve_osn,
@@ -119,6 +120,15 @@ def test_complete_3tree_depth_3_meets_its_bound():
     res = solve_osn(g)
     assert res.osn == 26 == lower_bound_3tree(3)
     assert is_outerplane(replay(g, res.splits))
+
+
+@pytest.mark.parametrize("n", [20, 50, 100, 200])
+def test_random_triangulations_lie_inside_both_bounds(n):
+    # beside the bound sweep of acceptance criterion 7, which stops at
+    # n = 14, with the exact osn of a certified cover
+    for seed in range(3):
+        g = random_triangulation(n, seed)
+        assert violations(report(g, osn=solve_osn(g).osn)) == ()
 
 
 @pytest.mark.parametrize("depth", [3, 4, 5])

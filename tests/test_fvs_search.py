@@ -150,14 +150,46 @@ def test_dp_matches_brute_force_on_random_multigraphs():
         assert _dp_fvs(d) == (len(want), want), d
 
 
+def stored_results(steps):
+    """Every tuple of states that the memos of steps hold."""
+    for memo in steps.memos.values():
+        for value in memo.values():
+            yield from value.values() if isinstance(value, dict) else (value,)
+
+
 def test_dp_with_its_steps_emptied_gives_the_same_answers(monkeypatch):
     """Room for 7 steps, so every memo is emptied many times within one
-    solve, each time while one of them is in use."""
+    solve, each time while one of them is in use; the table of shared
+    values is emptied with them, so it holds just what they hold."""
     steps = cover_solver._Steps(7)
     monkeypatch.setattr(cover_solver, "_DP_STEPS", steps)
     for d, want in brute_corpus():
         assert _dp_fvs(d) == (len(want), want), d
         assert sum(map(len, steps.memos.values())) <= 7
+        held = set()
+        for nxt in stored_results(steps):
+            held.add(nxt)
+            held.update(nxt)
+        assert steps.shared.keys() == held
+
+
+def test_dp_stores_each_distinct_result_once(monkeypatch):
+    """Equal results of different steps, and equal states in them, are
+    one object in the memos."""
+    steps = cover_solver._Steps(cover_solver._DP_MAX_STEPS)
+    monkeypatch.setattr(cover_solver, "_DP_STEPS", steps)
+    for g in (random_triangulation(30, 0), complete_3tree(3),
+              random_biconnected(100, 290, 0)):
+        min_fvs(dual(g))
+    first = {}
+    count = 0
+    for nxt in stored_results(steps):
+        count += 1
+        assert first.setdefault(nxt, nxt) is nxt
+        for r in nxt:
+            assert first.setdefault(r, r) is r
+    # the memos do hold many equal results, in few distinct values
+    assert count > 10 * len(first)
 
 
 def test_dp_declines_above_its_width_cap(monkeypatch):

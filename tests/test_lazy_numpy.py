@@ -126,8 +126,15 @@ for n, seed in json.loads(sys.argv[1]):
     res = o.solve_osn(o.random_triangulation(n, seed))
     out[f"{n}/{seed}"] = [res.osn, o.serialize_splits(res.splits)]
 steps = cover_solver._DP_STEPS
+# the distinct objects the memos hold as results: tuples and states
+held = set()
+for memo in steps.memos.values():
+    for value in memo.values():
+        for nxt in value.values() if isinstance(value, dict) else (value,):
+            held.add(id(nxt))
+            held.update(map(id, nxt))
 print(json.dumps({"solved": out, "numpy": "numpy" in sys.modules,
-                  "steps": steps.size - steps.room}))
+                  "steps": steps.size - steps.room, "objects": len(held)}))
 """
 
 # the triangulations (n, seed) of the tri_exact benchmark
@@ -139,11 +146,12 @@ TRI_EXACT_SPECS = [(24, 0), (24, 1), (25, 0), (25, 1), (26, 0), (26, 1),
 def test_tri_exact_triangulations_solve_without_numpy():
     """Every triangulation of the tri_exact benchmark solves on the
     programme with numpy blocked, to the splits this interpreter finds,
-    storing fewer than 50,000 steps together; unblocked, numpy is never
-    imported."""
+    storing fewer than 50,000 steps together, whose results share a few
+    thousand objects; unblocked, numpy is never imported."""
     specs = json.dumps(TRI_EXACT_SPECS)
     out = run_python(TRI_EXACT, specs, "blocked")
     assert out["steps"] < 50_000
+    assert out["objects"] < 5_000
     assert run_python(TRI_EXACT, specs, "free") == dict(out, numpy=False)
     want = {}
     for n, seed in TRI_EXACT_SPECS:
