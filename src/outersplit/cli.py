@@ -225,8 +225,9 @@ def _cmd_oracle(args) -> int:
         extract = "skipped"
     row("agree_extract" if kv else "agree extract==cover", extract)
     if cubic and biconnected:
-        # D* has one face per vertex of g, so it is within the face cover
-        # enumeration cap whenever g is within the vertex cover one
+        # D* has one face per vertex of g, and brute_min_cfc and
+        # brute_min_vc share the cap _ENUM_CAP, so D* is within it
+        # whenever g is
         row("agree_vc" if kv else "agree vc==cfc(D*)",
             "skipped" if vc is None else verdict(_vc_round_trip(g, vc)))
     return 0

@@ -593,7 +593,9 @@ def solve_osn(g: PlaneGraph) -> OsnResult:
 
 # -- independent brute-force oracles -------------------------------------------
 
-_ENUM_CAP = 20  # most faces brute_min_cfc enumerates subsets of
+# most faces brute_min_cfc, and most vertices reductions.brute_min_vc,
+# enumerate subsets of
+_ENUM_CAP = 20
 
 
 def brute_min_cfc(g: PlaneGraph) -> FaceCover:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .cover_solver import _ENUM_CAP
 from .errors import (
     CapExceeded,
     NotACover,
@@ -57,22 +58,6 @@ class CfcInstance(_Value):
         _set(self, "face_of_vertex", face_of_vertex)
 
 
-def _fresh_name(base: str, used: set[str]) -> str:
-    while base in used:
-        base = base + "~"
-    return base
-
-
-def _edge_names(edges, used: set[str]) -> dict[tuple[Vertex, Vertex], str]:
-    names: dict[tuple[Vertex, Vertex], str] = {}
-    taken = set(used)
-    for u, v in edges:
-        name = _fresh_name(f"{u}~{v}", taken)
-        taken.add(name)
-        names[(u, v)] = name
-    return names
-
-
 def build_cfc_instance(g: PlaneGraph) -> CfcInstance:
     """Build the subdivided dual D* of a cubic biconnected plane graph,
     with the bijection between D* faces and primal vertices.
@@ -80,7 +65,12 @@ def build_cfc_instance(g: PlaneGraph) -> CfcInstance:
     D* has one node per primal face and one degree-2 node per primal
     edge, joined by incidence; a face node's rotation lists its edge
     nodes in facial-walk order.  Every face of D* is a hexagon wrapping
-    one primal vertex."""
+    one primal vertex.
+
+    Face nodes are named f<id>, after the primal face id.  The node of
+    edge (u, v), u < v, is named u~v, with '~' appended while the name
+    is taken by the node of an earlier edge in sorted order; face names
+    hold no '~', so they never collide with edge names."""
     degs = {v: len(nbrs) for v, nbrs in g.rotation.items()}
     bad = sorted(v for v, d in degs.items() if d != 3)
     if bad:
@@ -89,13 +79,15 @@ def build_cfc_instance(g: PlaneGraph) -> CfcInstance:
         raise NotBiconnected("the construction needs a biconnected input")
 
     walks = g.walks
-    used: set[str] = set()
-    face_name: dict[FaceId, str] = {}
-    for fid in range(len(walks)):
-        name = _fresh_name(f"f{fid}", used)
-        used.add(name)
-        face_name[fid] = name
-    edge_name = _edge_names(g.edges(), used)
+    face_name = [f"f{fid}" for fid in range(len(walks))]
+    edge_name: dict[tuple[Vertex, Vertex], str] = {}
+    taken: set[str] = set()
+    for u, v in g.edges():
+        name = f"{u}~{v}"
+        while name in taken:
+            name += "~"
+        taken.add(name)
+        edge_name[(u, v)] = name
 
     def name_of(slot) -> str:
         u, v = slot
@@ -166,9 +158,6 @@ def vc_to_cfc(inst: CfcInstance, chosen) -> FaceCover:
             raise NotAVertexCover(f"edge {u}-{v} is uncovered")
     return face_cover(inst.dstar,
                       sorted(inst.face_of_vertex[v] for v in chosen))
-
-
-_ENUM_CAP = 20  # most vertices brute_min_vc enumerates subsets of
 
 
 def brute_min_vc(g: PlaneGraph) -> frozenset[Vertex]:

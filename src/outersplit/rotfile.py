@@ -47,23 +47,16 @@ def parse_rot(text: str) -> PlaneGraph:
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty input", line=0)
-    pos = 0
 
-    lineno, header = lines[pos]
+    header_line, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or not all(map(_is_count, parts)):
-        raise ParseError("expected header 'n m'", line=lineno)
+        raise ParseError("expected header 'n m'", line=header_line)
     n, m = int(parts[0]), int(parts[1])
-    pos += 1
 
     adjacency: dict[str, list[str]] = {}
     line_of: dict[str, int] = {}
-    for _ in range(n):
-        if pos >= len(lines):
-            raise ParseError(
-                f"expected {n} vertex lines, found {len(adjacency)}",
-                line=lines[-1][0])
-        lineno, line = lines[pos]
+    for lineno, line in lines[1:n + 1]:
         tokens = line.split()
         name = tokens[0]
         if not name.endswith(":") or len(name) == 1:
@@ -73,28 +66,26 @@ def parse_rot(text: str) -> PlaneGraph:
             raise ParseError(f"duplicate vertex {name!r}", line=lineno)
         adjacency[name] = tokens[1:]
         line_of[name] = lineno
-        pos += 1
+    if len(adjacency) < n:
+        raise ParseError(
+            f"expected {n} vertex lines, found {len(adjacency)}",
+            line=lines[-1][0])
 
+    # the tail holds nothing, 'faces', or 'faces' then one 'outer:' line
+    tail = lines[n + 1:]
+    if tail and tail[0][1] != "faces":
+        raise ParseError(
+            f"unexpected line after vertex block: {tail[0][1]!r}",
+            line=tail[0][0])
     outer = None
-    outer_line = lines[0][0]
-    if pos < len(lines):
-        lineno, line = lines[pos]
-        if line != "faces":
-            raise ParseError(
-                f"unexpected line after vertex block: {line!r}", line=lineno)
-        pos += 1
-        if pos < len(lines):
-            lineno, line = lines[pos]
-            tokens = line.split()
-            if tokens[0] != "outer:" or len(tokens) != 2 \
-                    or not _is_count(tokens[1]):
-                raise ParseError("expected 'outer: <face id>'", line=lineno)
-            outer = int(tokens[1])
-            outer_line = lineno
-            pos += 1
-        if pos < len(lines):
-            raise ParseError(
-                f"trailing content: {lines[pos][1]!r}", line=lines[pos][0])
+    if len(tail) > 1:
+        tokens = tail[1][1].split()
+        if tokens[0] != "outer:" or len(tokens) != 2 \
+                or not _is_count(tokens[1]):
+            raise ParseError("expected 'outer: <face id>'", line=tail[1][0])
+        outer = int(tokens[1])
+    if len(tail) > 2:
+        raise ParseError(f"trailing content: {tail[2][1]!r}", line=tail[2][0])
 
     try:
         g = build(adjacency)
@@ -104,13 +95,13 @@ def parse_rot(text: str) -> PlaneGraph:
     if g.m != m:
         raise ParseError(
             f"header declares {m} edges but rotations describe {g.m}",
-            line=lines[0][0])
+            line=header_line)
     if outer is None:
         return g
     try:
         return with_outer_face(g, outer)
     except OuterFaceUnset as exc:
-        raise ParseError(str(exc), line=outer_line) from exc
+        raise ParseError(str(exc), line=tail[1][0]) from exc
 
 
 def _check_names(names: list[str]) -> None:

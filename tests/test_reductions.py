@@ -65,6 +65,20 @@ def test_cfc_instance_faces_wrap_their_vertex():
         assert subs == expect
 
 
+def test_cfc_instance_edge_names_take_a_tilde_while_taken():
+    # K4 with names holding '~': edges (a, b~c) and (a~b, c) both read
+    # a~b~c, and the later one in sorted order takes a~b~c~
+    g = build({"a": ("b~c", "a~b", "c"), "b~c": ("a~b", "a", "c"),
+               "a~b": ("a", "b~c", "c"), "c": ("a", "a~b", "b~c")})
+    d = build_cfc_instance(g).dstar
+    edge_nodes = sorted(x for x, nbrs in d.rotation.items()
+                        if len(nbrs) == 2)
+    assert edge_nodes == ["a~a~b", "a~b~b~c", "a~b~c", "a~b~c~", "a~c",
+                          "b~c~c"]
+    assert sorted(set(d.rotation) - set(edge_nodes)) == [
+        "f0", "f1", "f2", "f3"]
+
+
 def test_build_cfc_instance_rejects_non_cubic():
     tri = build({"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")})
     with pytest.raises(NotCubic) as info:

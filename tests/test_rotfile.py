@@ -97,6 +97,14 @@ def test_parse_errors_carry_line_numbers():
         ("3 ³\na: b c\nb: c a\nc: a b\n", 1, "header"),
         ("3 3\na: b c\nb: c a\nc: a b\nfaces\nouter: ²\n", 6, "outer"),
         ("3 3\n: b c\nb: c a\nc: a b\n", 2, "vertex"),
+        # two faults: the first one read is reported
+        ("3 3\na: b c\nb c a\n", 3, "vertex"),
+        ("3 3\na: b c\nfaces\n", 3, "vertex"),
+        ("3 3\na: b c\na: b c\n", 3, "duplicate"),
+        ("3 3\na: b c\nb: c a\nc: a b\nouter: 0\n", 5, "unexpected"),
+        ("3 3\na: b c\nb: c a\nc: a b\nfaces\nfaces\n", 6, "outer"),
+        ("3 4\na: b c\nb: c a\nc: a b\nfaces\nouter: 9\n", 1, "edges"),
+        ("3 3\na: b b\nb: c a\nc: a b\nfaces\nouter: 9\n", 2, "repeats"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as info:
