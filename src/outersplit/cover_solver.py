@@ -137,10 +137,14 @@ def _is_forest(edges) -> bool:
 # A step of a join, of a forget, or of both at once depends only on the
 # pattern of its scopes and on its states, never on the instance, so the
 # steps are kept across solves in _DP_STEPS, one memo per pattern, filled
-# lazily.  Many steps have equal results, so a new step's tuple of
-# states, and each state in it, is stored as the first equal one stored,
-# shared by all the memos.  What the memos hold changes the speed of a
-# solve, never its answer.
+# lazily.  A join step leads to at most one state, and so does a forget
+# whose pattern covers every node of its bag, as it has no choice to
+# make: such a step stores its state bare, or _NONE when it leads to
+# none.  A forget of a bag with uncovered nodes stores a tuple of
+# states.  Many steps have equal results, so a new step's result, and
+# each state in a tuple, is stored as the first equal one stored, shared
+# by all the memos.  What the memos hold changes the speed of a solve,
+# never its answer.
 
 # The largest elimination width the programme takes; min_fvs raises
 # CapExceeded for any wider dual, cubic or not.  A bag of w + 1 nodes
@@ -155,26 +159,28 @@ def _is_forest(edges) -> bool:
 # bits per position, so the cap stays below 15.
 _DP_MAX_WIDTH = 9
 
-# The most steps _DP_STEPS holds; once full it is emptied.  With equal
-# results shared, a step costs about 46 bytes, so this is about 12 MB:
-# with no cap, the dual of random_biconnected(400, 1150, 0) stored
-# 129,544 steps in 6.0 MB and peaked at 23.2 MB RSS (same VM).  The 14
-# duals of the tri_exact benchmark (44-56 nodes, width 4-6) need 42,982
-# steps together, whose results are 2,110 distinct tuples and states,
-# and the five duals of random_biconnected(n, n + 30, 0), n = 80..120
-# (32 nodes, width 3), need 577.
+# The most steps _DP_STEPS holds; once full it is emptied.  With single
+# states stored bare and equal results shared, a step costs about 44
+# bytes, so this is about 11.6 MB: with no cap, the dual of
+# random_biconnected(400, 1150, 0) stored 129,544 steps in 5.7 MB and
+# peaked at 22.4 MB RSS (same VM).  The 14 duals of the tri_exact
+# benchmark (44-56 nodes, width 4-6) need 42,982 steps together, whose
+# results are 1,329 distinct objects, tuples and states, and the five
+# duals of random_biconnected(n, n + 30, 0), n = 80..120 (32 nodes,
+# width 3), need 577.
 _DP_MAX_STEPS = 1 << 18
 
 
 class _Steps:
     """The steps of the programme, kept across solves: memos maps each
-    pattern to its memo, from the state of a forget to the states it
-    leads to, or from the first state of a join to a row, from the
-    second state to the states the two lead to.  The stored tuples of
-    states, and the states in them, are shared: shared maps each to the
-    first equal one stored.  room counts the steps still to store; when
-    none is left, every memo is dropped, and shared with them, before
-    the next step is stored."""
+    pattern to its memo, from the state of a forget to its result, or
+    from the first state of a join to a row, from the second state to
+    the result of the two.  A result is one state, or _NONE, when the
+    step leads to at most one; else it is a tuple of states.  The
+    stored results, and the states in the tuples, are shared: shared
+    maps each to the first equal one stored.  room counts the steps
+    still to store; when none is left, every memo is dropped, and shared
+    with them, before the next step is stored."""
 
     __slots__ = ("memos", "shared", "size", "room")
 
@@ -204,19 +210,22 @@ class _Steps:
         self.room = self.size - 1
         return True
 
-    def share(self, states: tuple[int, ...]) -> tuple[int, ...]:
-        """The first stored tuple equal to states, or else states made of
-        the first stored states equal to its own, stored from now on."""
+    def share(self, result):
+        """The first stored result equal to result; else result itself,
+        a tuple rebuilt from the first stored states equal to its own,
+        which is stored from now on."""
         shared = self.shared
-        kept = shared.get(states)
+        kept = shared.get(result)
         if kept is None:
-            kept = tuple([shared.setdefault(s, s) for s in states])
-            shared[kept] = kept
+            if type(result) is tuple:
+                result = tuple([shared.setdefault(s, s) for s in result])
+            kept = shared[result] = result
         return kept
 
 
 _DP_STEPS = _Steps(_DP_MAX_STEPS)
 _ABOVE = float("inf")  # above every cost, as a table's default
+_NONE = -1  # the bare result of a step that leads to no state
 
 
 def _eliminate(nodes, pairs, cap: int):
@@ -339,6 +348,24 @@ def _join_step(pattern: tuple[int, ...], s1: int, s2: int) -> int | None:
     return _canonical([lab and _find(parent, lab) for lab in labels])
 
 
+def _introduce(pattern: tuple[int, ...], labels: list[int]) -> int:
+    """The state of N(v) once v's edges, as pattern gives them, are
+    introduced into a scope labelled by labels, v first, and v is
+    forgotten; _NONE when an edge closes a cycle."""
+    v = labels[0]
+    rest = labels[1:]
+    if not v:
+        return _canonical(rest)
+    parent: dict[int, int] = {}
+    for code, lab in zip(pattern[1:], rest):
+        if code & 3 and lab:
+            ra, rb = _find(parent, v), _find(parent, lab)
+            if code & 3 == 2 or ra == rb:
+                return _NONE
+            parent[rb] = ra
+    return _canonical([lab and _find(parent, lab) for lab in rest])
+
+
 def _forget_step(pattern: tuple[int, ...], s: int) -> tuple[int, ...]:
     """The states of N(v) that a state s of v's joined scope leads to.
     pattern holds, for each node of v's bag, v first, 4 when s covers
@@ -361,20 +388,22 @@ def _forget_step(pattern: tuple[int, ...], s: int) -> tuple[int, ...]:
         for j, p in enumerate(new):
             if choice >> j & 1:
                 labels[p] = 16 + p
-        parent: dict[int, int] = {}
-        if labels[0]:
-            for code, lab in zip(pattern[1:], labels[1:]):
-                if code & 3 and lab:
-                    ra, rb = _find(parent, labels[0]), _find(parent, lab)
-                    if code & 3 == 2 or ra == rb:
-                        break
-                    parent[rb] = ra
-            else:
-                out.append(_canonical(
-                    [lab and _find(parent, lab) for lab in labels[1:]]))
-        else:
-            out.append(_canonical(labels[1:]))
+        r = _introduce(pattern, labels)
+        if r != _NONE:
+            out.append(r)
     return tuple(out)
+
+
+def _covers(pattern: tuple[int, ...]) -> bool:
+    """Whether a forget pattern covers every node of v's bag, so that
+    its steps lead to at most one state."""
+    return min(pattern) >= 4
+
+
+def _forget_one(pattern: tuple[int, ...], s: int) -> int:
+    """The one state that _forget_step leads to, or _NONE for none, when
+    pattern covers every node of v's bag."""
+    return _introduce(pattern, [s >> 4 * i & 15 for i in range(len(pattern))])
 
 
 def _join(scope1, t1, scope2, t2, forget=None, cost=0):
@@ -412,6 +441,7 @@ def _join(scope1, t1, scope2, t2, forget=None, cost=0):
     steps = _DP_STEPS
     key = pattern if forget is None else (pattern, forget)
     memo = steps.memo(key)
+    bare = forget is None or _covers(forget)
     out: dict[int, int] = {}
     best = out.get
     above = _ABOVE
@@ -425,20 +455,38 @@ def _join(scope1, t1, scope2, t2, forget=None, cost=0):
         if row is None:
             row = memo[s1] = {}
         known = row.get
-        for s2, c2 in group:
-            nxt = known(s2)
-            if nxt is None:
-                if steps.spend(key, memo):
-                    memo[s1] = row
-                    row.clear()
-                r = _join_step(pattern, s1, s2)
-                nxt = row[s2] = steps.share(
-                    () if r is None else (r,) if forget is None
-                    else _forget_step(forget, r))
-            c = c1 + c2
-            for r in nxt:
+        # _NONE goes into out like a state, and is taken out at the end
+        if bare:
+            for s2, c2 in group:
+                r = known(s2)
+                if r is None:
+                    if steps.spend(key, memo):
+                        memo[s1] = row
+                        row.clear()
+                    r = _join_step(pattern, s1, s2)
+                    if r is None:
+                        r = _NONE
+                    elif forget is not None:
+                        r = _forget_one(forget, r)
+                    r = row[s2] = steps.share(r)
+                c = c1 + c2
                 if c < best(r, above):
                     out[r] = c
+        else:
+            for s2, c2 in group:
+                nxt = known(s2)
+                if nxt is None:
+                    if steps.spend(key, memo):
+                        memo[s1] = row
+                        row.clear()
+                    r = _join_step(pattern, s1, s2)
+                    nxt = row[s2] = steps.share(
+                        () if r is None else _forget_step(forget, r))
+                c = c1 + c2
+                for r in nxt:
+                    if c < best(r, above):
+                        out[r] = c
+    out.pop(_NONE, None)
     return scope, out
 
 
@@ -452,6 +500,18 @@ def _forget(table: dict[int, int], pattern: tuple[int, ...],
     out: dict[int, int] = {}
     best = out.get
     above = _ABOVE
+    if _covers(pattern):
+        for s, c in table.items():
+            if not s & 15:
+                c += cost
+            r = known(s)
+            if r is None:
+                steps.spend(pattern, memo)
+                r = memo[s] = steps.share(_forget_one(pattern, s))
+            if c < best(r, above):
+                out[r] = c
+        out.pop(_NONE, None)
+        return out
     for s, c in table.items():
         if not s & 15:
             c += cost

@@ -170,19 +170,22 @@ def _smallest(walk: tuple[Vertex, ...], lo: int, hi: int) -> int:
     """The position p in range(lo, hi) that begins the smallest slot
     (walk[p], walk[p + 1]) of the cyclic walk among those positions.
 
-    The slot's tail is the smallest vertex there; a walk passes each
-    slot once, so the slots from several visits of that vertex differ
-    in their heads."""
-    first = min(walk[lo:hi])
-    p = q = walk.index(first, lo, hi)
+    The slot's tail is the smallest vertex there.  When the walk visits
+    that vertex once among the positions, its slot is the smallest;
+    else a walk passes each slot once, so the slots from its several
+    visits differ in their heads, and the least head decides."""
+    part = walk[lo:hi]
+    first = min(part)
+    p = q = part.index(first)
+    more = part.count(first) - 1
+    if not more:
+        return lo + p
     d = len(walk)
-    while True:
-        try:
-            q = walk.index(first, q + 1, hi)
-        except ValueError:
-            return p
-        if walk[(q + 1) % d] < walk[(p + 1) % d]:
+    for _ in range(more):
+        q = part.index(first, q + 1)
+        if walk[(lo + q + 1) % d] < walk[(lo + p + 1) % d]:
             p = q
+    return lo + p
 
 
 class _SplitState:

@@ -151,10 +151,12 @@ def test_dp_matches_brute_force_on_random_multigraphs():
 
 
 def stored_results(steps):
-    """Every tuple of states that the memos of steps hold."""
+    """Every result that the memos of steps hold, with the states it
+    leads to: a bare state leads to itself, a tuple to its states."""
     for memo in steps.memos.values():
         for value in memo.values():
-            yield from value.values() if isinstance(value, dict) else (value,)
+            for nxt in value.values() if isinstance(value, dict) else (value,):
+                yield nxt, nxt if isinstance(nxt, tuple) else ()
 
 
 def test_dp_with_its_steps_emptied_gives_the_same_answers(monkeypatch):
@@ -167,9 +169,9 @@ def test_dp_with_its_steps_emptied_gives_the_same_answers(monkeypatch):
         assert _dp_fvs(d) == (len(want), want), d
         assert sum(map(len, steps.memos.values())) <= 7
         held = set()
-        for nxt in stored_results(steps):
+        for nxt, states in stored_results(steps):
             held.add(nxt)
-            held.update(nxt)
+            held.update(states)
         assert steps.shared.keys() == held
 
 
@@ -183,13 +185,49 @@ def test_dp_stores_each_distinct_result_once(monkeypatch):
         min_fvs(dual(g))
     first = {}
     count = 0
-    for nxt in stored_results(steps):
+    for nxt, states in stored_results(steps):
         count += 1
         assert first.setdefault(nxt, nxt) is nxt
-        for r in nxt:
+        for r in states:
             assert first.setdefault(r, r) is r
     # the memos do hold many equal results, in few distinct values
     assert count > 10 * len(first)
+
+
+@st.composite
+def states(draw, width):
+    """A state over width positions, from random block labels, 0 for a
+    deleted position."""
+    labels = draw(st.lists(st.integers(0, width), min_size=width,
+                           max_size=width))
+    return cover_solver._canonical(labels)
+
+
+def is_state(r, width):
+    labels = [r >> 4 * i & 15 for i in range(width)]
+    return r >> 4 * width == 0 and cover_solver._canonical(labels) == r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_join_and_covering_forget_steps_lead_to_at_most_one_state(data):
+    """What the bare storage of step results rests on: a join step leads
+    to one state or none, and so does a forget step whose pattern covers
+    every node of its bag, the state that _forget_one gives bare."""
+    pattern = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                       max_size=8)))
+    s1 = data.draw(states(sum(code & 1 for code in pattern)))
+    s2 = data.draw(states(sum(code >> 1 for code in pattern)))
+    r = cover_solver._join_step(pattern, s1, s2)
+    assert r is None or is_state(r, len(pattern))
+    # v first, then each node of the bag covered, with 0-2 edges to v
+    forget = (4, *data.draw(st.lists(st.integers(4, 6), max_size=8)))
+    s = data.draw(states(len(forget)))
+    out = cover_solver._forget_step(forget, s)
+    assert len(out) <= 1
+    assert all(is_state(r, len(forget) - 1) for r in out)
+    assert cover_solver._forget_one(forget, s) == (
+        out[0] if out else cover_solver._NONE)
 
 
 def test_dp_declines_above_its_width_cap(monkeypatch):

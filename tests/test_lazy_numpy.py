@@ -126,13 +126,15 @@ for n, seed in json.loads(sys.argv[1]):
     res = o.solve_osn(o.random_triangulation(n, seed))
     out[f"{n}/{seed}"] = [res.osn, o.serialize_splits(res.splits)]
 steps = cover_solver._DP_STEPS
-# the distinct objects the memos hold as results: tuples and states
+# the distinct objects the memos hold as results: states, tuples of
+# states and the states in those
 held = set()
 for memo in steps.memos.values():
     for value in memo.values():
         for nxt in value.values() if isinstance(value, dict) else (value,):
             held.add(id(nxt))
-            held.update(map(id, nxt))
+            if isinstance(nxt, tuple):
+                held.update(map(id, nxt))
 print(json.dumps({"solved": out, "numpy": "numpy" in sys.modules,
                   "steps": steps.size - steps.room, "objects": len(held)}))
 """

@@ -295,6 +295,22 @@ def rule_cases(g, v, i, j):
     return cases
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_smallest_slot_matches_brute_force(data):
+    """_smallest against the least slot over a range of positions.  A
+    walk of 5 or more over 4 vertices visits one of them several times,
+    as a face does at a cut vertex; of equal slots the first position
+    is taken."""
+    walk = tuple(data.draw(st.lists(st.sampled_from("abcd"), min_size=5,
+                                    max_size=14)))
+    d = len(walk)
+    lo = data.draw(st.integers(0, d - 1))
+    hi = data.draw(st.integers(lo + 1, d))
+    want = min(range(lo, hi), key=lambda p: (walk[p], walk[(p + 1) % d]))
+    assert split_engine._smallest(walk, lo, hi) == want
+
+
 def test_every_case_of_the_smallest_slot_rule():
     graphs = [random_triangulation(n, seed) for n in range(5, 10)
               for seed in range(2)]
