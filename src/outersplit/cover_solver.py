@@ -125,9 +125,10 @@ def _is_forest(edges) -> bool:
 # in order of first position.  v's table is the join of its children's
 # tables; then v's edges to N(v) are introduced and v is forgotten.  Two
 # kept nodes joined twice close a cycle, a doubled edge included.  When
-# v has two children or more, the last join and the forget are taken as
-# one step, so v's joined table is never built.  Nodes are named by
-# their elimination positions, and a scope is a sorted list of them.
+# v has two children or more and the joined scope covers every node of
+# v's bag, the last join and the forget are taken as one step, so v's
+# joined table is never built.  Nodes are named by their elimination
+# positions, and a scope is a sorted list of them.
 #
 # Deleting node x costs 2**n - 2**(n - 1 - r), with r the rank of x
 # among the n nodes, so a set of k nodes costs k 2**n less a mask with
@@ -137,14 +138,15 @@ def _is_forest(edges) -> bool:
 # A step of a join, of a forget, or of both at once depends only on the
 # pattern of its scopes and on its states, never on the instance, so the
 # steps are kept across solves in _DP_STEPS, one memo per pattern, filled
-# lazily.  A join step leads to at most one state, and so does a forget
-# whose pattern covers every node of its bag, as it has no choice to
-# make: such a step stores its state bare, or _NONE when it leads to
-# none.  A forget of a bag with uncovered nodes stores a tuple of
-# states.  Many steps have equal results, so a new step's result, and
-# each state in a tuple, is stored as the first equal one stored, shared
-# by all the memos.  What the memos hold changes the speed of a solve,
-# never its answer.
+# lazily.  Each kind of step has one stored form.  A join step leads to
+# at most one state, and so does a forget whose pattern covers every
+# node of its bag, as it has no choice to make; so a join step, alone or
+# taken with such a forget, stores its state bare, or _NONE when it
+# leads to none.  A forget step taken alone stores a tuple of states.
+# Many steps have equal results, so a new step's result, and each state
+# in a tuple, is stored as the first equal one stored, shared by all the
+# memos.  What the memos hold changes the speed of a solve, never its
+# answer.
 
 # The largest elimination width the programme takes; min_fvs raises
 # CapExceeded for any wider dual, cubic or not.  A bag of w + 1 nodes
@@ -159,15 +161,15 @@ def _is_forest(edges) -> bool:
 # bits per position, so the cap stays below 15.
 _DP_MAX_WIDTH = 9
 
-# The most steps _DP_STEPS holds; once full it is emptied.  With single
-# states stored bare and equal results shared, a step costs about 44
+# The most steps _DP_STEPS holds; once full it is emptied.  With join
+# steps stored bare and equal results shared, a step costs about 44
 # bytes, so this is about 11.6 MB: with no cap, the dual of
-# random_biconnected(400, 1150, 0) stored 129,544 steps in 5.7 MB and
+# random_biconnected(400, 1150, 0) stored 129,189 steps in 5.6 MB and
 # peaked at 22.4 MB RSS (same VM).  The 14 duals of the tri_exact
-# benchmark (44-56 nodes, width 4-6) need 42,982 steps together, whose
-# results are 1,329 distinct objects, tuples and states, and the five
+# benchmark (44-56 nodes, width 4-6) need 42,749 steps together, whose
+# results are 1,524 distinct objects, tuples and states, and the five
 # duals of random_biconnected(n, n + 30, 0), n = 80..120 (32 nodes,
-# width 3), need 577.
+# width 3), need 563.
 _DP_MAX_STEPS = 1 << 18
 
 
@@ -175,12 +177,14 @@ class _Steps:
     """The steps of the programme, kept across solves: memos maps each
     pattern to its memo, from the state of a forget to its result, or
     from the first state of a join to a row, from the second state to
-    the result of the two.  A result is one state, or _NONE, when the
-    step leads to at most one; else it is a tuple of states.  The
-    stored results, and the states in the tuples, are shared: shared
-    maps each to the first equal one stored.  room counts the steps
-    still to store; when none is left, every memo is dropped, and shared
-    with them, before the next step is stored."""
+    the result of the two.  A join memo, keyed by a pattern of codes
+    1-3 or by that and the covering forget pattern taken with it, holds
+    one state or _NONE per result; a forget memo, keyed by a pattern
+    that starts with 4, holds a tuple of states.  The stored results,
+    and the states in the tuples, are shared: shared maps each to the
+    first equal one stored.  room counts the steps still to store; when
+    none is left, every memo is dropped, and shared with them, before
+    the next step is stored."""
 
     __slots__ = ("memos", "shared", "size", "room")
 
@@ -409,8 +413,9 @@ def _forget_one(pattern: tuple[int, ...], s: int) -> int:
 def _join(scope1, t1, scope2, t2, forget=None, cost=0):
     """The join of two tables, over the union of their scopes, each a
     sorted list of elimination positions.  Only states that keep the
-    same common nodes are paired.  Given a forget pattern and v's cost,
-    the join is forgotten by it at once, as _forget would do."""
+    same common nodes are paired.  Given a forget pattern that covers
+    every node of v's bag and v's cost, the join is forgotten by it at
+    once, as _forget would do."""
     codes = dict.fromkeys(scope1, 1)
     for p in scope2:
         codes[p] = codes.get(p, 0) | 2
@@ -441,14 +446,11 @@ def _join(scope1, t1, scope2, t2, forget=None, cost=0):
     steps = _DP_STEPS
     key = pattern if forget is None else (pattern, forget)
     memo = steps.memo(key)
-    bare = forget is None or _covers(forget)
     out: dict[int, int] = {}
     best = out.get
     above = _ABOVE
     for s1, c1 in t1.items():
-        group = match.get((s1 | s1 >> 1 | s1 >> 2 | s1 >> 3) & common1)
-        if group is None:
-            continue
+        group = match[(s1 | s1 >> 1 | s1 >> 2 | s1 >> 3) & common1]
         if not s1 & 15:
             c1 += cost
         row = memo.get(s1)
@@ -456,36 +458,21 @@ def _join(scope1, t1, scope2, t2, forget=None, cost=0):
             row = memo[s1] = {}
         known = row.get
         # _NONE goes into out like a state, and is taken out at the end
-        if bare:
-            for s2, c2 in group:
-                r = known(s2)
+        for s2, c2 in group:
+            r = known(s2)
+            if r is None:
+                if steps.spend(key, memo):
+                    memo[s1] = row
+                    row.clear()
+                r = _join_step(pattern, s1, s2)
                 if r is None:
-                    if steps.spend(key, memo):
-                        memo[s1] = row
-                        row.clear()
-                    r = _join_step(pattern, s1, s2)
-                    if r is None:
-                        r = _NONE
-                    elif forget is not None:
-                        r = _forget_one(forget, r)
-                    r = row[s2] = steps.share(r)
-                c = c1 + c2
-                if c < best(r, above):
-                    out[r] = c
-        else:
-            for s2, c2 in group:
-                nxt = known(s2)
-                if nxt is None:
-                    if steps.spend(key, memo):
-                        memo[s1] = row
-                        row.clear()
-                    r = _join_step(pattern, s1, s2)
-                    nxt = row[s2] = steps.share(
-                        () if r is None else _forget_step(forget, r))
-                c = c1 + c2
-                for r in nxt:
-                    if c < best(r, above):
-                        out[r] = c
+                    r = _NONE
+                elif forget is not None:
+                    r = _forget_one(forget, r)
+                r = row[s2] = steps.share(r)
+            c = c1 + c2
+            if c < best(r, above):
+                out[r] = c
     out.pop(_NONE, None)
     return scope, out
 
@@ -500,18 +487,6 @@ def _forget(table: dict[int, int], pattern: tuple[int, ...],
     out: dict[int, int] = {}
     best = out.get
     above = _ABOVE
-    if _covers(pattern):
-        for s, c in table.items():
-            if not s & 15:
-                c += cost
-            r = known(s)
-            if r is None:
-                steps.spend(pattern, memo)
-                r = memo[s] = steps.share(_forget_one(pattern, s))
-            if c < best(r, above):
-                out[r] = c
-        out.pop(_NONE, None)
-        return out
     for s, c in table.items():
         if not s & 15:
             c += cost
@@ -559,13 +534,15 @@ def _dp_fvs(d: DualGraph) -> tuple[int, list[int]] | None:
         bag = sorted(map(pos.__getitem__, later[u]))
         pattern = (4, *[(p in covered) << 2 | mine.get(p, 0) for p in bag])
         scope, table = tables[0]
-        if len(tables) == 1:
-            table = _forget(table, pattern, weight[v])
-        else:
+        if len(tables) > 1 and _covers(pattern):
             for other, t in tables[1:-1]:
                 scope, table = _join(scope, table, other, t)
             other, t = tables[-1]
             table = _join(scope, table, other, t, pattern, weight[v])[1]
+        else:
+            for other, t in tables[1:]:
+                scope, table = _join(scope, table, other, t)
+            table = _forget(table, pattern, weight[v])
         if bag:
             pending.setdefault(bag[0], []).append((bag, table))
         else:

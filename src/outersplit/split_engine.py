@@ -259,14 +259,10 @@ class _SplitState:
                 raise NotIncident(f"vertex {v!r} is not on the boundary of "
                                   f"face {self.face_id(key)}")
             # The first slot into v is the one before the first v after
-            # the walk's start; when v only starts the walk, it is the
-            # last slot.
+            # the walk's start; with two corners at v the walk visits v
+            # twice, so there is one.
             walk = self.walks[key]
-            try:
-                p = walk.index(v, 1)
-            except ValueError:
-                p = 0
-            gaps.append(rot.index(walk[p - 1]))
+            gaps.append(rot.index(walk[walk.index(v, 1) - 1]))
         return gaps
 
     def split(self, v: Vertex, gap_a: int,

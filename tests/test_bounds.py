@@ -89,6 +89,9 @@ def test_report_fields():
     assert rep.upper == Fraction(11, 4)
     assert rep.osn == 2
     assert violations(rep) == ()
+    assert violations(report(complete_3tree(1), osn=1, tree_depth=1)) == (
+        "osn 1 below generic lower bound 2",
+        "osn 1 below family lower bound 2")
 
 
 def test_report_without_osn_never_flags():

@@ -16,7 +16,9 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,7 @@ from outersplit import (
     replay,
     solve_osn,
 )
-from outersplit.cover_solver import _dp_fvs, _eliminate, min_fvs
+from outersplit.cover_solver import _dp_fvs, _eliminate, _is_forest, min_fvs
 from outersplit.plane_graph import DualGraph
 
 
@@ -131,6 +133,35 @@ def multigraphs(draw):
     return DualGraph(nodes=tuple(range(n)), edges=tuple(edges))
 
 
+def closes_a_cycle(edges):
+    """Whether some nonempty set of the edges meets every node an even
+    number of times; a set that does holds a cycle, and a cycle is one."""
+    ends = [(1 << a) ^ (1 << b) for a, b in edges]
+    return any(not reduce(xor, combo)
+               for size in range(1, len(ends) + 1)
+               for combo in combinations(ends, size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_forest_matches_brute_force(data):
+    """_is_forest, on which min_fvs checks its answer, against a brute
+    force on loopless multigraphs of up to 8 nodes with parallel pairs."""
+    n = data.draw(st.integers(2, 8))
+    ends = st.integers(0, n - 1)
+    edges = [(a, b) for a, b in data.draw(
+        st.lists(st.tuples(ends, ends), max_size=10)) if a != b]
+    if edges:
+        edges += data.draw(st.lists(st.sampled_from(edges), max_size=2))
+    assert _is_forest(edges) == (not closes_a_cycle(edges))
+
+
+def test_is_forest_takes_a_triangle_and_a_doubled_edge_for_cycles():
+    assert not _is_forest([(0, 1), (1, 2), (0, 2)])
+    assert not _is_forest([(3, 5), (3, 5)])
+    assert _is_forest([(0, 1), (1, 2), (3, 5)])
+
+
 def test_search_matches_brute_force_on_random_multigraphs():
     """min_fvs, the exact search as callers see it."""
     seen_triple = seen_split = 0
@@ -192,6 +223,32 @@ def test_dp_stores_each_distinct_result_once(monkeypatch):
             assert first.setdefault(r, r) is r
     # the memos do hold many equal results, in few distinct values
     assert count > 10 * len(first)
+
+
+def test_each_kind_of_step_has_one_stored_form(monkeypatch):
+    """A join step, alone or taken with a forget that covers its bag,
+    stores its one state bare, or _NONE; a forget step taken alone
+    stores a tuple of states."""
+    steps = cover_solver._Steps(cover_solver._DP_MAX_STEPS)
+    monkeypatch.setattr(cover_solver, "_DP_STEPS", steps)
+    for g in (random_triangulation(30, 0), random_biconnected(100, 290, 0)):
+        min_fvs(dual(g))
+    kinds = Counter()
+    for key, memo in steps.memos.items():
+        if key[0] == 4:
+            kinds["forget"] += 1
+            assert all(type(nxt) is tuple for nxt in memo.values()), key
+            continue
+        if type(key[0]) is tuple:
+            kinds["fused"] += 1
+            key, forget = key
+            assert forget[0] == 4 and cover_solver._covers(forget), forget
+        else:
+            kinds["join"] += 1
+        assert set(key) <= {1, 2, 3}, key
+        for row in memo.values():
+            assert all(type(r) is int for r in row.values()), key
+    assert min(kinds["forget"], kinds["fused"], kinds["join"]) > 0
 
 
 @st.composite

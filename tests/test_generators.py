@@ -114,6 +114,11 @@ def test_random_biconnected_hits_requested_size():
 def test_random_biconnected_cycle_edge_case():
     g = random_biconnected(6, 6, seed=0)
     assert all(len(r) == 2 for r in g.rotation.values())
+    # the one biconnected graph on 3 vertices and 3 edges, for any seed
+    for seed in (0, 5):
+        g = random_biconnected(3, 3, seed=seed)
+        assert serialize_rot(g) == serialize_rot(cycle(3))
+        assert g.outer_face == 0
 
 
 def test_random_biconnected_seeds_draw_distinct_graphs():

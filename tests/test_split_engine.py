@@ -137,6 +137,9 @@ def test_split_rejects_non_incident_face():
         split_vertex(k4(), "d", 0, 1)
     with pytest.raises(NotIncident):
         split_vertex(k4(), "zz", 0, 1)
+    for far in (9, -1):
+        with pytest.raises(NotIncident, match=f"^face {far} does not exist$"):
+            split_vertex(k4(), "a", far, 0)
 
 
 def test_split_rejects_degree_one_vertex():
@@ -263,6 +266,10 @@ def test_replay_checks_copy_names():
                      copy_1="a.1", copy_2="a.2"),))
     with pytest.raises(ReplayFailure):
         replay(g, bad_face)
+    far_face = parse_splits("SPLIT a 0 9 -> a.1 a.2\n")
+    with pytest.raises(ReplayFailure,
+                       match=r"^step 0 \(.*\): face 9 does not exist$"):
+        replay(g, far_face)
 
 
 def test_split_bookkeeping_step_by_step():
