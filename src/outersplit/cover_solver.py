@@ -90,21 +90,25 @@ class OsnResult:
 
 # -- exact feedback vertex set -------------------------------------------------
 
+def _find(parent: dict[int, int], x: int) -> int:
+    """The root of x in a union-find where a root has no parent; the
+    nodes on the path from x are pointed straight at the root."""
+    if x not in parent:
+        return x
+    root = parent[x]
+    while root in parent:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
 def _is_forest(edges) -> bool:
     """Whether a multigraph given by its edges has no cycle; a parallel
     pair is a cycle."""
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
     for a, b in edges:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             return False
         parent[ra] = rb
@@ -237,77 +241,64 @@ def _eliminate(nodes, pairs, cap: int):
     the given pairs as edges, ties broken by degree, then node id, and
     each node's later neighbours; None once a node has more than cap.
 
-    The fill of a node is the number of pairs of its neighbours that are
-    not adjacent; it is counted once for every node, then kept up to
-    date.  Eliminating u joins its neighbours N into a clique.  Each new
-    pair lowers the fill of every common neighbour of its two ends by
-    one.  A node a of N loses u, its neighbours R outside N, none of
-    them adjacent to u, and gains the nodes M of N it was not adjacent
-    to, each adjacent to all of N; so its fill drops by |R| and by one
-    per new pair of two of its neighbours, and rises by the pairs of
-    R x M that are not adjacent.  No other fill moves.  A heap holds (fill, degree,
-    node) entries, and one that no longer matches its node is skipped."""
+    Let tri(x) be the number of edges between two neighbours of x, so
+    the fill of x, the pairs of its neighbours that are not adjacent, is
+    C(deg x, 2) - tri(x).  tri is counted once, then kept up to date by
+    two rules.  A new edge ab adds 1 to tri(a), to tri(b) and to tri(w)
+    for every common neighbour w of a and b.  Eliminating u subtracts
+    from each neighbour a of u the number of u's other neighbours that
+    a is adjacent to; then u's neighbours N are joined into a clique
+    edge by edge, by the first rule.  Only N and the common neighbours
+    of the new edges move.  A heap holds (fill, degree, node) entries,
+    and one that is not its node's latest is skipped."""
     adj: dict[int, set[int]] = {u: set() for u in nodes}
     for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
-    # every pair of neighbours, less one per edge between two of them
-    fill = {u: len(nbrs) * (len(nbrs) - 1) >> 1 for u, nbrs in adj.items()}
+    tri = dict.fromkeys(adj, 0)
     for u, nbrs in adj.items():
         for w in nbrs:
             if u < w:
                 for x in nbrs & adj[w]:
-                    fill[x] -= 1
-    heap = [(f, len(adj[u]), u) for u, f in fill.items()]
+                    tri[x] += 1
+    latest = {u: ((len(nbrs) * (len(nbrs) - 1) >> 1) - tri[u], len(nbrs), u)
+              for u, nbrs in adj.items()}
+    heap = list(latest.values())
     heapify(heap)
     order: list[int] = []
     later: dict[int, set[int]] = {}
     while heap:
-        f, deg, u = heappop(heap)
-        nbrs = adj.get(u)
-        if nbrs is None or f != fill[u] or deg != len(nbrs):
+        entry = heappop(heap)
+        u = entry[2]
+        if latest[u] is not entry:
             continue
-        if deg > cap:
+        if entry[1] > cap:
             return None
-        del adj[u]
+        nbrs = later[u] = adj.pop(u)
         order.append(u)
-        later[u] = nbrs
-        if not f:
-            # N is a clique already: a loses u and R, |R| = |near| - |N| + 1
-            for a in nbrs:
-                near = adj[a]
-                near.discard(u)
-                fill[a] -= len(near) + 1 - deg
-                heappush(heap, (fill[a], len(near), a))
-            continue
-        for a in nbrs:
-            adj[a].discard(u)
-        grow = []
-        moved = set()  # the common neighbours of new pairs
         for a in nbrs:
             near = adj[a]
-            out = near - nbrs
-            new = nbrs - near
-            new.discard(a)
-            g = fill[a] - len(out)
-            if new:
-                g += len(out) * len(new)
-                for b in new:
-                    far = adj[b]
-                    g -= len(far & out)
-                    if a < b:
-                        # adjacency as it was before the fill
-                        for w in near & far:
-                            fill[w] -= 1
-                            moved.add(w)
-                grow.append((a, new))
-            fill[a] = g
-        for a, new in grow:
-            adj[a] |= new
-        for w in moved - nbrs:
-            heappush(heap, (fill[w], len(adj[w]), w))
+            near.discard(u)
+            tri[a] -= len(near & nbrs)
+        moved = set(nbrs)
         for a in nbrs:
-            heappush(heap, (fill[a], len(adj[a]), a))
+            near = adj[a]
+            for b in nbrs:
+                if a < b and b not in near:
+                    far = adj[b]
+                    common = near & far
+                    t = len(common)
+                    tri[a] += t
+                    tri[b] += t
+                    for w in common:
+                        tri[w] += 1
+                    moved |= common
+                    near.add(b)
+                    far.add(a)
+        for x in moved:
+            deg = len(adj[x])
+            latest[x] = entry = ((deg * (deg - 1) >> 1) - tri[x], deg, x)
+            heappush(heap, entry)
     return order, later
 
 
@@ -320,12 +311,6 @@ def _canonical(labels) -> int:
         if lab:
             s |= names.setdefault(lab, len(names) + 1) << 4 * i
     return s
-
-
-def _find(parent: dict[int, int], x: int) -> int:
-    while x in parent:
-        x = parent[x]
-    return x
 
 
 def _join_step(pattern: tuple[int, ...], s1: int, s2: int) -> int | None:
@@ -568,13 +553,12 @@ def min_fvs(d: DualGraph) -> FvsSolution:
     the kept ones into trees), the least cost below, where a node set
     costs its size times 2**n less a mask with the least node on the
     highest bit.  So the least total cost is the lexicographically least
-    optimum, read off with no completion loop, whatever the order.  The
-    programme keeps the steps of its joins and forgets, which depend
-    only on local patterns and states, across solves, at most
-    _DP_MAX_STEPS of them.  It draws nothing at random.  A dual where
-    some node has more than _DP_MAX_WIDTH = 9 later neighbours in the
-    order, cubic or not, raises CapExceeded at once.  The returned set is
-    verified as a feedback set."""
+    optimum, whatever the order.  The programme keeps the steps of its
+    joins and forgets, which depend only on local patterns and states,
+    across solves, at most _DP_MAX_STEPS of them.  It draws nothing at
+    random.  A dual where some node has more than _DP_MAX_WIDTH = 9 later
+    neighbours in the order, cubic or not, raises CapExceeded at once.
+    The returned set is verified as a feedback set."""
     if d.has_self_loop():
         raise SelfLoopPresent("dual graph has a self-loop")
     # degrees() raises UnknownNode, and keeps a node listed twice once

@@ -36,7 +36,13 @@ from outersplit import (
     replay,
     solve_osn,
 )
-from outersplit.cover_solver import _dp_fvs, _eliminate, _is_forest, min_fvs
+from outersplit.cover_solver import (
+    _dp_fvs,
+    _eliminate,
+    _find,
+    _is_forest,
+    min_fvs,
+)
 from outersplit.plane_graph import DualGraph
 
 
@@ -160,6 +166,21 @@ def test_is_forest_takes_a_triangle_and_a_doubled_edge_for_cycles():
     assert not _is_forest([(0, 1), (1, 2), (0, 2)])
     assert not _is_forest([(3, 5), (3, 5)])
     assert _is_forest([(0, 1), (1, 2), (3, 5)])
+
+
+def test_find_points_the_path_at_the_root():
+    parent = {0: 1, 1: 2, 2: 3, 3: 4}
+    assert _find(parent, 0) == 4
+    assert parent == {0: 4, 1: 4, 2: 4, 3: 4}
+
+
+def test_is_forest_on_a_large_star_and_path():
+    star = [(leaf, 0) for leaf in range(1, 3001)]
+    path = [(i, i + 1) for i in range(2999)]
+    assert _is_forest(star)
+    assert _is_forest(path)
+    assert not _is_forest(star + [star[1500]])
+    assert not _is_forest(path + [path[1500]])
 
 
 def test_search_matches_brute_force_on_random_multigraphs():
@@ -414,8 +435,12 @@ def test_incremental_fill_counts_give_the_min_fill_order(graph):
 
 
 def test_min_fill_order_on_benchmark_duals():
+    # the last two join neighbourhoods with several fill edges that
+    # share a common neighbour
     for d in [dual(random_triangulation(26, 0)),
-              dual(random_biconnected(80, 110, 0))]:
+              dual(random_biconnected(80, 110, 0)),
+              dual(random_biconnected(40, 110, 0)),
+              dual(complete_3tree(2))]:
         pairs = Counter(d.edges)
         assert _eliminate(d.nodes, pairs, 9) == min_fill_order(
             d.nodes, pairs, 9)
