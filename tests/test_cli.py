@@ -73,6 +73,19 @@ def test_osn_svg(tmp_path, capsys):
         assert path.read_text().startswith("<svg")
 
 
+def test_osn_svg_with_names_outside_ascii(tmp_path, capsys):
+    rot = tmp_path / "e.rot"
+    rot.write_text("4 6\né: b c d\nb: c é d\nc: é b d\nd: é c b\n",
+                   encoding="utf-8")
+    before = tmp_path / "before.svg"
+    after = tmp_path / "after.svg"
+    code, _, _ = run(capsys, "osn", str(rot),
+                     "--svg", str(before), str(after))
+    assert code == 0
+    for path in (before, after):
+        assert "é" in path.read_text(encoding="utf-8")
+
+
 def test_verify_negative(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", write_k4(tmp_path), "--porcelain")
     assert code == 0
