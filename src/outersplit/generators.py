@@ -10,10 +10,13 @@ stdlib would, so they return the same values and leave the same state,
 with one Python call fewer per draw.
 
 The stacked and random families edit plain rotation lists in place and
-keep only the indexes their random choices need (the sorted inner-face
-walks, the sorted edge list, one slot of the outer face), so every edit
-is local.  Thinning tests each edge drop before making it, on the
-vertices of the two faces beside the edge.  Each output is validated and
+keep only the indexes their random choices need (the sorted inner faces,
+the sorted edge list, one slot of the outer face), so every edit is
+local.  An inner face is held as its vertex triple, starting at its
+least vertex, so the triples sort as the faces' ids do in a built graph.
+Thinning tests each edge drop before making it: it collects the vertices
+of the face on one side of the edge and walks the face on the other side
+only up to the first vertex the two share.  Each output is validated and
 traced by a single build.
 """
 
@@ -34,7 +37,7 @@ from .plane_graph import (
 )
 
 Rotation = dict[Vertex, list[Vertex]]
-Walk = tuple[Slot, ...]
+Triangle = tuple[Vertex, Vertex, Vertex]
 
 
 class FamilySpec(_Value):
@@ -65,32 +68,32 @@ _SIZE_CAP = (3 ** (_DEPTH_CAP + 1) + 5) // 2  # largest n of a sized family
 _ATTEMPTS = 20  # thinnings random_biconnected tries before it gives up
 
 
-def _base_k4() -> tuple[Rotation, list[Walk]]:
-    """K4's rotation lists and its inner faces' walks, sorted."""
+def _base_k4() -> tuple[Rotation, list[Triangle]]:
+    """K4's rotation lists and its inner faces, sorted."""
     rot = {"0": ["1", "2"], "1": ["2", "0"], "2": ["0", "1"]}
-    # starting the walk at ("1", "2") makes vertex 3's list 0 2 1
-    faces = _subdivide_face(rot, (("1", "2"), ("2", "0"), ("0", "1")), "3")
+    # starting the face at "1" makes vertex 3's list 0 2 1
+    faces = _subdivide_face(rot, ("1", "2", "0"), "3")
     return rot, sorted(faces)
 
 
-def _subdivide_face(rot: Rotation, walk: Walk, label: Vertex) -> list[Walk]:
+def _subdivide_face(rot: Rotation, face: Triangle,
+                    label: Vertex) -> list[Triangle]:
     """Join a new vertex to all three corners of a triangular face,
-    embedded inside it.  Returns the three new faces' walks, each starting
-    at its least slot."""
-    for u, v in walk:
+    embedded inside it.  The face (a, b, c) is the walk through the slots
+    (a, b), (b, c) and (c, a).  Returns the three new faces, each starting
+    at its least vertex, which starts its least slot too."""
+    a, b, c = face
+    out = []
+    for u, v in ((a, b), (b, c), (c, a)):
         lst = rot[v]
         lst.insert(lst.index(u) + 1, label)
-    rot[label] = [u for u, _ in reversed(walk)]
-    out = []
-    for u, v in walk:
-        # the tails u, v and label differ, so the least slot is the one
-        # with the least tail
         if u < v and u < label:
-            out.append(((u, v), (v, label), (label, u)))
+            out.append((u, v, label))
         elif v < label:
-            out.append(((v, label), (label, u), (u, v)))
+            out.append((v, label, u))
         else:
-            out.append(((label, u), (u, v), (v, label)))
+            out.append((label, u, v))
+    rot[label] = [c, b, a]
     return out
 
 
@@ -109,8 +112,8 @@ def complete_3tree(d: int) -> PlaneGraph:
     rot, faces = _base_k4()
     for _ in range(d):
         level = []
-        for walk in faces:
-            level += _subdivide_face(rot, walk, str(len(rot)))
+        for face in faces:
+            level += _subdivide_face(rot, face, str(len(rot)))
         faces = sorted(level)
     return _with_outer_slot(rot, _OUTER_SLOT)
 
@@ -124,8 +127,8 @@ def random_triangulation(n: int, seed: int = 0) -> PlaneGraph:
     _check_size(n)
     if n < 4:
         raise InfeasibleParameters("triangulations need at least 4 vertices")
-    return _with_outer_slot(_triangulation(n, random.Random(seed)),
-                            _OUTER_SLOT)
+    rot, _ = _triangulation(n, random.Random(seed))
+    return _with_outer_slot(rot, _OUTER_SLOT)
 
 
 def _check_seed(seed: int) -> None:
@@ -165,41 +168,42 @@ def _shuffle(rng: random.Random, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-def _triangulation(n: int, rng: random.Random) -> Rotation:
-    # faces holds the inner faces' walks sorted by least slot, which is
-    # the order of their ids in a built graph
+def _triangulation(n: int, rng: random.Random) -> tuple[Rotation, list[Slot]]:
+    """A random triangulation's rotation lists and its sorted edges."""
+    # faces holds the inner faces sorted, which is the order of their ids
+    # in a built graph
     rot, faces = _base_k4()
     while len(rot) < n:
-        walk = faces.pop(_below(rng, len(faces)))
-        for new in _subdivide_face(rot, walk, str(len(rot))):
+        face = faces.pop(_below(rng, len(faces)))
+        for new in _subdivide_face(rot, face, str(len(rot))):
             insort(faces, new)
-    edges = _sorted_edges(rot)
+    edges = sorted((u, v) for u, nbrs in rot.items() for v in nbrs if u < v)
     for _ in range(3 * n):
         _try_flip(rot, edges, rng)
-    return rot
-
-
-def _sorted_edges(rot: Rotation) -> list[Slot]:
-    return sorted((u, v) for u, nbrs in rot.items() for v in nbrs if u < v)
+    return rot, edges
 
 
 def _try_flip(rot: Rotation, edges: list[Slot], rng: random.Random) -> None:
-    u, v = edges[_below(rng, len(edges))]
+    i = _below(rng, len(edges))
+    u, v = edges[i]
     # the outer triangle's edges are the only ones on the outer face
     if u in _OUTER_VERTICES and v in _OUTER_VERTICES:
         return
-    if len(rot[u]) <= 3 or len(rot[v]) <= 3:
+    ru, rv = rot[u], rot[v]
+    if len(ru) <= 3 or len(rv) <= 3:
         return
     # apexes of the two triangles on uv; the flip replaces uv with ab
-    a = rot[v][(rot[v].index(u) + 1) % len(rot[v])]
-    b = rot[u][(rot[u].index(v) + 1) % len(rot[u])]
-    if a == b or b in rot[a]:
+    a = rv[(rv.index(u) + 1) % len(rv)]
+    b = ru[(ru.index(v) + 1) % len(ru)]
+    ra = rot[a]
+    if a == b or b in ra:
         return
-    rot[u].remove(v)
-    rot[v].remove(u)
-    rot[a].insert(rot[a].index(v) + 1, b)
-    rot[b].insert(rot[b].index(u) + 1, a)
-    del edges[bisect_left(edges, (u, v))]
+    ru.remove(v)
+    rv.remove(u)
+    ra.insert(ra.index(v) + 1, b)
+    rb = rot[b]
+    rb.insert(rb.index(u) + 1, a)
+    del edges[i]
     insort(edges, (a, b) if a < b else (b, a))
 
 
@@ -223,8 +227,8 @@ def random_biconnected(n: int, m: int, seed: int = 0) -> PlaneGraph:
             # stream with another seed or attempt
             tri, thin = (random.Random(f"{seed}/{attempt}/{use}")
                          for use in ("tri", "thin"))
-        rot = _triangulation(n, tri)
-        outer = _thin(rot, m, thin)
+        rot, edges = _triangulation(n, tri)
+        outer = _thin(rot, edges, m, thin)
         if outer is not None:
             return _with_outer_slot(rot, outer)
     raise InfeasibleParameters(
@@ -232,12 +236,13 @@ def random_biconnected(n: int, m: int, seed: int = 0) -> PlaneGraph:
         f"seed={seed})")
 
 
-def _thin(rot: Rotation, m: int, rng: random.Random) -> Slot | None:
+def _thin(rot: Rotation, edges: list[Slot], m: int,
+          rng: random.Random) -> Slot | None:
     """Greedily drop random edges from rot in place, keeping it
-    biconnected (every face a cycle), until it has m edges.  Returns a
-    slot of the outer face, or None when no edge can go."""
+    biconnected (every face a cycle), until it has m edges.  edges holds
+    rot's edges sorted and loses each one dropped.  Returns a slot of the
+    outer face, or None when no edge can go."""
     outer = _OUTER_SLOT
-    edges = _sorted_edges(rot)
     while len(edges) > m:
         candidates = list(edges)
         _shuffle(rng, candidates)
@@ -248,10 +253,7 @@ def _thin(rot: Rotation, m: int, rng: random.Random) -> Slot | None:
                 # is on the outer face whether or not the drop is kept.
                 x, y = outer
                 outer = (y, rot[y][(rot[y].index(x) + 1) % len(rot[y])])
-            # dropping uv merges the faces on its two sides, which keeps
-            # every face a cycle exactly when they share only u and v
-            shared = _face_vertices(rot, (u, v)) & _face_vertices(rot, (v, u))
-            if shared == {u, v}:
+            if _faces_meet_only_at(rot, u, v):
                 rot[u].remove(v)
                 rot[v].remove(u)
                 del edges[bisect_left(edges, (u, v))]
@@ -261,16 +263,28 @@ def _thin(rot: Rotation, m: int, rng: random.Random) -> Slot | None:
     return outer
 
 
-def _face_vertices(rot: Rotation, slot: Slot) -> set[Vertex]:
-    """Vertices of the face that slot lies on, walked over rot."""
-    out = set()
-    u, v = slot
+def _faces_meet_only_at(rot: Rotation, u: Vertex, v: Vertex) -> bool:
+    """Whether the faces on the two sides of the edge uv share no vertex
+    but u and v, so that dropping uv, which merges them, keeps every face
+    a cycle.  Both faces must be cycles."""
+    # the vertices of the face of slot (u, v), but u and v
+    side = set()
+    x, y = u, v
     while True:
-        out.add(u)
-        nbrs = rot[v]
-        u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
-        if (u, v) == slot:
-            return out
+        nbrs = rot[y]
+        x, y = y, nbrs[(nbrs.index(x) + 1) % len(nbrs)]
+        if y == u:
+            break
+        side.add(y)
+    # the face of slot (v, u) from u: a cycle meets v once, at its end
+    x, y = v, u
+    while True:
+        nbrs = rot[y]
+        x, y = y, nbrs[(nbrs.index(x) + 1) % len(nbrs)]
+        if y == v:
+            return True
+        if y in side:
+            return False
 
 
 def cycle(n: int) -> PlaneGraph:

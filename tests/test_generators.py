@@ -1,9 +1,13 @@
 import random
+from bisect import insort
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outersplit import (
     FamilySpec,
+    build,
     complete_3tree,
     cycle,
     fan,
@@ -18,7 +22,13 @@ from outersplit import (
     serialize_rot,
 )
 from outersplit.errors import CapExceeded, InfeasibleParameters, UnknownFamily
-from outersplit.generators import _below, _shuffle
+from outersplit.generators import (
+    _base_k4,
+    _below,
+    _faces_meet_only_at,
+    _shuffle,
+    _subdivide_face,
+)
 
 # lengths 0..300 hold 2^k - 1, 2^k and 2^k + 1 up to k = 8, where the
 # bit count of a draw changes; the ones above take it to k = 12
@@ -101,6 +111,96 @@ def test_inlined_draws_match_the_stdlib():
                 assert _below(ours, size) == stdlib.randrange(size), \
                     (seed, size)
                 assert ours.getstate() == stdlib.getstate(), (seed, size)
+
+
+def _inner_walks(rot):
+    """The inner faces' walks of rot in id order; the outer face is the
+    one K4 started with."""
+    g = build(rot)
+    outer = g.face_of_slot(("0", "2"))
+    return [w for fid, w in enumerate(g.walks) if fid != outer]
+
+
+def test_3tree_faces_are_the_inner_walks_in_id_order():
+    # sorting the level's faces hands out the next labels in face-id
+    # order, as the golden digests assume
+    rot, faces = _base_k4()
+    for d in range(6):
+        assert faces == _inner_walks(rot), d
+        assert build(rot).rotation == complete_3tree(d).rotation, d
+        level = []
+        for face in faces:
+            level += _subdivide_face(rot, face, str(len(rot)))
+        faces = sorted(level)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacking_draws_faces_by_id(seed):
+    # random_triangulation's insertion phase for n is the first n - 4
+    # steps of this one, so this covers every n <= 40: after each
+    # insertion the drawn index faces.pop(_below(...)) is a face id
+    rng = random.Random(seed)
+    rot, faces = _base_k4()
+    while True:
+        assert faces == _inner_walks(rot), len(rot)
+        if len(rot) == 40:
+            break
+        face = faces.pop(_below(rng, len(faces)))
+        for new in _subdivide_face(rot, face, str(len(rot))):
+            insort(faces, new)
+
+
+def _face_vertices(rot, slot):
+    """Vertices of the face that slot lies on, walked in full."""
+    out = set()
+    u, v = slot
+    while True:
+        out.add(u)
+        nbrs = rot[v]
+        u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
+        if (u, v) == slot:
+            return out
+
+
+def _assert_one_sided_test_matches_both_faces(rot):
+    for u in rot:
+        for v in rot[u]:
+            want = (_face_vertices(rot, (u, v)) & _face_vertices(rot, (v, u))
+                    == {u, v})
+            assert _faces_meet_only_at(rot, u, v) == want, (u, v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 30), st.integers(0, 50))
+def test_one_sided_face_test_on_triangulations(n, seed):
+    _assert_one_sided_test_matches_both_faces(
+        random_triangulation(n, seed).rotation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 30), st.data())
+def test_one_sided_face_test_on_biconnected_graphs(n, data):
+    m = data.draw(st.integers(n, 3 * n - 6), label="m")
+    seed = data.draw(st.integers(0, 50), label="seed")
+    try:
+        g = random_biconnected(n, m, seed)
+    except InfeasibleParameters:
+        return
+    _assert_one_sided_test_matches_both_faces(g.rotation)
+
+
+def test_one_sided_face_test_refuses_and_keeps():
+    # the 6-cycle with the chord 0-3: dropping the chord merges two
+    # 4-cycles into one, and dropping a cycle edge would leave 0 and 3
+    # on both sides
+    rot = {"0": ["1", "3", "5"], "1": ["2", "0"], "2": ["3", "1"],
+           "3": ["4", "0", "2"], "4": ["5", "3"], "5": ["0", "4"]}
+    build(rot)
+    _assert_one_sided_test_matches_both_faces(rot)
+    assert _faces_meet_only_at(rot, "0", "3")
+    assert _faces_meet_only_at(rot, "3", "0")
+    assert not _faces_meet_only_at(rot, "0", "1")
+    assert not _faces_meet_only_at(rot, "4", "5")
 
 
 def test_random_biconnected_hits_requested_size():
