@@ -14,6 +14,8 @@ keep only the indexes their random choices need (the sorted inner faces,
 the sorted edge list, one slot of the outer face), so every edit is
 local.  An inner face is held as its vertex triple, starting at its
 least vertex, so the triples sort as the faces' ids do in a built graph.
+complete_3tree derives and sorts a level's faces only when a further
+level subdivides them, so its last level lists no faces.
 Thinning tests each edge drop before making it: it collects the vertices
 of the face on one side of the edge and walks the face on the other side
 only up to the first vertex the two share.  Each output is validated and
@@ -76,24 +78,32 @@ def _base_k4() -> tuple[Rotation, list[Triangle]]:
     return rot, sorted(faces)
 
 
-def _subdivide_face(rot: Rotation, face: Triangle,
-                    label: Vertex) -> list[Triangle]:
+def _stack(rot: Rotation, face: Triangle, label: Vertex) -> None:
     """Join a new vertex to all three corners of a triangular face,
     embedded inside it.  The face (a, b, c) is the walk through the slots
-    (a, b), (b, c) and (c, a).  Returns the three new faces, each starting
-    at its least vertex, which starts its least slot too."""
+    (a, b), (b, c) and (c, a)."""
     a, b, c = face
-    out = []
     for u, v in ((a, b), (b, c), (c, a)):
         lst = rot[v]
         lst.insert(lst.index(u) + 1, label)
+    rot[label] = [c, b, a]
+
+
+def _subdivide_face(rot: Rotation, face: Triangle,
+                    label: Vertex) -> list[Triangle]:
+    """_stack a new vertex into a triangular face.  Returns the three new
+    faces, each starting at its least vertex, which starts its least slot
+    too."""
+    _stack(rot, face, label)
+    a, b, c = face
+    out = []
+    for u, v in ((a, b), (b, c), (c, a)):
         if u < v and u < label:
             out.append((u, v, label))
         elif v < label:
             out.append((v, label, u))
         else:
             out.append((label, u, v))
-    rot[label] = [c, b, a]
     return out
 
 
@@ -110,11 +120,15 @@ def complete_3tree(d: int) -> PlaneGraph:
     if d > _DEPTH_CAP:
         raise CapExceeded(f"depth {d} exceeds the cap of {_DEPTH_CAP}")
     rot, faces = _base_k4()
-    for _ in range(d):
+    for _ in range(d - 1):
         level = []
         for face in faces:
             level += _subdivide_face(rot, face, str(len(rot)))
         faces = sorted(level)
+    # no level subdivides the last one's faces, so they go unlisted
+    if d:
+        for face in faces:
+            _stack(rot, face, str(len(rot)))
     return _with_outer_slot(rot, _OUTER_SLOT)
 
 

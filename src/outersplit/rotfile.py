@@ -126,15 +126,13 @@ def serialize_rot(g: PlaneGraph) -> str:
     """Render a PlaneGraph in the .rot format; parse_rot inverts this.
 
     Raises UnwritableName for a vertex name the format cannot carry."""
-    names = sorted(g.rotation)
+    rotation = g.rotation
+    names = sorted(rotation)
     _check_names(names)
-    out = [f"{g.n} {g.m}"]
-    for v in names:
-        out.append(f"{v}: " + " ".join(g.rotation[v]) if g.rotation[v]
-                   else f"{v}:")
-    out.append("faces")
-    for fid, walk in enumerate(g.walks):
-        out.append(f"# {fid}: " + " ".join(walk))
+    vertices = [f"{v}: {' '.join(rotation[v])}" if rotation[v] else f"{v}:"
+                for v in names]
+    faces = [f"# {fid}: {' '.join(walk)}" for fid, walk in enumerate(g.walks)]
+    out = [f"{g.n} {g.m}", *vertices, "faces", *faces]
     if g.outer_face is not None:
         out.append(f"outer: {g.outer_face}")
     return "\n".join(out) + "\n"

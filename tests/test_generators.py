@@ -20,6 +20,7 @@ from outersplit import (
     random_biconnected,
     random_triangulation,
     serialize_rot,
+    with_outer_face,
 )
 from outersplit.errors import CapExceeded, InfeasibleParameters, UnknownFamily
 from outersplit.generators import (
@@ -132,6 +133,29 @@ def test_3tree_faces_are_the_inner_walks_in_id_order():
         for face in faces:
             level += _subdivide_face(rot, face, str(len(rot)))
         faces = sorted(level)
+
+
+def _listed_3tree(d):
+    """complete_3tree(d) with every level's faces derived and sorted,
+    the last level's too."""
+    rot, faces = _base_k4()
+    for _ in range(d):
+        level = []
+        for face in faces:
+            level += _subdivide_face(rot, face, str(len(rot)))
+        faces = sorted(level)
+    g = build(rot)
+    return with_outer_face(g, g.face_of_slot(("0", "2")))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_3tree_last_level_needs_no_face_list(d):
+    # complete_3tree stacks its last level without listing the faces it
+    # makes; the graph must be the one a listed last level gives
+    want = _listed_3tree(d)
+    got = complete_3tree(d)
+    assert got.rotation == want.rotation
+    assert got.outer_face == want.outer_face
 
 
 @pytest.mark.parametrize("seed", range(3))

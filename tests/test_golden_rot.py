@@ -11,6 +11,8 @@ output, and say so in CHANGES.md.  Print the current value with
 
 import hashlib
 
+import pytest
+
 from outersplit import (
     complete_3tree,
     random_biconnected,
@@ -49,6 +51,24 @@ def digest() -> tuple[int, int, str]:
         h.update(text.encode())
         count += 1
     return count, infeasible, h.hexdigest()
+
+
+# complete_3tree past the depths the digest above and bench/golden.json
+# cover: vertex count and sha256 of serialize_rot
+DEEP_3TREES = {
+    7: (3283,
+        "e40e48a47c8a15e00109cd15f991a8da21762dbd5808139edbf58c0bef927506"),
+    8: (9844,
+        "9a105ab54bb589cd9408fb6b77160ff53d1dc5aad7219860f73311fcb758cc19"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(DEEP_3TREES))
+def test_deep_3trees_are_frozen(d):
+    n, want = DEEP_3TREES[d]
+    g = complete_3tree(d)
+    assert g.n == n
+    assert hashlib.sha256(serialize_rot(g).encode()).hexdigest() == want
 
 
 def test_generator_outputs_are_frozen():

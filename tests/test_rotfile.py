@@ -7,12 +7,15 @@ from outersplit import (
     complete_3tree,
     cycle,
     face_cover,
+    FamilySpec,
     fan,
+    generate,
     icosahedron,
     k4,
     octahedron,
     parse_rot,
     parse_splits,
+    PlaneGraph,
     random_biconnected,
     random_triangulation,
     realize_cover,
@@ -61,6 +64,52 @@ def test_round_trip_families():
         assert h.rotation == g.rotation
         assert h.outer_face == g.outer_face
         assert serialize_rot(h) == text
+
+
+def _format_rot(g):
+    """serialize_rot's text, built one line at a time."""
+    out = [f"{g.n} {g.m}"]
+    for v in sorted(g.rotation):
+        out.append(f"{v}: " + " ".join(g.rotation[v]) if g.rotation[v]
+                   else f"{v}:")
+    out.append("faces")
+    for fid, walk in enumerate(g.walks):
+        out.append(f"# {fid}: " + " ".join(walk))
+    if g.outer_face is not None:
+        out.append(f"outer: {g.outer_face}")
+    return "\n".join(out) + "\n"
+
+
+# every family generate makes, the sized ones at two sizes each
+FAMILY_SPECS = [
+    FamilySpec("k4"), FamilySpec("octahedron"), FamilySpec("icosahedron"),
+    FamilySpec("cycle", n=3), FamilySpec("cycle", n=9),
+    FamilySpec("fan", n=3), FamilySpec("fan", n=8),
+    FamilySpec("complete_3tree", d=0), FamilySpec("complete_3tree", d=3),
+    FamilySpec("random_triangulation", n=4, seed=2),
+    FamilySpec("random_triangulation", n=60, seed=1),
+    FamilySpec("random_biconnected", n=3, m=3),
+    FamilySpec("random_biconnected", n=40, m=55, seed=3),
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=repr)
+def test_serialize_matches_the_line_by_line_format(spec):
+    g = generate(spec)
+    # build leaves outer_face None, so no outer: line is written
+    for h in (g, build(g.rotation)):
+        text = serialize_rot(h)
+        assert text == _format_rot(h)
+        back = parse_rot(text)
+        assert back.rotation == h.rotation
+        assert back.outer_face == h.outer_face
+
+
+def test_serialize_writes_a_bare_line_for_an_empty_rotation():
+    # build refuses a graph without edges, so only a PlaneGraph made
+    # directly can hold a vertex without neighbors
+    g = PlaneGraph({"a": ()}, (), {})
+    assert serialize_rot(g) == _format_rot(g) == "1 0\na:\nfaces\n"
 
 
 def test_outer_face_must_be_an_int():
