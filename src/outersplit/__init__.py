@@ -17,7 +17,6 @@ from .bounds import (
     violations,
 )
 from .cover_solver import (
-    ForestCertificate,
     FvsSolution,
     OsnResult,
     brute_min_cfc,
@@ -67,9 +66,8 @@ from .split_engine import (
     SplitSequence,
     extract_cover,
     face_cover,
-    merge_faces_at_vertex,
     realize_cover,
     replay,
     split_vertex,
 )
-from .svg import emit_svg, layout, render
+from .svg import layout, render

@@ -25,7 +25,7 @@ from .plane_graph import (
 from .reductions import brute_min_vc, build_cfc_instance, cfc_to_vc, vc_to_cfc
 from .rotfile import parse_rot, parse_splits, serialize_rot, serialize_splits
 from .split_engine import extract_cover, replay
-from .svg import emit_svg
+from .svg import render
 
 
 def _read(path: str) -> str:
@@ -80,9 +80,9 @@ def _cmd_osn(args) -> int:
         _write(args.seq, seq_text)
     if args.svg:
         before, after = args.svg
-        emit_svg(g, before)
+        _write(before, render(g))
         final = replay(g, res.splits)
-        emit_svg(with_outer_face(final, outerplane_face(final)), after)
+        _write(after, render(with_outer_face(final, outerplane_face(final))))
     return 0
 
 

@@ -54,26 +54,14 @@ from .split_engine import (
 )
 
 
-class ForestCertificate(_Value):
-    """What remains of the dual after removing the solution nodes."""
-
-    nodes: tuple[FaceId, ...]
-    edges: tuple[tuple[FaceId, FaceId], ...]
-
-    def __init__(self, nodes: tuple[FaceId, ...],
-                 edges: tuple[tuple[FaceId, FaceId], ...]):
-        _set(self, "nodes", nodes)
-        _set(self, "edges", edges)
-
-
 class FvsSolution(_Value):
-    """A feedback vertex set of a dual graph plus the acyclic remainder."""
+    """A feedback vertex set of a dual graph plus the acyclic remainder:
+    the dual less the set's nodes."""
 
     nodes: frozenset[FaceId]
-    certificate: ForestCertificate
+    certificate: DualGraph
 
-    def __init__(self, nodes: frozenset[FaceId],
-                 certificate: ForestCertificate):
+    def __init__(self, nodes: frozenset[FaceId], certificate: DualGraph):
         _set(self, "nodes", nodes)
         _set(self, "certificate", certificate)
 
@@ -582,7 +570,7 @@ def min_fvs(d: DualGraph) -> FvsSolution:
         raise AssertionError("solver returned a non-feedback set")
     return FvsSolution(
         nodes=sol,
-        certificate=ForestCertificate(nodes=forest_nodes, edges=forest_edges))
+        certificate=DualGraph(nodes=forest_nodes, edges=forest_edges))
 
 
 # -- from feedback sets to covers and splits -----------------------------------

@@ -315,11 +315,14 @@ def with_outer_face(g: PlaneGraph, face_id: FaceId) -> PlaneGraph:
 
 
 class DualGraph(_Value):
-    """Multigraph on face ids with one edge per primal edge.
+    """Multigraph on face ids; edges holds unordered pairs, and a
+    repeated pair is a parallel edge.
 
-    edges holds unordered (min, max) pairs, sorted; two faces sharing k
-    primal edges appear as k parallel pairs.  A self-loop (f, f) appears
-    exactly when the primal edge is a bridge.
+    dual(g) gives one edge per primal edge, as (min, max) pairs, sorted:
+    two faces sharing k primal edges appear as k parallel pairs, and a
+    self-loop (f, f) appears exactly when the primal edge is a bridge.
+    min_fvs certifies its solution with the DualGraph its input leaves
+    once the solution's nodes are removed.
     """
 
     nodes: tuple[FaceId, ...]

@@ -34,23 +34,22 @@ walk, and the outer face is whichever face holds the outer slot.  The
 state holds faces by keys, which start as the input's face ids and which
 a split keeps for every face it does not merge.  Graphs are built only
 where the API returns one, once the sequence is done, with the faces
-renumbered by id, so replay and merge_faces_at_vertex each build a single
-PlaneGraph, split_vertex is a sequence of one split, and realize_cover,
-which returns only the ops, checks that its final walks are outerplane
-and builds no graph.  Within a sequence faces are followed by key,
-through the slots into the split vertex; a face id, which costs a search
-of the id order once keys and ids part, is computed only where _merge
-records a SplitOp, as replay and split_vertex are given the ids.  Copy
-origins are read off the ops only by extract_cover and
-SplitSequence.origin; realize_cover finds the current face of an
-original one by rotation position instead.
+renumbered by id, so replay builds a single PlaneGraph, split_vertex is
+a sequence of one split, and realize_cover, which returns only the ops,
+checks that its final walks are outerplane and builds no graph.  Within
+a sequence faces are followed by key, through the slots into the split
+vertex; a face id, which costs a search of the id order once keys and
+ids part, is computed only where _merge records a SplitOp, as replay and
+split_vertex are given the ids.  Copy origins are read off the ops only
+by extract_cover and SplitSequence.origin; realize_cover finds the
+current face of an original one by rotation position instead.
 
-merge_faces_at_vertex chains splits around one vertex so that a whole set
-of faces incident to it becomes a single face.  realize_cover walks a
-spanning tree of a connected face cover and applies such merges root to
-leaf, producing |cover| - 1 splits that leave the graph outerplane.
-extract_cover is the reverse direction: it replays a split sequence and
-maps the slots of the final all-incident face back to original faces.
+realize_cover walks a spanning tree of a connected face cover root to
+leaf; at each vertex, _merge chains splits clockwise around it so that
+the faces the tree joins there become a single face.  That makes
+|cover| - 1 splits, which leave the graph outerplane.  extract_cover is
+the reverse direction: it replays a split sequence and maps the slots of
+the final all-incident face back to original faces.
 """
 
 from __future__ import annotations
@@ -498,28 +497,6 @@ def _merge(st: _SplitState, v: Vertex, keys: set[int]) -> list[SplitOp]:
         copies.remove(c)
         copies += [copy_2, copy_1]
     return ops
-
-
-def merge_faces_at_vertex(
-        g: PlaneGraph, v: Vertex, faces: Iterable[FaceId]
-) -> tuple[PlaneGraph, list[SplitOp]]:
-    """Merge all given faces incident to v into one face using exactly
-    len(faces) - 1 splits, iterating clockwise around v.
-
-    Returns (graph, ops)."""
-    wanted = set(faces)
-    if v not in g.rotation:
-        raise NotIncident(f"vertex {v!r} does not exist")
-    missing = wanted - {g.slot_face[(y, v)] for y in g.rotation[v]}
-    if missing:
-        raise NotIncident(
-            f"vertex {v!r} is not on the boundary of face {min(missing)}")
-    if len(wanted) <= 1:
-        return g, []
-    # the state is keyed by g's face ids
-    st = _SplitState(g)
-    ops = _merge(st, v, wanted)
-    return st.graph(), ops
 
 
 # -- covers and their realization ---------------------------------------------

@@ -1,10 +1,11 @@
 """Embedding-faithful SVG drawings via barycentric (Tutte) layout.
 
-The outer face's vertices are pinned to a regular polygon and every other
-vertex solves to the weighted average of its neighbors, by sparse
-elimination in pure Python.  The solve is retried with perturbed random
-weights when positions degenerate; a drawing that stays degenerate raises
-LayoutFailure.
+layout places the vertices and render returns the SVG document as text;
+the module writes no file.  The outer face's vertices are pinned to a
+regular polygon and every other vertex solves to the weighted average of
+its neighbors, by sparse elimination in pure Python.  The solve is
+retried with perturbed random weights when positions degenerate; a
+drawing that stays degenerate raises LayoutFailure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import random
 
 from .cover_solver import _eliminate
-from .errors import LayoutFailure, WriteFailure
+from .errors import LayoutFailure
 from .plane_graph import PlaneGraph, Vertex
 
 _W = 640.0
@@ -126,14 +127,3 @@ def render(g: PlaneGraph) -> str:
             f'font-size="14">{v.translate(_ESCAPES)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_svg(g: PlaneGraph, path: str) -> None:
-    """Write g's drawing to path in UTF-8; WriteFailure when that fails."""
-    text = render(g)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise WriteFailure(
-            f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -41,9 +41,10 @@ from outersplit import (
     split_vertex,
     upper_bound,
     with_outer_face,
+    DualGraph,
     SplitSequence,
 )
-from outersplit.cover_solver import ForestCertificate, FvsSolution
+from outersplit.cover_solver import FvsSolution
 from outersplit.errors import CertificateFailure, InfeasibleParameters
 
 _cache = {}
@@ -262,7 +263,7 @@ def test_criterion_4_any_feedback_set_certifies(criterion):
             kept = tuple(u for u in nodes if u not in s)
             sol = FvsSolution(
                 nodes=frozenset(s),
-                certificate=ForestCertificate(
+                certificate=DualGraph(
                     nodes=kept,
                     edges=tuple(e for e in d.edges
                                 if e[0] not in s and e[1] not in s)))

@@ -1,6 +1,16 @@
 import pytest
 
-from outersplit import cli, k4, parse_rot, serialize_rot
+from outersplit import (
+    cli,
+    k4,
+    outerplane_face,
+    parse_rot,
+    render,
+    replay,
+    serialize_rot,
+    solve_osn,
+    with_outer_face,
+)
 from outersplit.cli import main
 
 BOWTIE = "5 6\na: b x\nb: x a\nc: d x\nd: x c\nx: b a d c\n"
@@ -63,27 +73,48 @@ def test_osn_zero_splits(tmp_path, capsys):
     assert len(lines) == 2  # no split lines
 
 
+def drawings(g):
+    """The bytes osn --svg writes for g: the drawing of g, then that of
+    its split result with its all-incident face outer."""
+    final = replay(g, solve_osn(g).splits)
+    return (render(g).encode("utf-8"),
+            render(with_outer_face(final, outerplane_face(final)))
+            .encode("utf-8"))
+
+
 def test_osn_svg(tmp_path, capsys):
     before = tmp_path / "before.svg"
     after = tmp_path / "after.svg"
     code, _, _ = run(capsys, "osn", write_k4(tmp_path),
                      "--svg", str(before), str(after))
     assert code == 0
-    for path in (before, after):
-        assert path.read_text().startswith("<svg")
+    assert (before.read_bytes(), after.read_bytes()) == drawings(k4())
+    assert before.read_text().startswith("<svg")
 
 
 def test_osn_svg_with_names_outside_ascii(tmp_path, capsys):
+    text = "4 6\né: a<b a&b d\na<b: a&b é d\na&b: é a<b d\nd: é a&b a<b\n"
     rot = tmp_path / "e.rot"
-    rot.write_text("4 6\né: b c d\nb: c é d\nc: é b d\nd: é c b\n",
-                   encoding="utf-8")
+    rot.write_text(text, encoding="utf-8")
     before = tmp_path / "before.svg"
     after = tmp_path / "after.svg"
     code, _, _ = run(capsys, "osn", str(rot),
                      "--svg", str(before), str(after))
     assert code == 0
+    assert (before.read_bytes(), after.read_bytes()) == drawings(
+        parse_rot(text))
     for path in (before, after):
         assert "é" in path.read_text(encoding="utf-8")
+
+
+def test_osn_svg_dash_is_stdout(tmp_path, capsys):
+    rot = write_k4(tmp_path)
+    after = tmp_path / "after.svg"
+    _, report, _ = run(capsys, "osn", rot)
+    code, out, _ = run(capsys, "osn", rot, "--svg", "-", str(after))
+    assert code == 0
+    assert out == report + render(k4())
+    assert after.read_bytes() == drawings(k4())[1]
 
 
 def test_verify_negative(tmp_path, capsys):

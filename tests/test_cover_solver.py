@@ -92,6 +92,9 @@ def test_min_fvs_certificate_is_exact_remainder():
         d = dual(g)
         sol = min_fvs(d)
         cert = sol.certificate
+        assert isinstance(cert, DualGraph)
+        # a forest is its own remainder: it needs no node removed
+        assert min_fvs(cert).nodes == frozenset()
         assert set(cert.nodes) == set(d.nodes) - sol.nodes
         assert list(cert.edges) == [
             e for e in d.edges

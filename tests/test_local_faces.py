@@ -23,7 +23,6 @@ from outersplit import (
     build,
     extract_cover,
     face_cover,
-    merge_faces_at_vertex,
     random_biconnected,
     random_triangulation,
     realize_cover,
@@ -168,9 +167,6 @@ def test_sequences_leave_their_input_unchanged():
         before = snapshot(g)
         replay(g, seq)
         realize_cover(g, cover)
-        for v in sorted(g.rotation)[:5]:
-            fids = {g.face_of_slot((x, v)) for x in g.rotation[v]}
-            merge_faces_at_vertex(g, v, fids)
         assert snapshot(g) == before
 
 

@@ -13,7 +13,6 @@ from outersplit import (
     face_cover,
     fan,
     is_outerplane,
-    merge_faces_at_vertex,
     octahedron,
     parse_rot,
     parse_splits,
@@ -149,31 +148,6 @@ def test_split_rejects_degree_one_vertex():
     assert len(g.faces) == 2
     with pytest.raises(DanglingVertex):
         split_vertex(g, "d", 0, 1)
-
-
-def test_merge_faces_at_vertex():
-    g = k4()
-    g2, ops = merge_faces_at_vertex(g, "d", [0, 2, 3])
-    assert [(o.vertex, o.copy_1, o.copy_2) for o in ops] == [
-        ("d", "d.1", "d.2"), ("d.1", "d.1.1", "d.1.2")]
-    assert len(g2.faces) == 2
-    assert is_outerplane(g2)
-    assert g2.n == 6
-    seq = SplitSequence(ops=tuple(ops))
-    assert extract_cover(g, seq).faces == {0, 2, 3}
-
-
-def test_merge_rejects_faces_not_at_the_vertex():
-    g = k4()
-    with pytest.raises(NotIncident):
-        merge_faces_at_vertex(g, "zz", [0, 2])
-    for missing in (9, -1):  # no such face
-        with pytest.raises(NotIncident):
-            merge_faces_at_vertex(g, "d", [0, missing])
-    # face 1 is the only face missing d; a lone face is checked too
-    for faces in ([0, 1], [1]):
-        with pytest.raises(NotIncident):
-            merge_faces_at_vertex(g, "d", faces)
 
 
 def test_face_cover_certificate():

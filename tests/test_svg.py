@@ -1,13 +1,11 @@
 import math
 from xml.etree import ElementTree
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outersplit import (
     build,
-    emit_svg,
     icosahedron,
     k4,
     layout,
@@ -21,7 +19,6 @@ from outersplit import (
     solve_osn,
     with_outer_face,
 )
-from outersplit.errors import WriteFailure
 from outersplit.svg import _degenerate, _outer_cycle, _solve
 
 # the 4-cycle a b c d, face 0, with two inner paths a-x-c and a-y-c: at
@@ -151,21 +148,3 @@ def test_render_escapes_labels():
     g = parse_rot(K4_NAMES)
     assert sorted(labels(render(g))) == sorted(g.rotation)
 
-
-def test_emit_svg_writes_the_document(tmp_path):
-    path = tmp_path / "k4.svg"
-    emit_svg(k4(), str(path))
-    assert path.read_text() == render(k4())
-
-
-def test_emit_svg_writes_utf8(tmp_path):
-    g = parse_rot(K4_NAMES)
-    path = tmp_path / "k4.svg"
-    emit_svg(g, str(path))
-    assert path.read_bytes() == render(g).encode("utf-8")
-
-
-def test_emit_svg_into_a_missing_directory_fails_by_name(tmp_path):
-    path = tmp_path / "missing" / "k4.svg"
-    with pytest.raises(WriteFailure, match="cannot write"):
-        emit_svg(k4(), str(path))

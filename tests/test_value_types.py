@@ -16,7 +16,6 @@ from outersplit import (
     Face,
     FaceCover,
     FamilySpec,
-    ForestCertificate,
     FvsSolution,
     OsnResult,
     PlaneGraph,
@@ -40,10 +39,8 @@ def _fields(cls):
 SAMPLES = {
     BoundReport: ((4, 3, Fraction(1, 2), None, Fraction(1, 2), 1),
                   (4, 3, Fraction(1, 2), None, Fraction(1, 2), 2)),
-    ForestCertificate: (((1, 2, 3), ((1, 2), (2, 3))),
-                        ((1, 2, 3), ((1, 2),))),
-    FvsSolution: ((frozenset({0}), ForestCertificate((1,), ())),
-                  (frozenset({0}), ForestCertificate((2,), ()))),
+    FvsSolution: ((frozenset({0}), DualGraph((1,), ())),
+                  (frozenset({0}), DualGraph((2,), ()))),
     FamilySpec: (("random_biconnected", None, 8, 11, 1),
                  ("random_biconnected", None, 8, 11, 2)),
     Face: ((0, (("a", "b"), ("b", "a")), frozenset("ab")),
