@@ -117,6 +117,26 @@ def test_osn_svg_dash_is_stdout(tmp_path, capsys):
     assert after.read_bytes() == drawings(k4())[1]
 
 
+def test_osn_svg_both_drawings_to_stdout(tmp_path, capsys):
+    rot = write_k4(tmp_path)
+    _, report, _ = run(capsys, "osn", rot)
+    code, out, _ = run(capsys, "osn", rot, "--svg", "-", "-")
+    assert code == 0
+    before, after = drawings(k4())
+    assert out.encode("utf-8") == report.encode("utf-8") + before + after
+
+
+def test_osn_svg_into_a_missing_directory_fails_by_name(tmp_path, capsys):
+    missing = tmp_path / "missing" / "before.svg"
+    after = tmp_path / "after.svg"
+    code, _, err = run(capsys, "osn", write_k4(tmp_path),
+                       "--svg", str(missing), str(after))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing}")
+    # BEFORE is written first, so its failure leaves AFTER unwritten
+    assert not after.exists()
+
+
 def test_verify_negative(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", write_k4(tmp_path), "--porcelain")
     assert code == 0

@@ -113,6 +113,27 @@ def test_min_fvs_certificate_is_exact_remainder():
             parent[ra] = rb
 
 
+def test_min_fvs_leaves_a_forest_whole():
+    path = DualGraph(nodes=(0, 1, 2), edges=((0, 1), (1, 2)))
+    sol = min_fvs(path)
+    assert sol.nodes == frozenset()
+    assert sol.certificate == path
+
+
+def test_min_fvs_certificate_equals_the_remainder_by_value():
+    for g in [k4(), octahedron(), icosahedron()]:
+        d = dual(g)
+        sol = min_fvs(d)
+        kept = tuple(u for u in d.nodes if u not in sol.nodes)
+        remainder = DualGraph(
+            nodes=kept,
+            edges=tuple(e for e in d.edges
+                        if e[0] not in sol.nodes and e[1] not in sol.nodes))
+        assert sol.certificate == remainder
+        assert hash(sol.certificate) == hash(remainder)
+        assert not sol.certificate.has_self_loop()
+
+
 def test_min_fvs_small_duals():
     assert min_fvs(dual(k4())).nodes == frozenset((0, 1))
     tri = with_outer_face(

@@ -8,7 +8,12 @@ reach is a second path kept for its own sake.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
+
+import outersplit
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "outersplit"
@@ -44,3 +49,21 @@ def test_every_export_is_used_inside_the_package_or_the_benchmark():
     names = exported()
     assert len(names) > 40  # the parse found the export list
     assert names - used() == EXCEPTIONS
+
+
+def test_no_export_is_a_second_name_for_another():
+    # an alias would keep a retired name alive as a fork of the one kept
+    objects = {}
+    for name in sorted(exported()):
+        objects.setdefault(id(getattr(outersplit, name)), []).append(name)
+    assert [names for names in objects.values() if len(names) > 1] == []
+
+
+@pytest.mark.parametrize("module, name", [
+    ("split_engine", "merge_faces_at_vertex"),
+    ("svg", "emit_svg"),
+    ("cover_solver", "ForestCertificate"),
+])
+def test_retired_paths_are_gone(module, name):
+    assert not hasattr(outersplit, name)
+    assert not hasattr(importlib.import_module(f"outersplit.{module}"), name)

@@ -186,6 +186,36 @@ def test_realize_cover_recertifies_its_cover():
         realize_cover(p, FaceCover(faces=tri, tree=()))
 
 
+# three triangles that share only x, with the outer face around them
+WINDMILL = ("7 9\na: b x\nb: x a\nc: d x\nd: x c\ne: f x\nf: x e\n"
+            "x: b a d c f e\n")
+
+
+def test_realize_cover_merges_three_faces_at_one_vertex():
+    g = parse_rot(WINDMILL)
+    tri = [f.id for f in g.faces if len(f) == 3]
+    seq = realize_cover(g, face_cover(g, tri))
+    # the later split is at the copy of x the first one left
+    assert [(o.vertex, o.copy_1, o.copy_2) for o in seq.ops] == [
+        ("x", "x.1", "x.2"), ("x.1", "x.1.1", "x.1.2")]
+    final = replay(g, seq)
+    assert len(final.faces) == 2
+    assert is_outerplane(final)
+    assert final.n == g.n + 2
+    assert extract_cover(g, seq).faces == frozenset(tri)
+
+
+def test_realize_cover_rejects_faces_that_do_not_exist():
+    g = k4()
+    for missing in (4, 9, -1):
+        with pytest.raises(InvalidCover):
+            realize_cover(g, FaceCover(faces=frozenset({0, missing}),
+                                       tree=()))
+    # face 1 is the only face missing d, so alone it covers too little
+    with pytest.raises(InvalidCover):
+        realize_cover(g, FaceCover(faces=frozenset({1}), tree=()))
+
+
 def test_realize_cover_k4():
     g = k4()
     cover = face_cover(g, [0, 1])

@@ -148,3 +148,12 @@ def test_render_escapes_labels():
     g = parse_rot(K4_NAMES)
     assert sorted(labels(render(g))) == sorted(g.rotation)
 
+
+def test_render_encodes_as_utf8_xml():
+    # the document declares no encoding, so its bytes as written are
+    # UTF-8 and an XML parser reads the labels back from them
+    g = parse_rot(K4_NAMES)
+    doc = render(g)
+    assert not doc.startswith("<?xml")
+    assert sorted(labels(doc.encode("utf-8"))) == sorted(g.rotation)
+
